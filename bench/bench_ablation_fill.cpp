@@ -49,11 +49,12 @@ void print_ablation() {
     runs.push_back(run_fill("per-block (random B1-B4, quiet B5/B6)", opt));
   }
 
-  TextTable t({"fill policy", "patterns", "fault coverage", "B5 violations",
-               "violation rate"});
+  TextTable t({"fill policy", "patterns", "fault coverage", "test coverage",
+               "B5 violations", "violation rate"});
   for (const FillRun& r : runs) {
     t.add_row({r.name, std::to_string(r.flow.patterns.size()),
                TextTable::num(100.0 * r.flow.stats.fault_coverage(), 2) + "%",
+               TextTable::num(100.0 * r.flow.stats.test_coverage(), 2) + "%",
                std::to_string(r.violations),
                TextTable::num(100.0 * static_cast<double>(r.violations) /
                                   static_cast<double>(r.flow.patterns.size()),

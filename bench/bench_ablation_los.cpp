@@ -59,11 +59,13 @@ void print_ablation() {
   const SchemeRun losr = run_scheme("launch-off-shift", los);
   const SchemeRun enhr = run_scheme("enhanced scan", enh);
 
-  TextTable t({"scheme", "patterns", "fault coverage", "launch flops/pat",
-               "B5 SCAP mean [mW]", "B5 violations"});
+  TextTable t({"scheme", "patterns", "fault coverage", "test coverage",
+               "launch flops/pat", "B5 SCAP mean [mW]", "B5 violations"});
   for (const SchemeRun* r : {&loc, &losr, &enhr}) {
     t.add_row({r->name, std::to_string(r->result.patterns.size()),
                TextTable::num(100.0 * r->result.stats.fault_coverage(), 2) +
+                   "%",
+               TextTable::num(100.0 * r->result.stats.test_coverage(), 2) +
                    "%",
                TextTable::num(r->mean_launches, 0),
                TextTable::num(r->b5_scap.mean(), 1),

@@ -62,10 +62,12 @@ void print_ablation() {
                             per_block));
   }
 
-  TextTable t({"plan", "patterns", "fault coverage", "B5 violations"});
+  TextTable t({"plan", "patterns", "fault coverage", "test coverage",
+               "B5 violations"});
   for (const PlanRun& r : runs) {
     t.add_row({r.name, std::to_string(r.flow.patterns.size()),
                TextTable::num(100.0 * r.flow.stats.fault_coverage(), 2) + "%",
+               TextTable::num(100.0 * r.flow.stats.test_coverage(), 2) + "%",
                std::to_string(r.violations)});
   }
   std::printf("%s\n",

@@ -37,11 +37,11 @@ void print_fig2() {
               100.0 * static_cast<double>(viol) /
                   static_cast<double>(profile.size()));
   std::printf("paper: 2253 / 5846 (38.5%%) above the 204 mW threshold\n");
-  std::printf("coverage of the set: %.2f%% fault coverage, %zu untestable, "
-              "%zu aborted\n\n",
-              100.0 * bench::conventional_flow().stats.fault_coverage(),
-              bench::conventional_flow().stats.untestable,
-              bench::conventional_flow().stats.aborted);
+  const AtpgStats& cov = bench::conventional_flow().stats;
+  std::printf("coverage of the set: %.2f%% fault coverage, %.2f%% test "
+              "coverage, %zu untestable, %zu aborted\n\n",
+              100.0 * cov.fault_coverage(), 100.0 * cov.test_coverage(),
+              cov.untestable, cov.aborted);
 }
 
 void BM_ScapProfileChunk(benchmark::State& state) {

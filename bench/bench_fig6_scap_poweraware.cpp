@@ -50,7 +50,12 @@ void print_fig6() {
                   static_cast<double>(profile.size()),
               conv_viol, conv_profile.size());
   std::printf("paper: 57 / 6490 (0.9%%) vs 2253 / 5846 for random fill, at "
-              "+8%% pattern count\n\n");
+              "+8%% pattern count\n");
+  std::printf("coverage of the set: %.2f%% fault coverage, %.2f%% test "
+              "coverage, %zu untestable, %zu aborted\n\n",
+              100.0 * flow.stats.fault_coverage(),
+              100.0 * flow.stats.test_coverage(), flow.stats.untestable,
+              flow.stats.aborted);
 }
 
 void BM_QuietStateSearch(benchmark::State& state) {

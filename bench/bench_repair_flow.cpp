@@ -26,6 +26,20 @@ void print_repair() {
              std::to_string(rep.violations_after)});
   t.add_row({"faults detected", std::to_string(rep.detected_before),
              std::to_string(rep.detected_after)});
+  // Untestable is a property of the fault and the test context, not of the
+  // pattern set: the conventional flow's classification serves both sides.
+  const std::size_t total = exp.faults.size();
+  const std::size_t testable =
+      total - bench::conventional_flow().stats.untestable;
+  auto pct = [](std::size_t num, std::size_t den) {
+    const double frac = static_cast<double>(num) /
+                        static_cast<double>(std::max<std::size_t>(1, den));
+    return TextTable::num(100.0 * frac, 2) + "%";
+  };
+  t.add_row({"fault coverage", pct(rep.detected_before, total),
+             pct(rep.detected_after, total)});
+  t.add_row({"test coverage", pct(rep.detected_before, testable),
+             pct(rep.detected_after, testable)});
   std::printf("%s\n", t.render("Repair of the conventional random-fill set (" +
                                std::to_string(rep.rounds) + " rounds)")
                           .c_str());

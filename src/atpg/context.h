@@ -39,8 +39,6 @@ struct TestContext {
   /// True when S2 comes from test variables (LOS shift / enhanced hold
   /// cells) instead of the functional response.
   bool explicit_s2() const { return scheme != LaunchScheme::kLoc; }
-  /// Deprecated spelling of explicit_s2() kept for call sites.
-  bool los() const { return explicit_s2(); }
 
   static TestContext for_domain(const Netlist& nl, DomainId domain,
                                 std::uint8_t pi_value = 0) {

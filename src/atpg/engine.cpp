@@ -36,6 +36,20 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
           b < opt.target_blocks.size() ? opt.target_blocks[b] : 0;
     }
   }
+  // Static classification: a targetable open fault that no pattern can
+  // observe is untestable without search, and so never takes a compaction
+  // scan slot either.
+  const std::vector<std::uint8_t> observable = observable_nets(nl, *ctx_);
+  std::uint64_t run_static_untestable = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (targetable[i] && st[i] == FaultStatus::kUndetected &&
+        statically_unobservable(nl, *ctx_, observable, faults[i])) {
+      st[i] = FaultStatus::kUntestable;
+      ++run_static_untestable;
+    }
+  }
+  run_untestable += run_static_untestable;
+
   // A fault already tried as a primary target this run (avoid rework while
   // its pattern sits in the unsimulated buffer). With n-detect the flag is
   // re-armed after each simulated batch until the count is satisfied.
@@ -83,6 +97,25 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
                     : (opt.fill == FillMode::kFill1 ? 1 : 0);
     }
     return p;
+  };
+
+  // Per-block care-bit budget for dynamic compaction.
+  std::vector<std::size_t> block_flops(nl.block_count(), 0);
+  for (FlopId f = 0; f < nl.num_flops(); ++f) ++block_flops[nl.flop(f).block];
+  std::vector<std::size_t> block_care(nl.block_count());
+  auto within_care_budget = [&](const TestCube& c) {
+    if (opt.max_block_care_fraction >= 1.0) return true;
+    std::fill(block_care.begin(), block_care.end(), 0);
+    for (FlopId f = 0; f < nl.num_flops(); ++f) {
+      if (c.s1[f] != kBitX) ++block_care[nl.flop(f).block];
+    }
+    for (BlockId b = 0; b < nl.block_count(); ++b) {
+      if (block_flops[b] == 0) continue;
+      const double frac = static_cast<double>(block_care[b]) /
+                          static_cast<double>(block_flops[b]);
+      if (frac > opt.max_block_care_fraction) return false;
+    }
+    return true;
   };
 
   std::vector<Pattern> buffer;
@@ -155,28 +188,14 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     }
 
     // Dynamic compaction: try to pack nearby undetected targets in as well,
-    // under the per-block care-bit budget.
-    std::vector<std::size_t> block_flops(nl.block_count(), 0);
-    for (FlopId f = 0; f < nl.num_flops(); ++f) ++block_flops[nl.flop(f).block];
-    auto within_care_budget = [&](const TestCube& c) {
-      if (opt.max_block_care_fraction >= 1.0) return true;
-      std::vector<std::size_t> care(nl.block_count(), 0);
-      for (FlopId f = 0; f < nl.num_flops(); ++f) {
-        if (c.s1[f] != kBitX) ++care[nl.flop(f).block];
-      }
-      for (BlockId b = 0; b < nl.block_count(); ++b) {
-        if (block_flops[b] == 0) continue;
-        const double frac = static_cast<double>(care[b]) /
-                            static_cast<double>(block_flops[b]);
-        if (frac > opt.max_block_care_fraction) return false;
-      }
-      return true;
-    };
+    // under the per-block care-bit budget (rechecked only when a merge
+    // changes the cube).
     std::uint32_t merged = 0;
     std::uint32_t scanned = 0;
+    bool budget_ok = within_care_budget(cube);
     for (std::size_t j = target + 1;
          j < faults.size() && merged < opt.compaction_limit &&
-         scanned < opt.compaction_scan && within_care_budget(cube);
+         scanned < opt.compaction_scan && budget_ok;
          ++j) {
       if (!targetable[j] || tried[j] || st[j] != FaultStatus::kUndetected) {
         continue;
@@ -188,6 +207,7 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
         tried[j] = 1;
         ++merged;
         ++run_merges;
+        budget_ok = within_care_budget(cube);
       }
     }
 
@@ -231,6 +251,7 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   obs::count("atpg.detected_faults", run_detected);
   obs::count("atpg.aborted_faults", run_aborted);
   obs::count("atpg.untestable_faults", run_untestable);
+  obs::count("atpg.static_untestable", run_static_untestable);
   return result;
 }
 

@@ -7,7 +7,10 @@
 //  - don't-care bits are filled per the selected mode (random-fill boosts
 //    fortuitous detection and, as the paper shows, switching activity),
 //  - bit-parallel fault simulation with dropping confirms detections and
-//    builds the cumulative coverage curve (Figure 4).
+//    builds the cumulative coverage curve (Figure 4),
+//  - a fault with no combinational path to a capturing flop is classified
+//    untestable before any search (observable_nets()), as the commercial
+//    tool reports such faults ATPG-untestable without searching them.
 //
 // A fault-status vector can be threaded through successive run() calls,
 // which is how the paper's multi-step per-block-subset flow (Step1: B1-B4,

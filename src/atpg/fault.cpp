@@ -90,6 +90,36 @@ BlockId fault_block(const Netlist& nl, const TdfFault& f) {
   return 0;
 }
 
+std::vector<std::uint8_t> observable_nets(const Netlist& nl,
+                                          const TestContext& ctx) {
+  std::vector<std::uint8_t> obs(nl.num_nets(), 0);
+  for (FlopId f = 0; f < nl.num_flops(); ++f) {
+    if (ctx.active[f]) obs[nl.flop(f).d] = 1;
+  }
+  // Every reader of a gate's output comes later in topological order, so one
+  // reverse pass reaches the fixpoint.
+  const auto topo = nl.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    if (!obs[nl.gate(*it).out]) continue;
+    for (NetId in : nl.gate_inputs(*it)) obs[in] = 1;
+  }
+  return obs;
+}
+
+bool statically_unobservable(const Netlist& nl, const TestContext& ctx,
+                             std::span<const std::uint8_t> observable,
+                             const TdfFault& f) {
+  switch (f.site) {
+    case FaultSite::kStem:
+      return !observable[f.net];
+    case FaultSite::kGateBranch:
+      return !observable[nl.gate(f.load).out];
+    case FaultSite::kFlopBranch:
+      return !ctx.active[f.load];
+  }
+  return false;
+}
+
 std::string describe_fault(const Netlist& nl, const TdfFault& f) {
   std::ostringstream os;
   os << nl.net_name(f.net);

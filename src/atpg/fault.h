@@ -16,9 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "atpg/context.h"
 #include "netlist/netlist.h"
 
 namespace scap {
@@ -60,6 +62,21 @@ std::vector<TdfFault> collapse_faults(const Netlist& nl,
 /// Block of the fault's structural location (driver block for stems, load
 /// block for branches).
 BlockId fault_block(const Netlist& nl, const TdfFault& f);
+
+/// Static observability under `ctx`: per net, 1 when a combinational path
+/// leads from it to the D pin of a flop that captures in the tested domain.
+/// One reverse sweep over the topological order; the fault simulator, PODEM
+/// and the ATPG engine all classify faults from this one map.
+std::vector<std::uint8_t> observable_nets(const Netlist& nl,
+                                          const TestContext& ctx);
+
+/// True when no pattern can detect `f` under `ctx`, given `observable` from
+/// observable_nets(): a stem whose net is unobservable, a gate branch whose
+/// load gate's output is unobservable, or a flop branch whose load flop
+/// does not capture.
+bool statically_unobservable(const Netlist& nl, const TestContext& ctx,
+                             std::span<const std::uint8_t> observable,
+                             const TdfFault& f);
 
 /// "net[STR]" / "gate:pin[STF]"-style description for logs and tests.
 std::string describe_fault(const Netlist& nl, const TdfFault& f);

@@ -57,21 +57,12 @@ void FaultSimulator::init_counters_and_weights(const Netlist& nl,
     if (ctx.active[f]) ++obs_weight_[view_->f_d()[f]];
   }
 
-  // Static observability: reverse sweep marking every net with a
-  // combinational path to an active flop D. The schedule is topological, so
-  // one pass in reverse order reaches a fixpoint.
-  const LevelizedView& v = *view_;
-  obs_reach_.assign(nl.num_nets(), 0);
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    if (obs_weight_[n] != 0) obs_reach_[n] = 1;
-  }
-  const NetId* outs = v.gate_outs();
-  const NetId* pool = v.gate_ins();
-  const std::uint32_t* off = v.gate_in_offsets();
-  for (std::uint32_t si = v.num_gates(); si-- > 0;) {
-    if (!obs_reach_[outs[si]]) continue;
-    const std::uint32_t e = off[si + 1];
-    for (std::uint32_t j = off[si]; j < e; ++j) obs_reach_[pool[j]] = 1;
+  // Static observability (shared with PODEM and the ATPG engine), held in
+  // compact ids for the cone walk.
+  const std::vector<std::uint8_t> observable = observable_nets(nl, ctx);
+  obs_reach_.resize(nl.num_nets());
+  for (NetId c = 0; c < nl.num_nets(); ++c) {
+    obs_reach_[c] = observable[view_->external_net(c)];
   }
 }
 
@@ -132,7 +123,7 @@ void FaultSimulator::compute_good_block(const BatchSim& sim,
   // keep S1); LOS/enhanced scan take the launch value from its variable.
   gs.s2.resize(nf * W);
   const NetId* fd = v.f_d();
-  const bool explicit_s2 = ctx_->los();
+  const bool explicit_s2 = ctx_->explicit_s2();
   for (FlopId f = 0; f < nf; ++f) {
     const std::size_t src =
         explicit_s2 ? ctx_->los_pred[f]

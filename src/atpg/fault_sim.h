@@ -155,9 +155,9 @@ class FaultSimulator {
   /// PI; eval paths repeat them per lane as needed.
   std::vector<std::uint64_t> pi_words_;
   std::vector<std::uint32_t> obs_weight_;  ///< active flop D loads, compact ids
-  /// Static observability: nets with a combinational path to an active flop
-  /// D (reverse sweep over the schedule). A fault whose site is not in this
-  /// set can never be detected, so its launch check and cone walks are
+  /// Static observability (observable_nets(), compact ids): nets with a
+  /// combinational path to an active flop D. A fault whose site is not in
+  /// this set can never be detected, so its launch check and cone walks are
   /// skipped outright -- a pure structural filter, identical at any thread
   /// count and batch width.
   std::vector<std::uint8_t> obs_reach_;

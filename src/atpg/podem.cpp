@@ -11,7 +11,7 @@ namespace scap {
 Podem::Podem(const Netlist& nl, const TestContext& ctx, PodemOptions opt)
     : nl_(&nl), ctx_(&ctx), opt_(opt) {
   s1_.assign(ctx.num_vars(), kBitX);
-  if (ctx.los()) {
+  if (ctx.explicit_s2()) {
     // Per variable: the flop it feeds at the launch shift (linear chains
     // give each variable at most one successor).
     los_succ_.assign(ctx.num_vars(), kNullId);
@@ -34,6 +34,8 @@ Podem::Podem(const Netlist& nl, const TestContext& ctx, PodemOptions opt)
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
     if (ctx.active[f]) ++obs_weight_[nl.flop(f).d];
   }
+  observable_ = observable_nets(nl, ctx);
+  xpath_mark_.assign(nl.num_nets(), 0);
   rebuild_planes();
 }
 
@@ -56,7 +58,7 @@ void Podem::rebuild_planes() {
   }
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
     const NetId q = nl.flop(f).q;
-    if (ctx_->los()) {
+    if (ctx_->explicit_s2()) {
       const std::uint8_t src = s1_[ctx_->los_pred[f]];
       g2_[q] = src == kBitX ? V3::x() : V3::of(src);
     } else {
@@ -96,7 +98,8 @@ void Podem::update_f1(NetId n, V3 v) {
   if (f1_[n] == v) return;
   f1_[n] = v;
   for (GateId g : nl_->fanout_gates(n)) enqueue(kF1, g);
-  if (ctx_->los()) return;  // LOS: the launch shift, not D capture, sets S2
+  // LOS / enhanced scan: launch variables, not D capture, set S2.
+  if (ctx_->explicit_s2()) return;
   for (FlopId f : nl_->fanout_flops(n)) {
     if (ctx_->active[f]) update_f2(nl_->flop(f).q, v, v);
   }
@@ -119,7 +122,7 @@ void Podem::update_f2(NetId n, V3 good, V3 faulty) {
     effect_obs_ += (eff ? 1 : -1) * static_cast<std::int64_t>(obs_weight_[n]);
     if (eff) {
       for (GateId g : nl_->fanout_gates(n)) {
-        if (!in_dfrontier_[g]) {
+        if (!in_dfrontier_[g] && observable_[nl_->gate(g).out]) {
           in_dfrontier_[g] = 1;
           dfrontier_.push_back(g);
         }
@@ -182,9 +185,9 @@ void Podem::set_s1(FlopId var, int v) {
   if (var < nl_->num_flops()) {
     const NetId q = nl_->flop(var).q;
     update_f1(q, val);
-    if (!ctx_->los() && !ctx_->active[var]) update_f2(q, val, val);
+    if (!ctx_->explicit_s2() && !ctx_->active[var]) update_f2(q, val, val);
   }
-  if (ctx_->los()) {
+  if (ctx_->explicit_s2()) {
     const FlopId succ = los_succ_[var];
     if (succ != kNullId) update_f2(nl_->flop(succ).q, val, val);
   }
@@ -332,13 +335,35 @@ std::optional<Podem::Objective> Podem::objective() {
       case GateClass::kTie:
         break;  // nothing to justify; output follows automatically
     }
-    if (obj) {
+    if (obj && has_x_path(out)) {
       best = obj;
       best_level = nl_->gate(g).level;
     }
   }
   dfrontier_.resize(w);
   return best;
+}
+
+bool Podem::has_x_path(NetId from) {
+  if (++xpath_epoch_ == 0) {  // stamp wrap: invalidate all
+    std::fill(xpath_mark_.begin(), xpath_mark_.end(), 0);
+    xpath_epoch_ = 1;
+  }
+  xpath_mark_[from] = xpath_epoch_;
+  xpath_stack_.assign(1, from);
+  while (!xpath_stack_.empty()) {
+    const NetId n = xpath_stack_.back();
+    xpath_stack_.pop_back();
+    if (obs_weight_[n] != 0) return true;
+    for (GateId g : nl_->fanout_gates(n)) {
+      const NetId out = nl_->gate(g).out;
+      if (xpath_mark_[out] == xpath_epoch_ || !observable_[out]) continue;
+      if (!g2_[out].is_x() && !x2_[out].is_x()) continue;
+      xpath_mark_[out] = xpath_epoch_;
+      xpath_stack_.push_back(out);
+    }
+  }
+  return false;
 }
 
 std::optional<std::pair<FlopId, int>> Podem::backtrace(Objective obj) const {
@@ -353,7 +378,7 @@ std::optional<std::pair<FlopId, int>> Podem::backtrace(Objective obj) const {
     if (nr.driver_kind == DriverKind::kFlop) {
       const FlopId f = nr.driver;
       if (frame == kF2) {
-        if (ctx_->los()) {
+        if (ctx_->explicit_s2()) {
           const std::uint32_t var = ctx_->los_pred[f];
           if (s1_[var] == kBitX) return std::make_pair(var, v);
           return std::nullopt;
@@ -527,8 +552,11 @@ bool Podem::probe(const TdfFault& fault, std::span<const std::uint8_t> s1) {
 PodemStatus Podem::generate(const TdfFault& fault, TestCube& out) {
   const std::uint64_t impl0 = implications_, bt0 = backtracks_;
   pop_to(0);
-  install_fault(fault);
-  const PodemStatus st = run(0, out);
+  PodemStatus st = PodemStatus::kUntestable;
+  if (!statically_unobservable(*nl_, *ctx_, observable_, fault)) {
+    install_fault(fault);
+    st = run(0, out);
+  }
   obs::count("atpg.podem_generates");
   obs::count("atpg.implications", implications_ - impl0);
   obs::count("atpg.backtracks", backtracks_ - bt0);

@@ -13,6 +13,14 @@
 // assignments to target a second fault without disturbing bits already
 // committed -- that is what lets the ATPG engine pack many faults per pattern
 // the way the commercial greedy tools the paper wraps do.
+//
+// Search that cannot succeed is pruned. A statically unobservable fault
+// (observable_nets(): no combinational path to a capturing flop) is
+// untestable without search. The D-frontier admits only gates whose output
+// is statically observable, and objective() skips any frontier gate without
+// an X-path -- a chain of nets still undetermined in the frame-2 good or
+// faulty plane from its output to an active flop D -- and backtracks when
+// none is left.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +44,8 @@ class Podem {
  public:
   Podem(const Netlist& nl, const TestContext& ctx, PodemOptions opt = {});
 
-  /// Generate a cube detecting the fault, starting from a clean slate.
+  /// Generate a cube detecting the fault, starting from a clean slate. A
+  /// statically unobservable fault returns kUntestable without search.
   PodemStatus generate(const TdfFault& fault, TestCube& out);
 
   /// Dynamic compaction: keep current assignments fixed and try to extend
@@ -91,6 +100,7 @@ class Podem {
   // -- search -----------------------------------------------------------------
   PodemStatus run(std::size_t baseline, TestCube& out);
   std::optional<Objective> objective();
+  bool has_x_path(NetId from);
   std::optional<std::pair<FlopId, int>> backtrace(Objective obj) const;
   void pop_to(std::size_t baseline);
 
@@ -102,6 +112,7 @@ class Podem {
   std::vector<FlopId> los_succ_;       ///< per variable: flop fed at launch
   std::vector<V3> f1_, g2_, x2_;
   std::vector<std::uint32_t> obs_weight_;   ///< active flop D loads per net
+  std::vector<std::uint8_t> observable_;    ///< observable_nets()
   std::vector<std::uint8_t> has_effect_;    ///< frame-2 fault effect per net
   std::vector<std::uint8_t> x2_touched_;
   std::vector<NetId> x2_touched_list_;
@@ -109,6 +120,11 @@ class Podem {
 
   std::vector<GateId> dfrontier_;
   std::vector<std::uint8_t> in_dfrontier_;
+
+  // X-path search scratch: epoch-stamped visit marks per net, DFS stack.
+  std::vector<std::uint32_t> xpath_mark_;
+  std::uint32_t xpath_epoch_ = 0;
+  std::vector<NetId> xpath_stack_;
 
   // Bucketed worklist ordered by (frame, level).
   std::vector<std::vector<GateId>> buckets_;

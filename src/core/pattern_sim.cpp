@@ -33,7 +33,7 @@ std::size_t PatternAnalyzer::build_launch(
   std::size_t launched = 0;
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
     std::uint8_t s2;
-    if (ctx.los()) {
+    if (ctx.explicit_s2()) {
       s2 = pattern.s1[ctx.los_pred[f]];
     } else {
       if (!ctx.active[f]) continue;

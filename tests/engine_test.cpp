@@ -4,7 +4,10 @@
 
 #include "atpg/engine.h"
 #include "atpg/fault_sim.h"
+#include "obs/metrics.h"
+#include "ref/ref_models.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace scap {
 namespace {
@@ -109,6 +112,56 @@ TEST(AtpgEngine, TargetBlockRestrictionHonored) {
     b1_detected += (status[i] == FaultStatus::kDetected);
   }
   EXPECT_GT(b1_detected, b1_total / 4);
+}
+
+TEST(AtpgEngine, StaticUntestablesUndetectedByReferenceGrader) {
+  // The engine marks statically unobservable faults untestable without
+  // search. The reference grader shares no code with either engine and
+  // must detect none of them, under every launch scheme.
+  const SocDesign& soc = test::tiny_soc();
+  const Netlist& nl = soc.netlist;
+  const auto faults = collapse_faults(nl, enumerate_faults(nl));
+  const TestContext contexts[] = {
+      TestContext::for_domain(nl, 0),
+      TestContext::for_domain_los(nl, 0, soc.scan.chains),
+      TestContext::for_domain_enhanced(nl, 0)};
+  // The classification runs before any search, so a small backtrack budget
+  // only keeps the runs quick.
+  AtpgOptions opt;
+  opt.backtrack_limit = 8;
+  obs::Counter& counted =
+      obs::Registry::global().counter("atpg.static_untestable");
+  for (const TestContext& ctx : contexts) {
+    const int scheme = static_cast<int>(ctx.scheme);
+    const std::uint64_t counted0 = counted.value();
+    std::vector<FaultStatus> status;
+    AtpgEngine(nl, ctx).run(faults, opt, &status);
+    const auto observable = observable_nets(nl, ctx);
+    std::vector<TdfFault> classified;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (!statically_unobservable(nl, ctx, observable, faults[i])) continue;
+      EXPECT_EQ(status[i], FaultStatus::kUntestable)
+          << describe_fault(nl, faults[i]) << " scheme " << scheme;
+      classified.push_back(faults[i]);
+    }
+    ASSERT_FALSE(classified.empty()) << "scheme " << scheme;
+    if (obs::metrics_enabled()) {
+      EXPECT_EQ(counted.value() - counted0, classified.size())
+          << "scheme " << scheme;
+    }
+    Rng rng(77);
+    std::vector<Pattern> pats(256);
+    for (auto& p : pats) {
+      p.s1.resize(ctx.num_vars());
+      for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
+    }
+    const auto first = ref::fault_grade_ref(nl, ctx, pats, classified);
+    for (std::size_t k = 0; k < classified.size(); ++k) {
+      EXPECT_EQ(first[k], ref::kRefUndetected)
+          << describe_fault(nl, classified[k]) << " scheme " << scheme
+          << " classified untestable but the reference grader detects it";
+    }
+  }
 }
 
 TEST(AtpgEngine, StatusThreadsAcrossRuns) {

@@ -147,30 +147,71 @@ TEST(Podem, ProbeAgreesWithFaultSimulator) {
   }
 }
 
-TEST(Podem, NoFalseUntestables) {
-  // Any fault PODEM calls untestable must indeed be undetected by a big
-  // random pattern sample.
-  PodemRig rig;
-  Podem podem(rig.nl, rig.ctx, PodemOptions{48});
-  FaultSimulator fsim(rig.nl, rig.ctx);
+/// Any fault PODEM calls untestable must indeed be undetected by a big
+/// random pattern sample. Every fault is tried, so the X-path pruning is
+/// checked wherever PODEM proves a fault untestable. (The fault simulator
+/// shares the static classification; engine_test checks that against the
+/// reference grader.)
+void expect_no_false_untestables(const Netlist& nl, const TestContext& ctx,
+                                 const std::vector<TdfFault>& faults) {
+  Podem podem(nl, ctx, PodemOptions{48});
+  FaultSimulator fsim(nl, ctx);
   Rng rng(41);
   std::vector<Pattern> pats(512);
   for (auto& p : pats) {
-    p.s1.resize(rig.nl.num_flops());
+    p.s1.resize(ctx.num_vars());
     for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
   }
-  const auto first = fsim.grade(pats, rig.faults, nullptr);
+  const auto first = fsim.grade(pats, faults, nullptr);
   int unt = 0;
-  for (std::size_t i = 0; i < rig.faults.size(); i += 7) {
+  for (std::size_t i = 0; i < faults.size(); ++i) {
     TestCube cube;
-    if (podem.generate(rig.faults[i], cube) == PodemStatus::kUntestable) {
+    if (podem.generate(faults[i], cube) == PodemStatus::kUntestable) {
       ++unt;
       EXPECT_EQ(first[i], FaultSimulator::kUndetected)
-          << describe_fault(rig.nl, rig.faults[i])
+          << describe_fault(nl, faults[i])
           << " claimed untestable but a random pattern detects it";
     }
   }
   EXPECT_GT(unt, 0) << "sample should contain some untestable faults";
+}
+
+TEST(Podem, NoFalseUntestables) {
+  PodemRig rig;
+  expect_no_false_untestables(rig.nl, rig.ctx, rig.faults);
+}
+
+TEST(Podem, NoFalseUntestablesLos) {
+  PodemRig rig;
+  const TestContext los =
+      TestContext::for_domain_los(rig.nl, 0, test::tiny_soc().scan.chains);
+  expect_no_false_untestables(rig.nl, los, rig.faults);
+}
+
+TEST(Podem, StaticallyUnobservableFaultsSkipSearch) {
+  // A fault with no combinational path to a capturing flop is untestable
+  // without a single implication.
+  PodemRig rig;
+  const auto observable = observable_nets(rig.nl, rig.ctx);
+  std::vector<TdfFault> unobservable;
+  for (const auto& f : rig.faults) {
+    if (statically_unobservable(rig.nl, rig.ctx, observable, f)) {
+      unobservable.push_back(f);
+    }
+  }
+  ASSERT_FALSE(unobservable.empty())
+      << "the held domain-1 cones are unobservable";
+
+  Podem podem(rig.nl, rig.ctx);
+  for (const auto& f : unobservable) {
+    const std::uint64_t impl0 = podem.implications();
+    const std::uint64_t bt0 = podem.backtracks();
+    TestCube cube;
+    EXPECT_EQ(podem.generate(f, cube), PodemStatus::kUntestable)
+        << describe_fault(rig.nl, f);
+    EXPECT_EQ(podem.implications(), impl0) << describe_fault(rig.nl, f);
+    EXPECT_EQ(podem.backtracks(), bt0) << describe_fault(rig.nl, f);
+  }
 }
 
 TEST(Podem, ExtendMergesCompatibleFaults) {
