@@ -65,17 +65,19 @@ void BM_PodemOneFault(benchmark::State& state) {
 BENCHMARK(BM_PodemOneFault);
 
 void BM_FaultSimBatch(benchmark::State& state) {
+  // One ATPG fault-dropping step: grade a 64-pattern batch against 256
+  // faults (the engine's flush, good-frame settle included).
   const Experiment& exp = bench::experiment();
   FaultSimulator fsim(exp.soc.netlist, exp.ctx);
+  fsim.set_batch_words(1);
   const auto& patterns = bench::conventional_flow().patterns.patterns;
-  fsim.load_batch(std::span<const Pattern>(patterns.data(),
-                                           std::min<std::size_t>(64, patterns.size())));
+  const std::span<const Pattern> batch(
+      patterns.data(), std::min<std::size_t>(64, patterns.size()));
+  const std::span<const TdfFault> faults(
+      exp.faults.data(), std::min<std::size_t>(256, exp.faults.size()));
   for (auto _ : state) {
-    std::uint64_t any = 0;
-    for (std::size_t i = 0; i < 256 && i < exp.faults.size(); ++i) {
-      any |= fsim.detect_mask(exp.faults[i]);
-    }
-    benchmark::DoNotOptimize(any);
+    const auto first = fsim.grade(batch, faults);
+    benchmark::DoNotOptimize(first.data());
   }
 }
 BENCHMARK(BM_FaultSimBatch)->Unit(benchmark::kMillisecond);

@@ -13,45 +13,32 @@
 #include "obs/prof.h"
 #include "power/dynamic_ir.h"
 #include "rt/thread_pool.h"
-#include "sim/logic_sim.h"
+#include "sim/batch_sim.h"
 #include "util/rng.h"
 
 namespace scap {
 namespace {
 
-void BM_LogicFrameScalar(benchmark::State& state) {
+void BM_BatchSimFrame(benchmark::State& state) {
   const Experiment& exp = bench::experiment();
-  LogicSim sim(exp.soc.netlist);
+  const Netlist& nl = exp.soc.netlist;
+  const BatchSim sim(nl.levelized_view(), 1);
   Rng rng(1);
-  std::vector<std::uint8_t> s1(exp.soc.netlist.num_flops());
-  for (auto& b : s1) b = static_cast<std::uint8_t>(rng.below(2));
-  std::vector<std::uint8_t> nets;
-  for (auto _ : state) {
-    sim.eval_frame(s1, exp.ctx.pi_values, nets);
-    benchmark::DoNotOptimize(nets.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(exp.soc.netlist.num_gates()));
-}
-BENCHMARK(BM_LogicFrameScalar);
-
-void BM_LogicFrameWord64(benchmark::State& state) {
-  const Experiment& exp = bench::experiment();
-  WordSim sim(exp.soc.netlist);
-  Rng rng(1);
-  std::vector<std::uint64_t> s1(exp.soc.netlist.num_flops());
+  std::vector<std::uint64_t> s1(nl.num_flops());
   for (auto& w : s1) w = rng.word();
-  std::vector<std::uint64_t> pi(exp.soc.netlist.primary_inputs().size(), 0);
+  std::vector<std::uint64_t> pi;
+  for (const std::uint8_t v : exp.ctx.pi_values) pi.push_back(v ? ~0ull : 0ull);
   std::vector<std::uint64_t> nets;
   for (auto _ : state) {
     sim.eval_frame(s1, pi, nets);
     benchmark::DoNotOptimize(nets.data());
+    benchmark::ClobberMemory();
   }
-  // 64 patterns per evaluation.
+  // One W = 1 sweep settles 64 patterns.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
-                          static_cast<std::int64_t>(exp.soc.netlist.num_gates()));
+                          static_cast<std::int64_t>(nl.num_gates()));
 }
-BENCHMARK(BM_LogicFrameWord64);
+BENCHMARK(BM_BatchSimFrame);
 
 void BM_EventSimPattern(benchmark::State& state) {
   const Experiment& exp = bench::experiment();

@@ -1,8 +1,7 @@
 #include "atpg/engine.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
+#include <stdexcept>
 
 #include "atpg/quiet_state.h"
 #include "obs/metrics.h"
@@ -14,6 +13,11 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
                            const AtpgOptions& opt,
                            std::vector<FaultStatus>* status) {
   SCAP_TRACE_SCOPE("atpg.run");
+  if (!opt.per_block_fill.empty() &&
+      opt.per_block_fill.size() < nl_->block_count()) {
+    throw std::invalid_argument(
+        "AtpgEngine: per_block_fill needs one entry per block");
+  }
   // This run's own outcomes (status may arrive pre-seeded by earlier steps).
   std::uint64_t run_detected = 0, run_aborted = 0, run_untestable = 0;
   std::uint64_t run_merges = 0;
@@ -51,13 +55,12 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   run_untestable += run_static_untestable;
 
   // A fault already tried as a primary target this run (avoid rework while
-  // its pattern sits in the unsimulated buffer). With n-detect the flag is
-  // re-armed after each simulated batch until the count is satisfied.
+  // its pattern sits in the unsimulated buffer).
   std::vector<std::uint8_t> tried(faults.size(), 0);
-  std::vector<std::uint32_t> detect_count(faults.size(), 0);
 
   Podem podem(nl, *ctx_, PodemOptions{opt.backtrack_limit});
   FaultSimulator fsim(nl, *ctx_);
+  fsim.set_batch_words(1);  // one 64-pattern buffer per grade() block
   Rng rng(opt.seed);
 
   std::span<const std::vector<FlopId>> chains;
@@ -120,33 +123,37 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
 
   std::vector<Pattern> buffer;
   std::vector<std::size_t> buffer_care_bits;
+  std::vector<TdfFault> open_faults;
+  std::vector<std::size_t> open_index;
+  std::vector<std::size_t> buffer_detects;
 
+  // Fault dropping: grade the buffered patterns against every still-open
+  // fault (undetected or aborted) and credit each detection to its first
+  // detecting pattern.
   auto flush_buffer = [&]() {
     if (buffer.empty()) return;
-    fsim.load_batch(buffer);
-    const std::size_t base = result.patterns.patterns.size();
-    result.new_detects_per_pattern.resize(base + buffer.size(), 0);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (st[i] == FaultStatus::kDetected ||
-          st[i] == FaultStatus::kUntestable) {
-        continue;
+    {
+      SCAP_TRACE_SCOPE("faultsim.batch");
+      open_faults.clear();
+      open_index.clear();
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        if (st[i] == FaultStatus::kUndetected ||
+            st[i] == FaultStatus::kAborted) {
+          open_faults.push_back(faults[i]);
+          open_index.push_back(i);
+        }
       }
-      const std::uint64_t mask = fsim.detect_mask(faults[i]);
-      if (mask == 0) continue;
-      if (detect_count[i] == 0) {
-        // Coverage credit goes to the first detecting pattern ever.
-        const std::size_t idx =
-            base + static_cast<std::size_t>(std::countr_zero(mask));
-        ++result.new_detects_per_pattern[idx];
-      }
-      detect_count[i] += static_cast<std::uint32_t>(std::popcount(mask));
-      if (detect_count[i] >= opt.n_detect) {
-        st[i] = FaultStatus::kDetected;
+      const std::vector<std::size_t> first =
+          fsim.grade(buffer, open_faults, &buffer_detects);
+      for (std::size_t k = 0; k < first.size(); ++k) {
+        if (first[k] == FaultSimulator::kUndetected) continue;
+        st[open_index[k]] = FaultStatus::kDetected;
         ++run_detected;
-      } else {
-        tried[i] = 0;  // re-arm as a primary target for another detection
       }
     }
+    result.new_detects_per_pattern.insert(result.new_detects_per_pattern.end(),
+                                          buffer_detects.begin(),
+                                          buffer_detects.end());
     for (std::size_t i = 0; i < buffer.size(); ++i) {
       result.patterns.patterns.push_back(std::move(buffer[i]));
       result.care_bits_per_pattern.push_back(buffer_care_bits[i]);
@@ -221,14 +228,6 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   }
   flush_buffer();
 
-  // Partially-counted faults (detected at least once but short of n_detect
-  // when targets ran dry) still count as detected for coverage.
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (st[i] != FaultStatus::kUntestable && detect_count[i] > 0) {
-      run_detected += (st[i] != FaultStatus::kDetected);
-      st[i] = FaultStatus::kDetected;
-    }
-  }
   result.stats.total_faults = faults.size();
   for (FaultStatus s : st) {
     switch (s) {

@@ -6,8 +6,9 @@
 //    toward the tail -- the effect Section 3.1 works around),
 //  - don't-care bits are filled per the selected mode (random-fill boosts
 //    fortuitous detection and, as the paper shows, switching activity),
-//  - bit-parallel fault simulation with dropping confirms detections and
-//    builds the cumulative coverage curve (Figure 4),
+//  - bit-parallel fault simulation with dropping (FaultSimulator::grade over
+//    each buffered 64-pattern batch) confirms detections and builds the
+//    cumulative coverage curve (Figure 4),
 //  - a fault with no combinational path to a capturing flop is classified
 //    untestable before any search (observable_nets()), as the commercial
 //    tool reports such faults ATPG-untestable without searching them.
@@ -40,7 +41,8 @@ enum class FaultStatus : std::uint8_t {
 
 struct AtpgOptions {
   FillMode fill = FillMode::kRandom;
-  /// Per-block fill override (size = block count); empty = uniform `fill`.
+  /// Per-block fill override (at least block-count entries; run() throws
+  /// std::invalid_argument on fewer); empty = uniform `fill`.
   std::vector<FillMode> per_block_fill;
   /// Per-block targeting mask (1 = faults of this block are primary targets);
   /// empty = target everything. Untargeted faults still drop fortuitously.
@@ -50,10 +52,6 @@ struct AtpgOptions {
   /// max candidates scanned while trying.
   std::uint32_t compaction_limit = 16;
   std::uint32_t compaction_scan = 48;
-  /// N-detect: a fault stays a target until detected by this many distinct
-  /// patterns (1 = classic single detection). Raises defect coverage at the
-  /// cost of pattern count.
-  std::uint32_t n_detect = 1;
   /// Per-block care-bit budget: stop packing more faults into a pattern once
   /// any block has more than this fraction of its flops at care values.
   /// This is the "option to limit the maximum number of faults targeted by a

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 #include "netlist/cell_type.h"
@@ -21,28 +19,10 @@
 namespace scap {
 
 FaultSimulator::FaultSimulator(const Netlist& nl, const TestContext& ctx)
-    : FaultSimulator(nl, ctx, LevelizedView::build(nl)) {}
-
-FaultSimulator::FaultSimulator(const Netlist& nl, const TestContext& ctx,
-                               std::shared_ptr<const LevelizedView> view,
-                               std::size_t words)
-    : nl_(&nl), ctx_(&ctx), view_(std::move(view)) {
-  if (!view_) view_ = LevelizedView::build(nl);
-  set_batch_words(words);
-  init_counters_and_weights(nl, ctx);
-  legacy_cs_.ensure(*view_);
-}
-
-void FaultSimulator::set_batch_words(std::size_t words) {
-  if (words == 0) words = kDefaultBatchWords;
-  if (!valid_batch_words(words)) {
-    throw std::invalid_argument("FaultSimulator: batch words must be 1, 2 or 4");
+    : ctx_(&ctx), view_(nl.levelized_view()) {
+  if (!view_) {
+    throw std::invalid_argument("FaultSimulator: netlist must be finalized");
   }
-  words_ = words;
-}
-
-void FaultSimulator::init_counters_and_weights(const Netlist& nl,
-                                               const TestContext& ctx) {
   obs::Registry& reg = obs::Registry::global();
   batches_ctr_ = &reg.counter("faultsim.batches");
   masks_ctr_ = &reg.counter("faultsim.detect_masks");
@@ -64,6 +44,14 @@ void FaultSimulator::init_counters_and_weights(const Netlist& nl,
   for (NetId c = 0; c < nl.num_nets(); ++c) {
     obs_reach_[c] = observable[view_->external_net(c)];
   }
+}
+
+void FaultSimulator::set_batch_words(std::size_t words) {
+  if (words == 0) words = kDefaultBatchWords;
+  if (!valid_batch_words(words)) {
+    throw std::invalid_argument("FaultSimulator: batch words must be 1, 2 or 4");
+  }
+  words_ = words;
 }
 
 void FaultSimulator::ConeScratch::ensure(const LevelizedView& v) {
@@ -103,7 +91,6 @@ void FaultSimulator::compute_good_block(const BatchSim& sim,
   gs.rows.clear();
   gs.rows.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    assert(patterns[base + i].s1.size() == nv);
     gs.rows.push_back(patterns[base + i].s1.data());
   }
   transpose_pack(gs.rows, nv, W, gs.vars);
@@ -134,21 +121,6 @@ void FaultSimulator::compute_good_block(const BatchSim& sim,
     for (std::size_t w = 0; w < W; ++w) gs.s2[f * W + w] = from[src * W + w];
   }
   sim.eval_frame(gs.s2, gs.pi, out.g2);
-}
-
-void FaultSimulator::load_batch(std::span<const Pattern> batch) {
-  SCAP_TRACE_SCOPE("faultsim.batch");
-  assert(batch.size() <= 64);
-  if (obs::metrics_enabled()) batches_ctr_->add(1);
-  BatchSim sim(view_, 1);
-  compute_good_block(sim, batch, 0, legacy_, legacy_gs_);
-}
-
-std::uint64_t FaultSimulator::detect_mask(const TdfFault& fault) {
-  std::uint64_t out[1];
-  detect_block(1, fault, legacy_, legacy_cs_, out);
-  if (obs::metrics_enabled()) legacy_cs_.flush_counters(masks_ctr_, events_ctr_);
-  return out[0];
 }
 
 bool FaultSimulator::detect_block(std::size_t words, const TdfFault& fault,
@@ -295,8 +267,16 @@ std::uint64_t FaultSimulator::cone_word(const TdfFault& fault,
 
 std::vector<std::size_t> FaultSimulator::grade(
     std::span<const Pattern> patterns, std::span<const TdfFault> faults,
-    std::vector<std::size_t>* first_detects_per_pattern) {
+    std::vector<std::size_t>* new_detects_per_pattern) {
   SCAP_TRACE_SCOPE("faultsim.grade");
+  // Packing reads ctx.num_vars() bits of every pattern.
+  for (const Pattern& p : patterns) {
+    if (p.s1.size() < ctx_->num_vars()) {
+      throw std::invalid_argument(
+          "FaultSimulator::grade: pattern shorter than the context's test "
+          "variables");
+    }
+  }
   std::vector<std::size_t> first(faults.size(), kUndetected);
 
   if (!patterns.empty() && !faults.empty()) {
@@ -366,10 +346,10 @@ std::vector<std::size_t> FaultSimulator::grade(
     });
   }
 
-  if (first_detects_per_pattern) {
-    first_detects_per_pattern->assign(patterns.size(), 0);
+  if (new_detects_per_pattern) {
+    new_detects_per_pattern->assign(patterns.size(), 0);
     for (std::size_t idx : first) {
-      if (idx != kUndetected) ++(*first_detects_per_pattern)[idx];
+      if (idx != kUndetected) ++(*new_detects_per_pattern)[idx];
     }
   }
   return first;

@@ -20,9 +20,9 @@
 // order -- so results are bit-identical at any SCAP_THREADS *and* at any
 // batch width W (rt_determinism_test + batch_sim_test enforce both).
 //
-// This engine serves two masters: fault dropping inside the ATPG loop
-// (load_batch/detect_mask, one 64-pattern batch at a time), and standalone
-// pattern grading (fault coverage of a given pattern set).
+// grade() is the one fault-grading path: the ATPG engine drops faults by
+// grading each buffered 64-pattern batch against its still-open faults, and
+// standalone callers grade whole pattern sets (fault coverage).
 #pragma once
 
 #include <cstdint>
@@ -49,35 +49,20 @@ class FaultSimulator {
   /// sweep, the widest compiled kernel (AVX2-sized).
   static constexpr std::size_t kDefaultBatchWords = 4;
 
+  /// Runs on the netlist's own levelized view (Netlist::levelized_view());
+  /// throws std::invalid_argument if the netlist is not finalized.
   FaultSimulator(const Netlist& nl, const TestContext& ctx);
 
-  /// Share a prebuilt levelized view (e.g. the serve design cache) instead
-  /// of constructing one per simulator. `words` = 0 picks
-  /// kDefaultBatchWords.
-  FaultSimulator(const Netlist& nl, const TestContext& ctx,
-                 std::shared_ptr<const LevelizedView> view,
-                 std::size_t words = 0);
-
   /// Batch width used by grade(), in 64-pattern machine words (1, 2 or 4;
-  /// 0 resets to the default). The legacy load_batch/detect_mask path is
-  /// always single-word. Throws std::invalid_argument on other values.
+  /// 0 resets to the default). Throws std::invalid_argument on other values.
   void set_batch_words(std::size_t words);
   std::size_t batch_words() const { return words_; }
 
-  std::shared_ptr<const LevelizedView> shared_view() const { return view_; }
-
-  /// Load a batch of up to 64 fully specified patterns and compute the
-  /// fault-free frames.
-  void load_batch(std::span<const Pattern> batch);
-
-  /// Detection mask for one fault over the loaded batch (bit i set = pattern
-  /// i detects it). Call load_batch first.
-  std::uint64_t detect_mask(const TdfFault& fault);
-
-  /// Convenience: simulate the whole pattern set against the fault list with
-  /// dropping. Returns, per fault, the index of the first detecting pattern
-  /// (or SIZE_MAX if undetected); optionally accumulates per-pattern counts
-  /// of first-detections (the coverage-curve increments).
+  /// Simulate the pattern set against the fault list with dropping. Returns,
+  /// per fault, the index of the first detecting pattern (or kUndetected);
+  /// optionally fills per-pattern counts of first-detections (the
+  /// coverage-curve increments). Throws std::invalid_argument on a pattern
+  /// shorter than the context's test variables.
   ///
   /// Large runs shard the fault list across the rt thread pool; shards share
   /// the precomputed good blocks read-only and own only cone scratch, so the
@@ -87,9 +72,7 @@ class FaultSimulator {
   static constexpr std::size_t kUndetected = static_cast<std::size_t>(-1);
   std::vector<std::size_t> grade(std::span<const Pattern> patterns,
                                  std::span<const TdfFault> faults,
-                                 std::vector<std::size_t>* first_detects_per_pattern = nullptr);
-
-  std::size_t batch_size() const { return legacy_.batch_size; }
+                                 std::vector<std::size_t>* new_detects_per_pattern = nullptr);
 
  private:
   /// Fault-free two-frame response of one pattern block, in compact net ids.
@@ -116,14 +99,12 @@ class FaultSimulator {
     std::vector<std::vector<std::uint32_t>> buckets;  ///< by level
     std::vector<std::uint8_t> queued;   ///< per schedule slot
     // Locally accumulated faultsim.detect_masks / faultsim.events deltas;
-    // flushed to the shared counters once per shard (per call on the legacy
-    // path) -- two atomic RMWs per cone walk measurably contend at t>1.
+    // flushed to the shared counters once per shard -- two atomic RMWs per
+    // cone walk measurably contend at t>1.
     std::uint64_t walks = 0, evals = 0;
     void ensure(const LevelizedView& v);
     void flush_counters(obs::Counter* masks, obs::Counter* events);
   };
-
-  void init_counters_and_weights(const Netlist& nl, const TestContext& ctx);
 
   /// Pack block `block` of `patterns` (W = sim.words()) and simulate both
   /// fault-free frames into `out`.
@@ -146,7 +127,6 @@ class FaultSimulator {
                           std::size_t w, std::size_t stride,
                           std::uint64_t launch, ConeScratch& cs) const;
 
-  const Netlist* nl_;
   const TestContext* ctx_;
   std::shared_ptr<const LevelizedView> view_;
   std::size_t words_ = kDefaultBatchWords;
@@ -161,11 +141,6 @@ class FaultSimulator {
   /// skipped outright -- a pure structural filter, identical at any thread
   /// count and batch width.
   std::vector<std::uint8_t> obs_reach_;
-
-  // Legacy single-batch state (load_batch/detect_mask, W = 1).
-  GoodBlock legacy_;
-  GoodScratch legacy_gs_;
-  ConeScratch legacy_cs_;
 
   // Cached instrumentation counters (registry lookups are too slow for the
   // per-fault hot path; registry entries are never invalidated).

@@ -1,7 +1,6 @@
 #include "atpg/podem.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -49,12 +48,10 @@ void Podem::rebuild_planes() {
     const NetId q = nl.flop(f).q;
     f1_[q] = s1_[f] == kBitX ? V3::x() : V3::of(s1_[f]);
   }
-  std::array<V3, 4> ins{};
   for (GateId g : nl.topo_order()) {
-    const auto in_nets = nl.gate_inputs(g);
-    for (std::size_t i = 0; i < in_nets.size(); ++i) ins[i] = f1_[in_nets[i]];
+    const NetId* in_nets = nl.gate_inputs(g).data();
     f1_[nl.gate(g).out] =
-        eval_v3(nl.gate(g).type, std::span<const V3>(ins.data(), in_nets.size()));
+        eval_v3(nl.gate(g).type, [&](int k) { return f1_[in_nets[k]]; });
   }
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
     const NetId q = nl.flop(f).q;
@@ -68,11 +65,9 @@ void Podem::rebuild_planes() {
     x2_[q] = g2_[q];
   }
   for (GateId g : nl.topo_order()) {
-    const auto in_nets = nl.gate_inputs(g);
-    for (std::size_t i = 0; i < in_nets.size(); ++i) ins[i] = g2_[in_nets[i]];
+    const NetId* in_nets = nl.gate_inputs(g).data();
     const NetId out = nl.gate(g).out;
-    g2_[out] =
-        eval_v3(nl.gate(g).type, std::span<const V3>(ins.data(), in_nets.size()));
+    g2_[out] = eval_v3(nl.gate(g).type, [&](int k) { return g2_[in_nets[k]]; });
     x2_[out] = g2_[out];
   }
   std::fill(has_effect_.begin(), has_effect_.end(), 0);
@@ -141,25 +136,17 @@ V3 Podem::faulty_input(GateId g, std::uint8_t pin, NetId net) const {
 }
 
 void Podem::eval_gate(Frame fr, GateId g) {
-  const auto in_nets = nl_->gate_inputs(g);
-  std::array<V3, 4> ins{};
+  const NetId* in_nets = nl_->gate_inputs(g).data();
+  const CellType t = nl_->gate(g).type;
   if (fr == kF1) {
-    for (std::size_t i = 0; i < in_nets.size(); ++i) ins[i] = f1_[in_nets[i]];
     update_f1(nl_->gate(g).out,
-              eval_v3(nl_->gate(g).type,
-                      std::span<const V3>(ins.data(), in_nets.size())));
+              eval_v3(t, [&](int k) { return f1_[in_nets[k]]; }));
     return;
   }
-  std::array<V3, 4> fins{};
-  for (std::size_t i = 0; i < in_nets.size(); ++i) {
-    ins[i] = g2_[in_nets[i]];
-    fins[i] = faulty_input(g, static_cast<std::uint8_t>(i), in_nets[i]);
-  }
-  const CellType t = nl_->gate(g).type;
-  const V3 good =
-      eval_v3(t, std::span<const V3>(ins.data(), in_nets.size()));
-  const V3 faulty =
-      eval_v3(t, std::span<const V3>(fins.data(), in_nets.size()));
+  const V3 good = eval_v3(t, [&](int k) { return g2_[in_nets[k]]; });
+  const V3 faulty = eval_v3(t, [&](int k) {
+    return faulty_input(g, static_cast<std::uint8_t>(k), in_nets[k]);
+  });
   update_f2(nl_->gate(g).out, good, faulty);
 }
 

@@ -1,23 +1,34 @@
 #include "atpg/quiet_state.h"
 
-#include "sim/logic_sim.h"
+#include "sim/batch_sim.h"
 
 namespace scap {
 
 QuietState compute_quiet_state(const Netlist& nl, const TestContext& ctx,
                                int max_iterations) {
-  LogicSim sim(nl);
+  // Zero-delay settles on one BatchSim lane (bit 0 of each word).
+  const BatchSim sim(nl.levelized_view(), 1);
+  const std::vector<std::uint64_t> pi(ctx.pi_values.begin(),
+                                      ctx.pi_values.end());
+  std::vector<std::uint64_t> q, nets, d;
+  std::vector<std::uint8_t> next(nl.num_flops());
+  // next = D(s), the state the launch pulse would capture on every flop.
+  auto settle = [&](const std::vector<std::uint8_t>& s) {
+    q.assign(s.begin(), s.end());
+    sim.eval_frame(q, pi, nets);
+    sim.next_state(nets, d);
+    for (FlopId f = 0; f < nl.num_flops(); ++f) {
+      next[f] = static_cast<std::uint8_t>(d[f] & 1u);
+    }
+  };
   std::vector<std::uint8_t> state(nl.num_flops(), 0);
-  std::vector<std::uint8_t> nets;
-  std::vector<std::uint8_t> next;
 
   QuietState best;
   best.s1 = state;
   best.residual_launches = static_cast<std::size_t>(-1);
 
   for (int it = 0; it < max_iterations; ++it) {
-    sim.eval_frame(state, ctx.pi_values, nets);
-    sim.next_state(nets, next);
+    settle(state);
     // Held flops keep their value across the launch pulse.
     std::size_t launches = 0;
     for (FlopId f = 0; f < nl.num_flops(); ++f) {
@@ -40,8 +51,7 @@ QuietState compute_quiet_state(const Netlist& nl, const TestContext& ctx,
   // iterate by flipping individual scan bits whenever that reduces the
   // number of launch transitions.
   auto count_launches = [&](const std::vector<std::uint8_t>& s) {
-    sim.eval_frame(s, ctx.pi_values, nets);
-    sim.next_state(nets, next);
+    settle(s);
     std::size_t launches = 0;
     for (FlopId f = 0; f < nl.num_flops(); ++f) {
       if (ctx.active[f] && next[f] != s[f]) ++launches;

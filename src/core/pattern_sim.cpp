@@ -1,6 +1,7 @@
 #include "core/pattern_sim.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/trace.h"
 
@@ -13,7 +14,7 @@ PatternAnalyzer::PatternAnalyzer(const SocDesign& soc, const TechLibrary& lib,
                                  std::shared_ptr<const SharedTables> tables)
     : soc_(&soc),
       lib_(&lib),
-      logic_(soc.netlist),
+      frame_sim_(soc.netlist.levelized_view(), 1),
       tables_(std::move(tables)),
       scap_acc_(tables_->scap, soc.config.tester_period_ns) {}
 
@@ -21,11 +22,27 @@ std::size_t PatternAnalyzer::build_launch(
     const TestContext& ctx, const Pattern& pattern,
     std::span<const double> clock_arrivals) const {
   const Netlist& nl = soc_->netlist;
+  if (pattern.s1.size() < ctx.num_vars()) {
+    throw std::invalid_argument(
+        "PatternAnalyzer: pattern shorter than the context's test variables");
+  }
 
   // Frame 1: settled state after the (slow) scan load. The flop bits are
   // the leading num_flops() entries of the test-variable vector.
-  std::span<const std::uint8_t> flop_bits(pattern.s1.data(), nl.num_flops());
-  logic_.eval_frame(flop_bits, ctx.pi_values, frame1_);
+  q_words_.assign(pattern.s1.begin(),
+                  pattern.s1.begin() +
+                      static_cast<std::ptrdiff_t>(nl.num_flops()));
+  pi_words_.assign(ctx.pi_values.begin(), ctx.pi_values.end());
+  frame_sim_.eval_frame(q_words_, pi_words_, net_words_);
+  // Back to external net ids. The pointers are hoisted because the byte
+  // stores may alias anything the loop would otherwise reload.
+  frame1_.resize(nl.num_nets());
+  const NetId* ext = frame_sim_.view().external_nets();
+  const std::uint64_t* words = net_words_.data();
+  std::uint8_t* f1 = frame1_.data();
+  for (std::size_t c = 0, nn = frame1_.size(); c < nn; ++c) {
+    f1[ext[c]] = static_cast<std::uint8_t>(words[c] & 1u);
+  }
 
   // Launch stimuli at each flop's clock arrival. LOC: active flops capture
   // their functional D. LOS: the launch shift moves every chain by one.

@@ -23,8 +23,8 @@
 #include "atpg/pattern.h"
 #include "lint/static_power.h"
 #include "netlist/tech_library.h"
+#include "sim/batch_sim.h"
 #include "sim/event_sim.h"
-#include "sim/logic_sim.h"
 #include "sim/scap.h"
 #include "soc/generator.h"
 
@@ -74,7 +74,8 @@ class PatternAnalyzer {
   /// Streaming core: settle frame 1, build the launch stimuli and run the
   /// timing simulation, pushing every toggle into `sink`. The settled
   /// pre-launch state stays readable via frame1() until the next analysis.
-  /// Returns the number of launched flops.
+  /// Returns the number of launched flops. Every analysis entry point throws
+  /// std::invalid_argument on a pattern shorter than ctx.num_vars().
   std::size_t analyze_into(const TestContext& ctx, const Pattern& pattern,
                            ToggleSink& sink,
                            const DelayModel* delay_model = nullptr,
@@ -131,11 +132,12 @@ class PatternAnalyzer {
 
   const SocDesign* soc_;
   const TechLibrary* lib_;
-  LogicSim logic_;
+  BatchSim frame_sim_;  ///< W = 1: lane 0 carries the pattern
   std::shared_ptr<const SharedTables> tables_;
 
   // Reusable per-pattern scratch (capacity persists across analyses).
   mutable EventSim::Workspace ws_;
+  mutable std::vector<std::uint64_t> q_words_, pi_words_, net_words_;
   mutable std::vector<std::uint8_t> frame1_;
   mutable std::vector<Stimulus> stimuli_;
   mutable ScapAccumulator scap_acc_;

@@ -1,7 +1,6 @@
 #include "lint/dataflow.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 
 namespace scap::lint {
@@ -239,15 +238,13 @@ DataflowFacts analyze_dataflow(const Netlist& nl, const DataflowOptions& opt) {
   }
 
   // -- forward pass: controllability + constants -----------------------------
-  std::array<V3, kMaxGateInputs> vbuf;
   for (const GateId g : f.levels.topo) {
     const Gate& gr = nl.gate(g);
     const std::span<const NetId> ins = nl.gate_inputs(g);
     if (gr.out == kNullId) continue;
     gate_cc(gr.type, ins, f.cc0, f.cc1, f.cc0[gr.out], f.cc1[gr.out]);
-    for (std::size_t i = 0; i < ins.size(); ++i) vbuf[i] = f.constant[ins[i]];
     f.constant[gr.out] =
-        eval_v3(gr.type, std::span<const V3>(vbuf.data(), ins.size()));
+        eval_v3(gr.type, [&](int k) { return f.constant[ins[k]]; });
   }
 
   // -- backward pass: observability ------------------------------------------
@@ -305,14 +302,12 @@ void eval_frame_v3(const Netlist& nl, const LevelMap& levels,
     const NetId q = nl.flop(f).q;
     if (q != kNullId) net_values[q] = flop_bits[f];
   }
-  std::array<V3, kMaxGateInputs> vbuf;
   for (const GateId g : levels.topo) {
     const Gate& gr = nl.gate(g);
     if (gr.out == kNullId) continue;
     const std::span<const NetId> ins = nl.gate_inputs(g);
-    for (std::size_t i = 0; i < ins.size(); ++i) vbuf[i] = net_values[ins[i]];
     net_values[gr.out] =
-        eval_v3(gr.type, std::span<const V3>(vbuf.data(), ins.size()));
+        eval_v3(gr.type, [&](int k) { return net_values[ins[k]]; });
   }
 }
 

@@ -1,7 +1,6 @@
 #include "lint/static_power.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -32,76 +31,6 @@ inline double select_d(bool c, double if_true, double if_false) {
 
 V3 v3_of_bit(std::uint8_t b) {
   return b == kBitX ? V3::x() : V3::of(b != 0);
-}
-
-// Inline 3-valued ops, bit-identical to cell_type.cpp's eval_v3 (possible-
-// value-set semantics on the 2-bit encoding). Local copies because the
-// screen's two full-netlist sweeps per pattern cannot afford an out-of-line
-// call per gate.
-constexpr V3 f_and(V3 a, V3 b) {
-  return V3{static_cast<std::uint8_t>(((a.bits & b.bits) & 0b10) |
-                                      ((a.bits | b.bits) & 0b01))};
-}
-constexpr V3 f_or(V3 a, V3 b) { return v3_not(f_and(v3_not(a), v3_not(b))); }
-constexpr V3 f_xor(V3 a, V3 b) {
-  if (a.is_x() || b.is_x()) return V3::x();
-  return V3::of(a.value() ^ b.value());
-}
-constexpr V3 f_mux(V3 s, V3 a, V3 b) {
-  if (s.is0()) return a;
-  if (s.is1()) return b;
-  if (!a.is_x() && !b.is_x() && a == b) return a;
-  return V3::x();
-}
-
-/// eval_v3 with the per-gate dispatch inlined into the sweep. `ins` indexes
-/// into `v` (the flat topo-ordered input-net list of StaticScapModel).
-inline V3 eval_fast(CellType t, const NetId* ins, const V3* v) {
-  switch (t) {
-    case CellType::kTie0:
-      return V3::zero();
-    case CellType::kTie1:
-      return V3::one();
-    case CellType::kBuf:
-    case CellType::kClkBuf:
-    case CellType::kDff:
-      return v[ins[0]];
-    case CellType::kInv:
-      return v3_not(v[ins[0]]);
-    case CellType::kAnd2:
-      return f_and(v[ins[0]], v[ins[1]]);
-    case CellType::kAnd3:
-      return f_and(f_and(v[ins[0]], v[ins[1]]), v[ins[2]]);
-    case CellType::kAnd4:
-      return f_and(f_and(v[ins[0]], v[ins[1]]), f_and(v[ins[2]], v[ins[3]]));
-    case CellType::kNand2:
-      return v3_not(f_and(v[ins[0]], v[ins[1]]));
-    case CellType::kNand3:
-      return v3_not(f_and(f_and(v[ins[0]], v[ins[1]]), v[ins[2]]));
-    case CellType::kNand4:
-      return v3_not(
-          f_and(f_and(v[ins[0]], v[ins[1]]), f_and(v[ins[2]], v[ins[3]])));
-    case CellType::kOr2:
-      return f_or(v[ins[0]], v[ins[1]]);
-    case CellType::kOr3:
-      return f_or(f_or(v[ins[0]], v[ins[1]]), v[ins[2]]);
-    case CellType::kOr4:
-      return f_or(f_or(v[ins[0]], v[ins[1]]), f_or(v[ins[2]], v[ins[3]]));
-    case CellType::kNor2:
-      return v3_not(f_or(v[ins[0]], v[ins[1]]));
-    case CellType::kNor3:
-      return v3_not(f_or(f_or(v[ins[0]], v[ins[1]]), v[ins[2]]));
-    case CellType::kNor4:
-      return v3_not(
-          f_or(f_or(v[ins[0]], v[ins[1]]), f_or(v[ins[2]], v[ins[3]])));
-    case CellType::kXor2:
-      return f_xor(v[ins[0]], v[ins[1]]);
-    case CellType::kXnor2:
-      return v3_not(f_xor(v[ins[0]], v[ins[1]]));
-    case CellType::kMux2:
-      return f_mux(v[ins[0]], v[ins[1]], v[ins[2]]);
-  }
-  return V3::zero();
 }
 
 }  // namespace
@@ -135,104 +64,39 @@ StaticScapModel::StaticScapModel(const Netlist& nl,
                                  std::span<const double> flop_arrival_ns,
                                  std::span<const double> gate_min_delay_ns)
     : nl_(&nl),
-      net_energy_pj_(net_energy_pj.begin(), net_energy_pj.end()),
-      flop_arrival_ns_(flop_arrival_ns.begin(), flop_arrival_ns.end()),
-      gate_min_delay_ns_(gate_min_delay_ns.begin(), gate_min_delay_ns.end()) {
-  if (!nl.finalized()) {
+      view_(nl.levelized_view()),
+      flop_arrival_ns_(flop_arrival_ns.begin(), flop_arrival_ns.end()) {
+  if (!view_) {
     throw std::invalid_argument(
         "StaticScapModel: netlist must be finalized (cycle-free)");
   }
-  if (net_energy_pj_.size() != nl.num_nets() ||
-      flop_arrival_ns_.size() != nl.num_flops() ||
-      gate_min_delay_ns_.size() != nl.num_gates()) {
+  if (net_energy_pj.size() != nl.num_nets() ||
+      flop_arrival_ns.size() != nl.num_flops() ||
+      gate_min_delay_ns.size() != nl.num_gates()) {
     throw std::invalid_argument("StaticScapModel: span size mismatch");
   }
-  levels_ = levelize(nl);
-  // Flatten the topo schedule once: the screen sweeps are the hot loop of
-  // the whole two-tier cascade. Gates within a level are independent, so a
-  // stable (level, cell type) sort keeps the schedule valid while making the
-  // evaluator's type dispatch almost perfectly predicted.
-  std::vector<GateId> order(levels_.topo.begin(), levels_.topo.end());
-  std::stable_sort(order.begin(), order.end(),
-                   [&](GateId a, GateId b) {
-                     const std::uint32_t la = levels_.gate_level[a];
-                     const std::uint32_t lb = levels_.gate_level[b];
-                     if (la != lb) return la < lb;
-                     return nl.gate(a).type < nl.gate(b).type;
-                   });
-  // Compact net renumbering in sweep-write order: flop Q nets first (launch
-  // loop order), then PIs, then other undriven nets, then gate outputs in
-  // schedule order. The value/toggle scratch arrays are indexed by these
-  // internal ids only, so a gate's fanin loads land on lines written a few
-  // levels ago instead of scattering across the whole net table.
-  constexpr NetId kUnassigned = ~NetId{0};
-  std::vector<NetId> remap(nl.num_nets(), kUnassigned);
-  NetId next = 0;
-  for (FlopId f = 0; f < nl.num_flops(); ++f) remap[nl.flop(f).q] = next++;
-  for (const NetId pi : nl.primary_inputs()) {
-    if (remap[pi] == kUnassigned) remap[pi] = next++;
-    pi_net_.push_back(remap[pi]);
-  }
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    if (remap[n] == kUnassigned && nl.net(n).driver_kind != DriverKind::kGate) {
-      remap[n] = next++;
-    }
-  }
-  for (const GateId g : order) remap[nl.gate(g).out] = next++;
-
-  const std::size_t ng = order.size();
-  g_type_.reserve(ng);
-  g_nin_.reserve(ng);
+  // Per-gate / per-flop extras in the view's schedule order, so the hot
+  // loops take streaming loads instead of indexing per-net tables. A net's
+  // block is its driver's (ScapCalculator's attribution, sim/scap.cpp).
+  const LevelizedView& v = *view_;
+  const std::size_t ng = v.num_gates();
   g_cv_.reserve(ng);
-  g_out_.reserve(ng);
-  g_in_off_.reserve(ng + 1);
   g_delay_.reserve(ng);
-  // Per-net block attribution, identical to ScapCalculator's (sim/scap.cpp):
-  // the driver's block; 0 for PI / undriven nets (which never toggle).
-  // Indexed by the netlist's own net ids (the external convention).
-  net_block_.assign(nl.num_nets(), 0);
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const Net& nr = nl.net(n);
-    switch (nr.driver_kind) {
-      case DriverKind::kGate:
-        net_block_[n] = nl.gate(nr.driver).block;
-        break;
-      case DriverKind::kFlop:
-        net_block_[n] = nl.flop(nr.driver).block;
-        break;
-      default:
-        break;
-    }
-  }
-  // Energy and block ride per gate / per flop in sweep order, so the hot
-  // loops take streaming loads instead of indexing per-net tables.
-  g_in_off_.push_back(0);
   g_energy_.reserve(ng);
   g_block_.reserve(ng);
-  for (const GateId g : order) {
+  for (std::uint32_t i = 0; i < ng; ++i) {
+    const GateId g = v.gate_at(i);
     const Gate& gr = nl.gate(g);
-    const std::span<const NetId> ins = nl.gate_inputs(g);
-    g_type_.push_back(gr.type);
-    g_nin_.push_back(static_cast<std::uint8_t>(ins.size()));
     g_cv_.push_back(static_cast<std::int8_t>(controlling_value(gr.type)));
-    g_out_.push_back(remap[gr.out]);
-    for (const NetId in : ins) g_in_.push_back(remap[in]);
-    g_in_off_.push_back(static_cast<std::uint32_t>(g_in_.size()));
-    g_delay_.push_back(gate_min_delay_ns_[g]);
-    g_energy_.push_back(net_energy_pj_[gr.out]);
-    g_block_.push_back(net_block_[gr.out]);
+    g_delay_.push_back(gate_min_delay_ns[g]);
+    g_energy_.push_back(net_energy_pj[gr.out]);
+    g_block_.push_back(gr.block);
   }
-  const std::size_t nf = nl.num_flops();
-  f_q_.reserve(nf);
-  f_d_.reserve(nf);
-  f_energy_.reserve(nf);
-  f_block_.reserve(nf);
-  for (FlopId f = 0; f < nf; ++f) {
-    const NetId q = nl.flop(f).q;
-    f_q_.push_back(remap[q]);
-    f_d_.push_back(remap[nl.flop(f).d]);
-    f_energy_.push_back(net_energy_pj_[q]);
-    f_block_.push_back(net_block_[q]);
+  f_energy_.reserve(nl.num_flops());
+  f_block_.reserve(nl.num_flops());
+  for (FlopId f = 0; f < nl.num_flops(); ++f) {
+    f_energy_.push_back(net_energy_pj[nl.flop(f).q]);
+    f_block_.push_back(nl.flop(f).block);
   }
 }
 
@@ -264,18 +128,31 @@ const StaticScapBound& StaticScapModel::screen_vars(
     throw std::invalid_argument("StaticScapModel: vars shorter than num_vars");
   }
 
+  // The view's schedule in compact net ids; the pointers are hoisted because
+  // the byte-sized V3 stores may alias anything the loops would reload.
+  const LevelizedView& v = *view_;
+  const std::size_t ng = v.num_gates();
+  const CellType* types = v.gate_types();
+  const std::uint8_t* nins = v.gate_nins();
+  const NetId* outs = v.gate_outs();
+  const NetId* gin = v.gate_ins();
+  const std::uint32_t* off = v.gate_in_offsets();
+  const NetId* fq = v.f_q();
+  const NetId* fd = v.f_d();
+  const std::span<const NetId> pis = v.pi_nets();
+
   // -- frame 1: 3-valued settle of the scanned state ------------------------
   value1_.assign(nn, V3::x());
-  for (std::size_t i = 0; i < pi_net_.size() && i < ctx.pi_values.size(); ++i) {
-    value1_[pi_net_[i]] = V3::of(ctx.pi_values[i] != 0);
+  for (std::size_t i = 0; i < pis.size() && i < ctx.pi_values.size(); ++i) {
+    value1_[pis[i]] = V3::of(ctx.pi_values[i] != 0);
   }
   for (FlopId f = 0; f < nf; ++f) {
-    value1_[f_q_[f]] = v3_of_bit(vars[f]);
+    value1_[fq[f]] = v3_of_bit(vars[f]);
   }
-  const std::size_t ng = g_type_.size();
+  V3* set1 = value1_.data();
   for (std::size_t i = 0; i < ng; ++i) {
-    value1_[g_out_[i]] =
-        eval_fast(g_type_[i], g_in_.data() + g_in_off_[i], value1_.data());
+    const NetId* ins = gin + off[i];
+    set1[outs[i]] = eval_v3(types[i], [&](int k) { return set1[ins[k]]; });
   }
 
   // -- launch set (mirrors PatternAnalyzer::build_launch) -------------------
@@ -302,13 +179,13 @@ const StaticScapBound& StaticScapModel::screen_vars(
   double last_lb = -kInf;   // lower bound on the last committed toggle
   const bool explicit_s2 = ctx.explicit_s2();
   for (FlopId f = 0; f < nf; ++f) {
-    const NetId q = f_q_[f];
+    const NetId q = fq[f];
     const V3 s1 = v3_of_bit(vars[f]);
     V3 s2;
     if (explicit_s2) {
       s2 = v3_of_bit(vars[ctx.los_pred[f]]);
     } else if (ctx.active[f]) {
-      s2 = value1_[f_d_[f]];
+      s2 = value1_[fd[f]];
     } else {
       ta[2 * q] = 0.0;
       ta[2 * q + 1] = kInf;
@@ -369,17 +246,16 @@ const StaticScapBound& StaticScapModel::screen_vars(
   double vss_acc = out.vss_energy_total_pj;
   const V3* val1 = value1_.data();
   V3* val2 = value2_.data();
-  const NetId* gin = g_in_.data();
   for (std::size_t i = 0; i < ng; ++i) {
-    const NetId* ins = gin + g_in_off_[i];
-    const std::size_t nin = g_nin_[i];
+    const NetId* ins = gin + off[i];
+    const std::size_t nin = nins[i];
     // One scan over the inputs: toggle-sum, controlling-stable check, and
     // arrival relaxation, all from the same loads (toggle and arrival share
     // a cache line by construction). Every write path keeps the invariant
     // "toggle bound 0 => stored arrival kInf", so relaxing over raw arrivals
     // is already restricted to toggling inputs -- no per-input select.
     const int cv = g_cv_[i];
-    const NetId gout = g_out_[i];
+    const NetId gout = outs[i];
     double tin = 0.0;
     unsigned pinned = 0;
     double a = kInf;
@@ -425,8 +301,8 @@ const StaticScapBound& StaticScapModel::screen_vars(
       continue;
     }
 
-    const CellType type = g_type_[i];
-    const V3 v2 = eval_fast(type, ins, val2);
+    const CellType type = types[i];
+    const V3 v2 = eval_v3(type, [&](int k) { return val2[ins[k]]; });
     val2[gout] = v2;
 
     double t;

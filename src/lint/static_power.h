@@ -55,12 +55,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "atpg/context.h"
 #include "atpg/pattern.h"
-#include "lint/dataflow.h"
+#include "netlist/levelized_view.h"
 #include "netlist/netlist.h"
 
 namespace scap::lint {
@@ -103,7 +104,8 @@ class StaticScapModel {
   /// `net_energy_pj`: per-net single-toggle switching energy (C * VDD^2,
   /// exactly the ScapCalculator's); `flop_arrival_ns`: per-flop nominal
   /// launch-clock arrival; `gate_min_delay_ns`: per-gate min(rise, fall)
-  /// nominal delay. The netlist must be finalized (cycle-free).
+  /// nominal delay. The netlist must be finalized (cycle-free); the model
+  /// sweeps its levelized view.
   /// Throws std::invalid_argument on size mismatches or an unfinalized
   /// netlist.
   StaticScapModel(const Netlist& nl, std::span<const double> net_energy_pj,
@@ -129,38 +131,22 @@ class StaticScapModel {
                                      std::span<const std::uint8_t> vars) const;
 
   const StaticScapBound& bound() const { return bound_; }
-  const LevelMap& levels() const { return levels_; }
 
  private:
   const Netlist* nl_;
-  LevelMap levels_;
-  std::vector<double> net_energy_pj_;
+  /// Gate schedule, fanin pool, compact net ids and flop / PI maps. The
+  /// scratch arrays below are indexed by compact ids only; everything
+  /// external keeps netlist ids.
+  std::shared_ptr<const LevelizedView> view_;
   std::vector<double> flop_arrival_ns_;
-  std::vector<double> gate_min_delay_ns_;
-  std::vector<BlockId> net_block_;  ///< driver block (matches ScapCalculator)
 
-  // Flat topo-ordered gate tables, built once in the ctor so the two
-  // per-pattern sweeps stream through cache-linear arrays instead of
-  // chasing Gate records and fanin pools. Net ids inside these tables
-  // (g_out_, g_in_, f_q_, f_d_, pi_net_) are internal compact ids assigned
-  // in sweep-write order -- flop Qs, PIs, other undriven nets, then gate
-  // outputs in schedule order -- so fanin loads in the scratch arrays below
-  // stay close to recently written lines. They never leak out of the model;
-  // everything external (net_block_, net_energy_pj_) keeps netlist ids.
-  std::vector<CellType> g_type_;
-  std::vector<std::uint8_t> g_nin_;
-  std::vector<std::int8_t> g_cv_;        ///< controlling value; -1 = none
-  std::vector<NetId> g_out_;
-  std::vector<std::uint32_t> g_in_off_;  ///< per gate, offset into g_in_
-  std::vector<NetId> g_in_;              ///< concatenated input nets
-  std::vector<double> g_delay_;          ///< min delay, topo order
-  std::vector<double> g_energy_;         ///< output-net toggle energy [pJ]
-  std::vector<BlockId> g_block_;         ///< output-net driver block
-  std::vector<NetId> f_q_;               ///< per flop, Q net
-  std::vector<NetId> f_d_;               ///< per flop, D net
-  std::vector<NetId> pi_net_;            ///< per PI, net in ctx order
-  std::vector<double> f_energy_;         ///< Q-net toggle energy [pJ]
-  std::vector<BlockId> f_block_;         ///< Q-net driver block
+  // The model's own per-gate extras, in schedule order (per flop for f_*).
+  std::vector<std::int8_t> g_cv_;  ///< controlling value; -1 = none
+  std::vector<double> g_delay_;    ///< min nominal delay [ns]
+  std::vector<double> g_energy_;   ///< output-net toggle energy [pJ]
+  std::vector<BlockId> g_block_;   ///< output-net driver block
+  std::vector<double> f_energy_;   ///< Q-net toggle energy [pJ]
+  std::vector<BlockId> f_block_;   ///< Q-net driver block
 
   // Reusable per-screen scratch.
   mutable std::vector<V3> value1_;      ///< frame-1 settled values

@@ -5,120 +5,51 @@
 
 namespace scap {
 
-namespace {
-
-template <typename T, typename AndOp, typename OrOp, typename XorOp,
-          typename NotOp, typename MuxOp>
-T eval_generic(CellType t, std::span<const T> ins, T k0, T k1, AndOp land,
-               OrOp lor, XorOp lxor, NotOp lnot, MuxOp lmux) {
+std::uint8_t eval_scalar(CellType t, std::span<const std::uint8_t> ins) {
   assert(static_cast<int>(ins.size()) == num_inputs(t));
   switch (t) {
     case CellType::kTie0:
-      return k0;
+      return 0;
     case CellType::kTie1:
-      return k1;
+      return 1;
     case CellType::kBuf:
     case CellType::kClkBuf:
     case CellType::kDff:  // D passthrough (combinational view of the D pin)
       return ins[0];
     case CellType::kInv:
-      return lnot(ins[0]);
+      return ins[0] ^ 1u;
     case CellType::kAnd2:
-      return land(ins[0], ins[1]);
+      return ins[0] & ins[1];
     case CellType::kAnd3:
-      return land(land(ins[0], ins[1]), ins[2]);
+      return ins[0] & ins[1] & ins[2];
     case CellType::kAnd4:
-      return land(land(ins[0], ins[1]), land(ins[2], ins[3]));
+      return ins[0] & ins[1] & ins[2] & ins[3];
     case CellType::kNand2:
-      return lnot(land(ins[0], ins[1]));
+      return (ins[0] & ins[1]) ^ 1u;
     case CellType::kNand3:
-      return lnot(land(land(ins[0], ins[1]), ins[2]));
+      return (ins[0] & ins[1] & ins[2]) ^ 1u;
     case CellType::kNand4:
-      return lnot(land(land(ins[0], ins[1]), land(ins[2], ins[3])));
+      return (ins[0] & ins[1] & ins[2] & ins[3]) ^ 1u;
     case CellType::kOr2:
-      return lor(ins[0], ins[1]);
+      return ins[0] | ins[1];
     case CellType::kOr3:
-      return lor(lor(ins[0], ins[1]), ins[2]);
+      return ins[0] | ins[1] | ins[2];
     case CellType::kOr4:
-      return lor(lor(ins[0], ins[1]), lor(ins[2], ins[3]));
+      return ins[0] | ins[1] | ins[2] | ins[3];
     case CellType::kNor2:
-      return lnot(lor(ins[0], ins[1]));
+      return (ins[0] | ins[1]) ^ 1u;
     case CellType::kNor3:
-      return lnot(lor(lor(ins[0], ins[1]), ins[2]));
+      return (ins[0] | ins[1] | ins[2]) ^ 1u;
     case CellType::kNor4:
-      return lnot(lor(lor(ins[0], ins[1]), lor(ins[2], ins[3])));
+      return (ins[0] | ins[1] | ins[2] | ins[3]) ^ 1u;
     case CellType::kXor2:
-      return lxor(ins[0], ins[1]);
+      return ins[0] ^ ins[1];
     case CellType::kXnor2:
-      return lnot(lxor(ins[0], ins[1]));
-    case CellType::kMux2:
-      return lmux(ins[0], ins[1], ins[2]);
+      return (ins[0] ^ ins[1]) ^ 1u;
+    case CellType::kMux2:  // inputs [S, A, B]; output = S ? B : A
+      return ins[0] ? ins[2] : ins[1];
   }
-  return k0;
-}
-
-}  // namespace
-
-std::uint8_t eval_scalar(CellType t, std::span<const std::uint8_t> ins) {
-  auto land = [](std::uint8_t a, std::uint8_t b) -> std::uint8_t { return a & b; };
-  auto lor = [](std::uint8_t a, std::uint8_t b) -> std::uint8_t { return a | b; };
-  auto lxor = [](std::uint8_t a, std::uint8_t b) -> std::uint8_t { return a ^ b; };
-  auto lnot = [](std::uint8_t a) -> std::uint8_t {
-    return static_cast<std::uint8_t>(a ^ 1u);
-  };
-  auto lmux = [](std::uint8_t s, std::uint8_t a, std::uint8_t b) -> std::uint8_t {
-    return s ? b : a;
-  };
-  return eval_generic<std::uint8_t>(t, ins, 0, 1, land, lor, lxor, lnot, lmux);
-}
-
-std::uint64_t eval_word(CellType t, std::span<const std::uint64_t> ins) {
-  auto land = [](std::uint64_t a, std::uint64_t b) { return a & b; };
-  auto lor = [](std::uint64_t a, std::uint64_t b) { return a | b; };
-  auto lxor = [](std::uint64_t a, std::uint64_t b) { return a ^ b; };
-  auto lnot = [](std::uint64_t a) { return ~a; };
-  auto lmux = [](std::uint64_t s, std::uint64_t a, std::uint64_t b) {
-    return (s & b) | (~s & a);
-  };
-  return eval_generic<std::uint64_t>(t, ins, 0ull, ~0ull, land, lor, lxor, lnot,
-                                     lmux);
-}
-
-namespace {
-
-constexpr V3 v3_and(V3 a, V3 b) {
-  // can be 1 iff both can be 1; can be 0 iff either can be 0.
-  const std::uint8_t can1 =
-      static_cast<std::uint8_t>((a.bits & b.bits) & 0b10);
-  const std::uint8_t can0 =
-      static_cast<std::uint8_t>((a.bits | b.bits) & 0b01);
-  return V3{static_cast<std::uint8_t>(can1 | can0)};
-}
-
-constexpr V3 v3_or(V3 a, V3 b) { return v3_not(v3_and(v3_not(a), v3_not(b))); }
-
-constexpr V3 v3_xor(V3 a, V3 b) {
-  if (a.is_x() || b.is_x()) return V3::x();
-  return V3::of(a.value() ^ b.value());
-}
-
-constexpr V3 v3_mux(V3 s, V3 a, V3 b) {
-  if (s.is0()) return a;
-  if (s.is1()) return b;
-  if (!a.is_x() && !b.is_x() && a == b) return a;  // select-independent
-  return V3::x();
-}
-
-}  // namespace
-
-V3 eval_v3(CellType t, std::span<const V3> ins) {
-  auto land = [](V3 a, V3 b) { return v3_and(a, b); };
-  auto lor = [](V3 a, V3 b) { return v3_or(a, b); };
-  auto lxor = [](V3 a, V3 b) { return v3_xor(a, b); };
-  auto lnot = [](V3 a) { return v3_not(a); };
-  auto lmux = [](V3 s, V3 a, V3 b) { return v3_mux(s, a, b); };
-  return eval_generic<V3>(t, ins, V3::zero(), V3::one(), land, lor, lxor, lnot,
-                          lmux);
+  return 0;
 }
 
 namespace {

@@ -3,16 +3,19 @@
 // The library models a small 180 nm-class standard-cell kit (the paper uses
 // the Cadence GSCLib 0.18 um library): basic combinational cells of 1-4
 // inputs, a 2:1 mux, a scan D flip-flop, clock buffers and tie cells.
-// Evaluation is provided in three domains used by different engines:
+// Evaluation is provided in the domains used by different engines:
 //   - scalar 0/1            (event-driven timing simulation)
-//   - 64-bit pattern-parallel words (fault simulation)
-//   - 3-valued "possible set" logic (PODEM implication)
+//   - 3-valued "possible set" logic (PODEM implication, dataflow
+//     X-propagation, the static SCAP screen)
+// The bit-parallel word domain (BatchSim, fault simulation) lives in
+// sim/batch_kernels.inl.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <type_traits>
 
 namespace scap {
 
@@ -159,9 +162,6 @@ constexpr int controlling_value(CellType t) {
 /// Scalar evaluation; inputs are 0 or 1.
 std::uint8_t eval_scalar(CellType t, std::span<const std::uint8_t> ins);
 
-/// 64-bit pattern-parallel evaluation (bit i of each word = pattern i).
-std::uint64_t eval_word(CellType t, std::span<const std::uint64_t> ins);
-
 /// 3-valued logic in "possible set" encoding:
 /// bit0 set => value can be 0; bit1 set => value can be 1.
 /// 0b01 = constant 0, 0b10 = constant 1, 0b11 = X. 0b00 is invalid.
@@ -186,7 +186,78 @@ constexpr V3 v3_not(V3 a) {
   return V3{static_cast<std::uint8_t>(((a.bits & 1) << 1) | ((a.bits >> 1) & 1))};
 }
 
-V3 eval_v3(CellType t, std::span<const V3> ins);
+/// Can be 1 iff both can be 1; can be 0 iff either can be 0.
+constexpr V3 v3_and(V3 a, V3 b) {
+  return V3{static_cast<std::uint8_t>(((a.bits & b.bits) & 0b10) |
+                                      ((a.bits | b.bits) & 0b01))};
+}
+constexpr V3 v3_or(V3 a, V3 b) { return v3_not(v3_and(v3_not(a), v3_not(b))); }
+constexpr V3 v3_xor(V3 a, V3 b) {
+  if (a.is_x() || b.is_x()) return V3::x();
+  return V3::of(a.value() ^ b.value());
+}
+constexpr V3 v3_mux(V3 s, V3 a, V3 b) {
+  if (s.is0()) return a;
+  if (s.is1()) return b;
+  if (!a.is_x() && !b.is_x() && a == b) return a;  // select-independent
+  return V3::x();
+}
+
+/// 3-valued cell evaluation. `in` is an operand accessor: in(k) returns
+/// input k's value, so sweeps read their fanin straight from the value
+/// table instead of copying it into a buffer first. The and/or/xor folds are
+/// associative on this encoding, so any grouping gives the same result.
+template <class In>
+  requires std::is_invocable_r_v<V3, In, int>
+constexpr V3 eval_v3(CellType t, In in) {
+  switch (t) {
+    case CellType::kTie0:
+      return V3::zero();
+    case CellType::kTie1:
+      return V3::one();
+    case CellType::kBuf:
+    case CellType::kClkBuf:
+    case CellType::kDff:  // D passthrough (combinational view of the D pin)
+      return in(0);
+    case CellType::kInv:
+      return v3_not(in(0));
+    case CellType::kAnd2:
+      return v3_and(in(0), in(1));
+    case CellType::kAnd3:
+      return v3_and(v3_and(in(0), in(1)), in(2));
+    case CellType::kAnd4:
+      return v3_and(v3_and(in(0), in(1)), v3_and(in(2), in(3)));
+    case CellType::kNand2:
+      return v3_not(v3_and(in(0), in(1)));
+    case CellType::kNand3:
+      return v3_not(v3_and(v3_and(in(0), in(1)), in(2)));
+    case CellType::kNand4:
+      return v3_not(v3_and(v3_and(in(0), in(1)), v3_and(in(2), in(3))));
+    case CellType::kOr2:
+      return v3_or(in(0), in(1));
+    case CellType::kOr3:
+      return v3_or(v3_or(in(0), in(1)), in(2));
+    case CellType::kOr4:
+      return v3_or(v3_or(in(0), in(1)), v3_or(in(2), in(3)));
+    case CellType::kNor2:
+      return v3_not(v3_or(in(0), in(1)));
+    case CellType::kNor3:
+      return v3_not(v3_or(v3_or(in(0), in(1)), in(2)));
+    case CellType::kNor4:
+      return v3_not(v3_or(v3_or(in(0), in(1)), v3_or(in(2), in(3))));
+    case CellType::kXor2:
+      return v3_xor(in(0), in(1));
+    case CellType::kXnor2:
+      return v3_not(v3_xor(in(0), in(1)));
+    case CellType::kMux2:  // inputs [S, A, B]; output = S ? B : A
+      return v3_mux(in(0), in(1), in(2));
+  }
+  return V3::zero();
+}
+
+inline V3 eval_v3(CellType t, std::span<const V3> ins) {
+  return eval_v3(t, [ins](int k) { return ins[static_cast<std::size_t>(k)]; });
+}
 
 /// Canonical cell name (matches the Verilog writer/parser vocabulary).
 std::string_view cell_name(CellType t);

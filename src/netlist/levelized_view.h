@@ -4,10 +4,10 @@
 // fanout spans, ids in construction order) is the right hub for building and
 // querying a design, but it is the wrong layout for sweep-style engines: a
 // full-netlist evaluation pass takes one dependent load chain per gate and
-// scatters its reads across the whole net table. PR 7's static screen proved
-// the fix -- a flat (level, cell-type)-sorted gate schedule over compactly
-// renumbered nets runs the same sweep >=5x faster -- and this view makes that
-// layout a first-class, engine-independent artifact:
+// scatters its reads across the whole net table. A flat (level, cell-type)-
+// sorted gate schedule over compactly renumbered nets runs the same sweep
+// >=5x faster, and this view makes that layout a first-class,
+// engine-independent artifact:
 //
 //  - Gates are stably sorted by (level, type): the schedule is a valid
 //    topological order (all of a gate's inputs are written by lower levels)
@@ -22,8 +22,11 @@
 //    engines never translate back through external gate ids.
 //
 // The view is immutable after construction and holds no reference to the
-// Netlist it was built from except for result translation maps; engines share
-// one instance read-only across threads (see FaultSimulator / BatchSim).
+// Netlist it was built from except for result translation maps.
+// Netlist::finalize() builds the one instance of a design, and every sweep
+// engine (BatchSim, FaultSimulator, PatternAnalyzer's frame settle,
+// compute_quiet_state, the static SCAP screen) shares it read-only across
+// threads through Netlist::levelized_view().
 #pragma once
 
 #include <cstdint>
@@ -57,6 +60,9 @@ class LevelizedView {
   NetId compact_net(NetId external) const { return compact_of_net_[external]; }
   /// Compact net id -> external NetId.
   NetId external_net(NetId compact) const { return net_of_compact_[compact]; }
+  /// The whole compact -> external table (num_nets() entries), for unpack
+  /// loops that hoist it out of their stores.
+  const NetId* external_nets() const { return net_of_compact_.data(); }
   /// External GateId -> schedule index.
   std::uint32_t sched_of_gate(GateId g) const { return sched_of_gate_[g]; }
   /// Schedule index -> external GateId.

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "netlist/levelized_view.h"
+
 namespace scap {
 
 namespace {
@@ -208,6 +210,7 @@ void Netlist::finalize() {
   });
 
   finalized_ = true;
+  view_ = LevelizedView::build(*this);
   if (g_verify_hook != nullptr) g_verify_hook(*this);
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "netlist/cell_type.h"
 
 namespace scap {
+
+class LevelizedView;
 
 using NetId = std::uint32_t;
 using GateId = std::uint32_t;
@@ -83,10 +86,18 @@ class Netlist {
   void set_permissive(bool on) { permissive_ = on; }
   bool permissive() const { return permissive_; }
 
-  /// Build fanout maps, levelize, and validate. Throws std::runtime_error on
-  /// multiple drivers, undriven nets, arity mismatches or combinational loops.
+  /// Build fanout maps, levelize, validate, and build the levelized view.
+  /// Throws std::runtime_error on multiple drivers, undriven nets, arity
+  /// mismatches or combinational loops.
   void finalize();
   bool finalized() const { return finalized_; }
+
+  /// The struct-of-arrays schedule every full-netlist sweep runs on
+  /// (netlist/levelized_view.h), built once by finalize(); null before.
+  /// Engines keep a copy of the pointer to share it read-only.
+  const std::shared_ptr<const LevelizedView>& levelized_view() const {
+    return view_;
+  }
 
   // ---- topology -----------------------------------------------------------
   std::size_t num_nets() const { return nets_.size(); }
@@ -147,6 +158,7 @@ class Netlist {
   std::vector<GateId> fanout_pool_;
   std::vector<FlopId> flop_fanout_pool_;
   std::vector<GateId> topo_;
+  std::shared_ptr<const LevelizedView> view_;
   std::uint32_t max_level_ = 0;
   std::uint16_t block_count_ = 1;
   std::uint8_t domain_count_ = 1;

@@ -295,6 +295,16 @@ std::vector<std::uint8_t> eval_frame_fixpoint(const Netlist& nl,
 
 }  // namespace
 
+std::vector<std::uint8_t> eval_frame_ref(const Netlist& nl,
+                                         std::span<const std::uint8_t> flop_q,
+                                         std::span<const std::uint8_t> pi) {
+  if (flop_q.size() != nl.num_flops() ||
+      pi.size() != nl.primary_inputs().size()) {
+    throw std::invalid_argument("ref: eval_frame_ref input size mismatch");
+  }
+  return eval_frame_fixpoint(nl, flop_q, pi, nullptr);
+}
+
 std::vector<std::size_t> fault_grade_ref(const Netlist& nl,
                                          const TestContext& ctx,
                                          std::span<const Pattern> patterns,

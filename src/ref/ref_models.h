@@ -61,6 +61,14 @@ ScapReport scap_ref(const Netlist& nl, const Parasitics& par,
                     const TechLibrary& lib, const SimTrace& trace,
                     double period_ns);
 
+/// Reference zero-delay frame settle: sweep every gate in id order until no
+/// net changes (a fixpoint, not a levelized schedule). Returns one 0/1 value
+/// per net from the flop Q states and PI values (sizes must match the
+/// netlist's flop / PI counts).
+std::vector<std::uint8_t> eval_frame_ref(const Netlist& nl,
+                                         std::span<const std::uint8_t> flop_q,
+                                         std::span<const std::uint8_t> pi);
+
 /// Reference transition-fault grading: one fault at a time, one pattern at a
 /// time, each via full-netlist fixpoint frame evaluation with the stuck value
 /// forced at the site. Returns the first detecting pattern index per fault

@@ -166,9 +166,9 @@ void execute_group(Group& g, std::span<Reply> out) {
       }
       case Op::kFaultGrade: {
         // grade() shards the fault list over the rt pool internally; the
-        // result is bit-identical at any thread count and batch width. The
-        // levelized view is built once per cached design and shared.
-        FaultSimulator fs(entry.design.soc.netlist, ctx, entry.levelized());
+        // result is bit-identical at any thread count and batch width. It
+        // runs on the cached netlist's own levelized view.
+        FaultSimulator fs(entry.design.soc.netlist, ctx);
         const std::vector<std::size_t> graded =
             fs.grade(q.patterns, entry.faults());
         out[m.slot] = encode_grade_reply(graded);

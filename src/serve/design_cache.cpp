@@ -78,14 +78,6 @@ const std::vector<TdfFault>& DesignEntry::faults() {
   return faults_;
 }
 
-std::shared_ptr<const LevelizedView> DesignEntry::levelized() {
-  std::call_once(view_once_, [this] {
-    SCAP_TRACE_SCOPE("serve.levelize");
-    view_ = LevelizedView::build(design.soc.netlist);
-  });
-  return view_;
-}
-
 std::shared_ptr<DesignEntry> DesignCache::get(const std::string& recipe_text) {
   const ref::Scenario sc = ref::Scenario::parse(recipe_text);
   const std::string key = canonical_design_key(sc);

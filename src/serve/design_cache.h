@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "atpg/fault.h"
-#include "netlist/levelized_view.h"
 #include "ref/fuzz.h"
 #include "ref/scenario.h"
 #include "serve/workspace_pool.h"
@@ -49,16 +48,9 @@ struct DesignEntry {
   /// fault_grade request against this design and cached for its lifetime.
   const std::vector<TdfFault>& faults();
 
-  /// Levelized SoA view of the design's netlist, built on first fault_grade
-  /// request and shared read-only by every FaultSimulator serving this
-  /// design (netlist/levelized_view.h).
-  std::shared_ptr<const LevelizedView> levelized();
-
  private:
   std::once_flag faults_once_;
   std::vector<TdfFault> faults_;
-  std::once_flag view_once_;
-  std::shared_ptr<const LevelizedView> view_;
 };
 
 class DesignCache {

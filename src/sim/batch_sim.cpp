@@ -57,8 +57,9 @@ void BatchSim::eval_frame(std::span<const std::uint64_t> flop_q,
                           std::vector<std::uint64_t>& net_values) const {
   const LevelizedView& v = *view_;
   const std::size_t W = words_;
-  assert(flop_q.size() == v.num_flops() * W);
-  assert(pi.size() == v.num_pis() * W);
+  if (flop_q.size() != v.num_flops() * W || pi.size() != v.num_pis() * W) {
+    throw std::invalid_argument("BatchSim::eval_frame: input size mismatch");
+  }
   net_values.assign(v.num_nets() * W, 0);
   // Compact flop Q ids are 0..num_flops(): the state vector is the frame's
   // leading slice.

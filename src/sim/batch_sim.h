@@ -1,23 +1,25 @@
-// Levelized multi-word batch simulation.
+// Levelized multi-word batch simulation: the two-valued zero-delay frame
+// settle of every engine (fault grading, PatternAnalyzer's frame 1,
+// compute_quiet_state).
 //
-// BatchSim is WordSim rebuilt on the struct-of-arrays LevelizedView: one
-// sweep over the (level, type)-sorted flat gate table evaluates W machine
-// words per net (W = 1, 2 or 4 -> 64/128/256 patterns per pass) with the
-// per-gate cell dispatch inlined into the loop. The W-lane inner bodies are
-// plain bitwise ops over contiguous words, so they unroll and vectorize; on
-// x86-64 hosts with AVX2 a runtime-dispatched kernel compiled with -mavx2
-// runs the same source at 256-bit width.
+// One sweep over the LevelizedView's (level, type)-sorted flat gate table
+// evaluates W machine words per net (W = 1, 2 or 4 -> 64/128/256 patterns per
+// pass) with the per-gate cell dispatch inlined into the loop. The W-lane
+// inner bodies are plain bitwise ops over contiguous words, so they unroll
+// and vectorize; on x86-64 hosts with AVX2 a runtime-dispatched kernel
+// compiled with -mavx2 runs the same source at 256-bit width.
 //
 // Values live in *compact* net ids (LevelizedView renumbering), W words per
 // net, lane-major: vals[net * W + w], bit p of word w = pattern w*64+p.
 // Compact flop Q ids are 0..num_flops(), so a state vector of W words per
 // flop is exactly the leading slice of a frame -- no scatter on load.
 //
-// Frame semantics are identical to WordSim's (logic_sim.h): flop Q pins are
-// pseudo primary inputs, D pins pseudo primary outputs, and a broadside
-// launch evaluates frame 2 from S2 = D(S1). Results are bit-identical to
-// WordSim lane for lane (pure bitwise cell functions, single-assignment
-// nets), which tests/batch_sim_test.cpp pins down.
+// Frame semantics: flop Q pins are pseudo primary inputs, D pins pseudo
+// primary outputs. A broadside launch evaluates frame 1 from the scanned-in
+// state S1, derives S2 = D(S1) (the functional response captured by the
+// launch pulse), and evaluates frame 2 from S2. tests/batch_sim_test.cpp
+// pins every width lane for lane against the reference fixpoint evaluator
+// (ref::eval_frame_ref).
 #pragma once
 
 #include <cstdint>
@@ -43,13 +45,13 @@ class BatchSim {
                     std::size_t words = 1);
 
   const LevelizedView& view() const { return *view_; }
-  std::shared_ptr<const LevelizedView> shared_view() const { return view_; }
   std::size_t words() const { return words_; }
   std::size_t lanes() const { return words_ * 64; }
 
   /// Evaluate all nets from flop states (num_flops()*W words) and PI values
   /// (num_pis()*W words). net_values is resized to num_nets()*W; undriven
-  /// non-PI nets evaluate to 0, matching WordSim.
+  /// non-PI nets evaluate to 0. Throws std::invalid_argument on other input
+  /// sizes.
   void eval_frame(std::span<const std::uint64_t> flop_q,
                   std::span<const std::uint64_t> pi,
                   std::vector<std::uint64_t>& net_values) const;

@@ -1,14 +1,14 @@
 // Bit-exactness suite for the levelized batch evaluation core.
 //
-// Pins the three layers introduced by the SoA refactor against the legacy,
-// obviously-correct paths:
+// Pins the three layers of the SoA evaluation core against hand-computed
+// values and the reference models (src/ref):
 //  - LevelizedView: the compact renumbering is a permutation, the schedule
 //    is topological, and the compact-space topology mirrors the Netlist.
-//  - BatchSim: every width (W = 1/2/4) reproduces WordSim's frames exactly,
-//    lane by lane, and transpose_pack equals naive bit packing.
+//  - BatchSim: every width (W = 1/2/4) reproduces ref::eval_frame_ref lane
+//    by lane, the generic kernel matches the dispatched one (AVX2 on most
+//    hosts), and transpose_pack equals naive bit packing.
 //  - FaultSimulator::grade: first-detect indices are identical at every
-//    batch width, at 1 and 4 threads, and (over the committed differential
-//    corpus) equal to ref::fault_grade_ref.
+//    batch width, at 1 and 4 threads, and equal to ref::fault_grade_ref.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,12 +26,32 @@
 #include "ref/scenario.h"
 #include "rt/thread_pool.h"
 #include "sim/batch_sim.h"
-#include "sim/logic_sim.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
+// The kernel source built once more here, at the test's baseline flags:
+// BatchSim dispatches to the -mavx2 build whenever the host supports it, so
+// without this copy no test would reach the generic sweep on such hosts.
+#define SCAP_BATCH_KERNEL_NS test_generic
+#include "sim/batch_kernels.inl"
+#undef SCAP_BATCH_KERNEL_NS
+
 namespace scap {
 namespace {
+
+TEST(LevelizedView, FinalizeBuildsTheNetlistsView) {
+  Netlist nl;
+  const NetId q = nl.add_net("q");
+  const NetId d = nl.add_net("d");
+  const NetId ins[] = {q};
+  nl.add_gate(CellType::kInv, ins, d);
+  nl.add_flop(d, q, 0, 0);
+  EXPECT_EQ(nl.levelized_view(), nullptr);
+  nl.finalize();
+  ASSERT_NE(nl.levelized_view(), nullptr);
+  EXPECT_EQ(nl.levelized_view()->num_gates(), 1u);
+  EXPECT_EQ(nl.levelized_view()->num_nets(), 2u);
+}
 
 TEST(LevelizedView, CompactRenumberingIsAPermutation) {
   const Netlist& nl = test::small_soc().netlist;
@@ -123,57 +143,97 @@ TEST(BatchSim, TransposePackMatchesNaivePacking) {
   }
 }
 
-TEST(BatchSim, MatchesWordSimAtEveryWidth) {
+TEST(BatchSim, RejectsMissizedInputs) {
+  const Netlist nl = test::tiny_netlist();
+  const BatchSim sim(nl.levelized_view(), 2);
+  std::vector<std::uint64_t> nets;
+  const std::vector<std::uint64_t> q(3 * 2), pi(1 * 2);
+  EXPECT_NO_THROW(sim.eval_frame(q, pi, nets));
+  EXPECT_THROW(sim.eval_frame(std::vector<std::uint64_t>(3), pi, nets),
+               std::invalid_argument);
+  EXPECT_THROW(sim.eval_frame(q, std::vector<std::uint64_t>{}, nets),
+               std::invalid_argument);
+}
+
+TEST(BatchSim, MatchesReferenceAtEveryWidth) {
   const Netlist& nl = test::small_soc().netlist;
-  const auto view = LevelizedView::build(nl);
-  WordSim word(nl);
+  const LevelizedView& view = *nl.levelized_view();
   Rng rng(7);
 
   const std::size_t nf = nl.num_flops();
   const std::size_t npi = nl.primary_inputs().size();
   for (const std::size_t W : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    BatchSim batch(view, W);
+    const BatchSim batch(nl.levelized_view(), W);
     ASSERT_EQ(batch.words(), W);
     // Independent random words per lane.
     std::vector<std::uint64_t> q(nf * W), pi(npi * W);
     for (auto& x : q) x = rng();
     for (auto& x : pi) x = rng();
 
-    std::vector<std::uint64_t> vals;
+    std::vector<std::uint64_t> vals, f1, s2, g2;
     batch.eval_frame(q, pi, vals);
     ASSERT_EQ(vals.size(), nl.num_nets() * W);
-
-    // Each lane word must equal a WordSim frame fed that lane's inputs.
-    for (std::size_t w = 0; w < W; ++w) {
-      std::vector<std::uint64_t> qw(nf), piw(npi), ref;
-      for (std::size_t f = 0; f < nf; ++f) qw[f] = q[f * W + w];
-      for (std::size_t i = 0; i < npi; ++i) piw[i] = pi[i * W + w];
-      word.eval_frame(qw, piw, ref);
-      for (NetId n = 0; n < nl.num_nets(); ++n) {
-        ASSERT_EQ(vals[static_cast<std::size_t>(view->compact_net(n)) * W + w],
-                  ref[n])
-            << "net " << n << " W=" << W << " word " << w;
-      }
-    }
-
-    // Broadside round trip: next state + frame 2 agree with WordSim too.
-    std::vector<std::uint64_t> f1, s2, g2;
     batch.broadside(q, pi, f1, s2, g2);
-    for (std::size_t w = 0; w < W; ++w) {
-      std::vector<std::uint64_t> qw(nf), piw(npi), rf1, rs2, rg2;
-      for (std::size_t f = 0; f < nf; ++f) qw[f] = q[f * W + w];
-      for (std::size_t i = 0; i < npi; ++i) piw[i] = pi[i * W + w];
-      word.broadside(qw, piw, rf1, rs2, rg2);
-      for (std::size_t f = 0; f < nf; ++f) {
-        ASSERT_EQ(s2[f * W + w], rs2[f]) << "flop " << f;
-      }
+    EXPECT_EQ(f1, vals);
+
+    // Every pattern lane must equal the reference settle of that lane's
+    // inputs; the broadside's next state and frame 2 as well.
+    std::vector<std::uint8_t> ql(nf), pil(npi), s2l(nf);
+    for (std::size_t lane = 0; lane < 64 * W; ++lane) {
+      const std::size_t w = lane / 64;
+      const std::size_t bit = lane % 64;
+      auto lane_bit = [&](const std::vector<std::uint64_t>& words,
+                          std::size_t idx) {
+        return static_cast<std::uint8_t>((words[idx * W + w] >> bit) & 1);
+      };
+      for (std::size_t f = 0; f < nf; ++f) ql[f] = lane_bit(q, f);
+      for (std::size_t i = 0; i < npi; ++i) pil[i] = lane_bit(pi, i);
+      const std::vector<std::uint8_t> ref1 = ref::eval_frame_ref(nl, ql, pil);
       for (NetId n = 0; n < nl.num_nets(); ++n) {
-        ASSERT_EQ(g2[static_cast<std::size_t>(view->compact_net(n)) * W + w],
-                  rg2[n])
-            << "net " << n;
+        ASSERT_EQ(lane_bit(vals, view.compact_net(n)), ref1[n])
+            << "net " << n << " W=" << W << " lane " << lane;
+      }
+      for (FlopId f = 0; f < nf; ++f) {
+        s2l[f] = ref1[nl.flop(f).d];
+        ASSERT_EQ(lane_bit(s2, f), s2l[f]) << "flop " << f << " lane " << lane;
+      }
+      const std::vector<std::uint8_t> ref2 = ref::eval_frame_ref(nl, s2l, pil);
+      for (NetId n = 0; n < nl.num_nets(); ++n) {
+        ASSERT_EQ(lane_bit(g2, view.compact_net(n)), ref2[n])
+            << "frame 2 net " << n << " W=" << W << " lane " << lane;
       }
     }
   }
+}
+
+template <int W>
+void expect_generic_sweep_matches(const Netlist& nl, Rng& rng) {
+  const LevelizedView& v = *nl.levelized_view();
+  const BatchSim batch(nl.levelized_view(), W);
+  std::vector<std::uint64_t> q(v.num_flops() * W), pi(v.num_pis() * W);
+  for (auto& x : q) x = rng();
+  for (auto& x : pi) x = rng();
+  std::vector<std::uint64_t> dispatched;
+  batch.eval_frame(q, pi, dispatched);
+
+  // Seed the sources exactly as BatchSim::eval_frame does, then sweep.
+  std::vector<std::uint64_t> generic(v.num_nets() * W, 0);
+  std::copy(q.begin(), q.end(), generic.begin());
+  for (std::size_t i = 0; i < v.num_pis(); ++i) {
+    for (std::size_t w = 0; w < W; ++w) {
+      generic[static_cast<std::size_t>(v.pi_nets()[i]) * W + w] = pi[i * W + w];
+    }
+  }
+  batchk::test_generic::sweep<W>(v, generic.data());
+  EXPECT_EQ(generic, dispatched) << "W=" << W;
+}
+
+TEST(BatchSim, GenericKernelMatchesDispatchedKernel) {
+  const Netlist& nl = test::small_soc().netlist;
+  Rng rng(11);
+  expect_generic_sweep_matches<1>(nl, rng);
+  expect_generic_sweep_matches<2>(nl, rng);
+  expect_generic_sweep_matches<4>(nl, rng);
 }
 
 /// Run `fn` with the global pool pinned to `threads`, restoring the default.
@@ -214,23 +274,16 @@ TEST(BatchGrade, WidthAndThreadInvariant) {
     EXPECT_EQ(counts[i], counts[0]) << "variant " << i;
   }
 
-  // And all of it equals the legacy one-batch-at-a-time path.
-  FaultSimulator legacy(nl, ctx);
-  std::vector<std::size_t> first_legacy(faults.size(),
-                                        FaultSimulator::kUndetected);
-  for (std::size_t base = 0; base < pats.patterns.size(); base += 64) {
-    const std::size_t n = std::min<std::size_t>(64, pats.patterns.size() - base);
-    legacy.load_batch(std::span<const Pattern>(pats.patterns).subspan(base, n));
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (first_legacy[fi] != FaultSimulator::kUndetected) continue;
-      const std::uint64_t mask = legacy.detect_mask(faults[fi]);
-      if (mask) {
-        first_legacy[fi] =
-            base + static_cast<std::size_t>(std::countr_zero(mask));
-      }
-    }
+  // And all of it equals the reference grader, on every 16th fault to keep
+  // the scalar oracle affordable.
+  std::vector<TdfFault> sample;
+  std::vector<std::size_t> sample_first;
+  for (std::size_t i = 0; i < faults.size(); i += 16) {
+    sample.push_back(faults[i]);
+    sample_first.push_back(results[0][i]);
   }
-  EXPECT_EQ(results[0], first_legacy);
+  EXPECT_EQ(sample_first,
+            ref::fault_grade_ref(nl, ctx, pats.patterns, sample));
 }
 
 TEST(BatchGrade, RejectsInvalidWidths) {

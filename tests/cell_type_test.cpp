@@ -1,15 +1,29 @@
-// Cross-domain consistency of the cell evaluators: scalar, 64-bit word and
-// 3-valued evaluation must agree on every cell type and every input
-// combination, and the 3-valued evaluator must be exactly the abstraction of
-// the scalar one (known result iff all completions agree).
+// Cross-domain consistency of the cell evaluators: scalar, 64-bit word
+// (the batch kernels' eval_cell) and 3-valued evaluation must agree on every
+// cell type and every input combination, and the 3-valued evaluator must be
+// exactly the abstraction of the scalar one (known result iff all
+// completions agree).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "netlist/cell_type.h"
+#include "netlist/levelized_view.h"
+
+#define SCAP_BATCH_KERNEL_NS cell_test
+#include "sim/batch_kernels.inl"
+#undef SCAP_BATCH_KERNEL_NS
 
 namespace scap {
 namespace {
+
+/// One 64-lane word evaluation through the shared batch kernel.
+std::uint64_t kernel_word(CellType t, const std::vector<std::uint64_t>& ins) {
+  std::uint64_t out = 0;
+  batchk::cell_test::eval_cell<1>(
+      t, [&](int k) { return ins.data() + k; }, &out);
+  return out;
+}
 
 std::vector<CellType> all_combinational_types() {
   std::vector<CellType> out;
@@ -34,7 +48,7 @@ TEST_P(CellEval, ScalarMatchesWordOnAllCombinations) {
       wins[static_cast<std::size_t>(i)] = bit ? ~0ull : 0ull;
     }
     const std::uint8_t s = eval_scalar(t, sins);
-    const std::uint64_t w = eval_word(t, wins);
+    const std::uint64_t w = kernel_word(t, wins);
     EXPECT_EQ(w, s ? ~0ull : 0ull)
         << cell_name(t) << " combo " << combo;
   }
@@ -53,7 +67,7 @@ TEST_P(CellEval, WordEvaluatesLanesIndependently) {
       }
     }
   }
-  const std::uint64_t w = eval_word(t, wins);
+  const std::uint64_t w = kernel_word(t, wins);
   for (int combo = 0; combo < (1 << n); ++combo) {
     std::vector<std::uint8_t> sins(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {

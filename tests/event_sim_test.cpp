@@ -5,8 +5,8 @@
 #include "atpg/context.h"
 #include "core/pattern_sim.h"
 #include "layout/parasitics.h"
+#include "ref/ref_models.h"
 #include "sim/event_sim.h"
-#include "sim/logic_sim.h"
 #include "sim/vcd.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -50,11 +50,9 @@ struct Rig {
 TEST(EventSim, ChainDelaysAccumulate) {
   Rig rig(inv_chain(4));
   const Netlist& nl = rig.nl;
-  std::vector<std::uint8_t> init(nl.num_nets(), 0);
   // Settle: q0=0 -> alternating 1,0,1,0 along the chain.
-  LogicSim logic(nl);
-  std::vector<std::uint8_t> pi;
-  logic.eval_frame(std::vector<std::uint8_t>{0}, pi, init);
+  const std::vector<std::uint8_t> init =
+      ref::eval_frame_ref(nl, std::vector<std::uint8_t>{0}, {});
 
   EventSim sim(nl, rig.dm);
   const Stimulus stim{nl.flop(0).q, 0.0, 1};
@@ -79,10 +77,8 @@ TEST(EventSim, ChainDelaysAccumulate) {
 
 TEST(EventSim, NoStimulusNoToggles) {
   Rig rig(inv_chain(3));
-  std::vector<std::uint8_t> init(rig.nl.num_nets(), 0);
-  LogicSim logic(rig.nl);
-  std::vector<std::uint8_t> pi;
-  logic.eval_frame(std::vector<std::uint8_t>{0}, pi, init);
+  const std::vector<std::uint8_t> init =
+      ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
   const SimTrace trace = sim.run(init, {});
   EXPECT_TRUE(trace.toggles.empty());
@@ -91,10 +87,8 @@ TEST(EventSim, NoStimulusNoToggles) {
 
 TEST(EventSim, StimulusEqualToCurrentValueAbsorbed) {
   Rig rig(inv_chain(3));
-  std::vector<std::uint8_t> init(rig.nl.num_nets(), 0);
-  LogicSim logic(rig.nl);
-  std::vector<std::uint8_t> pi;
-  logic.eval_frame(std::vector<std::uint8_t>{0}, pi, init);
+  const std::vector<std::uint8_t> init =
+      ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
   const Stimulus stim{rig.nl.flop(0).q, 0.0, init[rig.nl.flop(0).q]};
   const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));
@@ -123,10 +117,8 @@ TEST(EventSim, GlitchOnReconvergence) {
   nl.finalize();
 
   Rig rig(std::move(nl));
-  std::vector<std::uint8_t> init(rig.nl.num_nets(), 0);
-  LogicSim logic(rig.nl);
-  std::vector<std::uint8_t> pi;
-  logic.eval_frame(std::vector<std::uint8_t>{0}, pi, init);
+  const std::vector<std::uint8_t> init =
+      ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   ASSERT_EQ(init[y], 0);  // xor(0, 0)
 
   EventSim sim(rig.nl, rig.dm);
@@ -152,7 +144,6 @@ TEST(EventSim, FinalValuesMatchZeroDelayFrame2) {
   const Netlist& nl = soc.netlist;
   const TestContext ctx = TestContext::for_domain(nl, 0);
   PatternAnalyzer analyzer(soc, TechLibrary::generic180());
-  LogicSim logic(nl);
   Rng rng(2024);
 
   for (int trial = 0; trial < 8; ++trial) {
@@ -171,20 +162,27 @@ TEST(EventSim, FinalValuesMatchZeroDelayFrame2) {
     for (FlopId f = 0; f < nl.num_flops(); ++f) {
       s2[f] = ctx.active[f] ? pa.frame1_nets[nl.flop(f).d] : p.s1[f];
     }
-    std::vector<std::uint8_t> f2;
-    logic.eval_frame(s2, ctx.pi_values, f2);
+    const std::vector<std::uint8_t> f2 =
+        ref::eval_frame_ref(nl, s2, ctx.pi_values);
     for (NetId n = 0; n < nl.num_nets(); ++n) {
       ASSERT_EQ(final_vals[n], f2[n]) << "trial " << trial << " net " << n;
     }
   }
 }
 
+TEST(PatternAnalyzer, RejectsPatternShorterThanTheContext) {
+  const SocDesign& soc = test::tiny_soc();
+  const TestContext ctx = TestContext::for_domain(soc.netlist, 0);
+  PatternAnalyzer analyzer(soc, TechLibrary::generic180());
+  Pattern p;
+  p.s1.assign(3, 1);
+  EXPECT_THROW(analyzer.analyze_scap(ctx, p), std::invalid_argument);
+}
+
 TEST(EventSim, SettleTimes) {
   Rig rig(inv_chain(2));
-  std::vector<std::uint8_t> init(rig.nl.num_nets(), 0);
-  LogicSim logic(rig.nl);
-  std::vector<std::uint8_t> pi;
-  logic.eval_frame(std::vector<std::uint8_t>{0}, pi, init);
+  const std::vector<std::uint8_t> init =
+      ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
   const Stimulus stim{rig.nl.flop(0).q, 1.5, 1};
   const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));
@@ -220,10 +218,8 @@ TEST(DelayModel, SetDroopValidatesSize) {
 
 TEST(Vcd, WellFormedOutput) {
   Rig rig(inv_chain(2));
-  std::vector<std::uint8_t> init(rig.nl.num_nets(), 0);
-  LogicSim logic(rig.nl);
-  std::vector<std::uint8_t> pi;
-  logic.eval_frame(std::vector<std::uint8_t>{0}, pi, init);
+  const std::vector<std::uint8_t> init =
+      ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
   const Stimulus stim{rig.nl.flop(0).q, 0.0, 1};
   const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));

@@ -1,65 +1,20 @@
 #include <gtest/gtest.h>
 
-#include <array>
-
 #include "atpg/fault_sim.h"
-#include "sim/logic_sim.h"
+#include "ref/ref_models.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
 namespace scap {
 namespace {
 
-/// Slow, obviously-correct reference: scalar two-frame simulation with the
-/// fault injected by brute-force re-evaluation of the whole frame-2 netlist.
+/// Slow, obviously-correct reference: one pattern, one fault through the
+/// reference grader (scalar fixpoint frames, stuck value forced).
 bool reference_detects(const Netlist& nl, const TestContext& ctx,
                        const Pattern& p, const TdfFault& fault) {
-  LogicSim sim(nl);
-  std::vector<std::uint8_t> f1;
-  sim.eval_frame(p.s1, ctx.pi_values, f1);
-  std::vector<std::uint8_t> s2(nl.num_flops());
-  for (FlopId f = 0; f < nl.num_flops(); ++f) {
-    s2[f] = ctx.active[f] ? f1[nl.flop(f).d] : p.s1[f];
-  }
-  std::vector<std::uint8_t> g2;
-  sim.eval_frame(s2, ctx.pi_values, g2);
-
-  // Launch condition.
-  if (f1[fault.net] != fault.v1() || g2[fault.net] != fault.v2()) return false;
-  if (fault.site == FaultSite::kFlopBranch) return ctx.active[fault.load];
-
-  // Faulty frame 2: evaluate with the stuck value injected.
-  std::vector<std::uint8_t> x2(nl.num_nets());
-  for (std::size_t i = 0; i < nl.primary_inputs().size(); ++i) {
-    x2[nl.primary_inputs()[i]] = ctx.pi_values[i];
-  }
-  for (FlopId f = 0; f < nl.num_flops(); ++f) x2[nl.flop(f).q] = s2[f];
-  if (fault.site == FaultSite::kStem) {
-    x2[fault.net] = static_cast<std::uint8_t>(fault.v1());
-  }
-  std::array<std::uint8_t, 4> ins{};
-  for (GateId g : nl.topo_order()) {
-    const auto in_nets = nl.gate_inputs(g);
-    for (std::size_t i = 0; i < in_nets.size(); ++i) {
-      ins[i] = x2[in_nets[i]];
-      if (fault.site == FaultSite::kGateBranch && fault.load == g &&
-          fault.pin == i) {
-        ins[i] = static_cast<std::uint8_t>(fault.v1());
-      }
-    }
-    std::uint8_t out = eval_scalar(
-        nl.gate(g).type, std::span<const std::uint8_t>(ins.data(), in_nets.size()));
-    const NetId onet = nl.gate(g).out;
-    if (fault.site == FaultSite::kStem && onet == fault.net) {
-      out = static_cast<std::uint8_t>(fault.v1());
-    }
-    x2[onet] = out;
-  }
-  for (FlopId f = 0; f < nl.num_flops(); ++f) {
-    if (!ctx.active[f]) continue;
-    if (x2[nl.flop(f).d] != g2[nl.flop(f).d]) return true;
-  }
-  return false;
+  return ref::fault_grade_ref(nl, ctx, std::span<const Pattern>(&p, 1),
+                              std::span<const TdfFault>(&fault, 1))[0] !=
+         ref::kRefUndetected;
 }
 
 struct SimRig {
@@ -82,59 +37,65 @@ TEST(FaultSim, MatchesScalarReference) {
   SimRig rig;
   const auto pats = rig.random_patterns(64, 77);
   FaultSimulator fsim(rig.nl, rig.ctx);
-  fsim.load_batch(pats);
   Rng rng(5);
   // Sample faults across the whole list.
+  std::vector<TdfFault> sample;
   for (int trial = 0; trial < 120; ++trial) {
-    const auto& fault = rig.faults[rng.below(rig.faults.size())];
-    const std::uint64_t mask = fsim.detect_mask(fault);
-    for (int lane : {0, 13, 40, 63}) {
-      const bool expected = reference_detects(rig.nl, rig.ctx, pats[lane], fault);
-      ASSERT_EQ((mask >> lane) & 1, expected ? 1u : 0u)
-          << describe_fault(rig.nl, fault) << " lane " << lane;
+    sample.push_back(rig.faults[rng.below(rig.faults.size())]);
+  }
+  const std::size_t lanes[] = {0, 13, 40, 63};
+  std::vector<Pattern> lane_pats;
+  for (std::size_t lane : lanes) lane_pats.push_back(pats[lane]);
+  const auto masks = test::detection_masks(fsim, lane_pats, sample);
+  for (std::size_t k = 0; k < sample.size(); ++k) {
+    for (std::size_t j = 0; j < lane_pats.size(); ++j) {
+      const bool expected =
+          reference_detects(rig.nl, rig.ctx, lane_pats[j], sample[k]);
+      ASSERT_EQ((masks[k] >> j) & 1, expected ? 1u : 0u)
+          << describe_fault(rig.nl, sample[k]) << " lane " << lanes[j];
     }
   }
 }
 
 TEST(FaultSim, NoLaunchNoDetection) {
   SimRig rig;
-  // All-zero state: frame-1 value of any net equals... whatever it settles
-  // to; a fault whose site holds the same value in both frames cannot launch.
+  // A fault whose site holds the same value in both frames cannot launch.
   const auto pats = rig.random_patterns(1, 3);
   FaultSimulator fsim(rig.nl, rig.ctx);
-  fsim.load_batch(pats);
-  LogicSim sim(rig.nl);
-  std::vector<std::uint8_t> f1;
-  sim.eval_frame(pats[0].s1, rig.ctx.pi_values, f1);
+  const std::vector<std::uint8_t> f1 =
+      ref::eval_frame_ref(rig.nl, pats[0].s1, rig.ctx.pi_values);
   std::vector<std::uint8_t> s2(rig.nl.num_flops());
   for (FlopId f = 0; f < rig.nl.num_flops(); ++f) {
     s2[f] = rig.ctx.active[f] ? f1[rig.nl.flop(f).d] : pats[0].s1[f];
   }
-  std::vector<std::uint8_t> g2;
-  sim.eval_frame(s2, rig.ctx.pi_values, g2);
-  int checked = 0;
+  const std::vector<std::uint8_t> g2 =
+      ref::eval_frame_ref(rig.nl, s2, rig.ctx.pi_values);
+  std::vector<TdfFault> quiet;
   for (const auto& fault : rig.faults) {
     if (f1[fault.net] == g2[fault.net]) {  // no transition at the site
-      EXPECT_EQ(fsim.detect_mask(fault) & 1, 0u)
-          << describe_fault(rig.nl, fault);
-      if (++checked > 200) break;
+      quiet.push_back(fault);
+      if (quiet.size() > 200) break;
     }
   }
-  EXPECT_GT(checked, 0);
+  ASSERT_FALSE(quiet.empty());
+  const auto first = fsim.grade(pats, quiet);
+  for (std::size_t k = 0; k < quiet.size(); ++k) {
+    EXPECT_EQ(first[k], FaultSimulator::kUndetected)
+        << describe_fault(rig.nl, quiet[k]);
+  }
 }
 
 TEST(FaultSim, FlopBranchDetectedOnLaunchAlone) {
   SimRig rig;
   const auto pats = rig.random_patterns(64, 9);
   FaultSimulator fsim(rig.nl, rig.ctx);
-  fsim.load_batch(pats);
   int found = 0;
   // Collapsing folds most flop-branch faults into their stems; check the
   // uncollapsed universe.
   const auto universe = enumerate_faults(rig.nl);
   for (const auto& fault : universe) {
     if (fault.site != FaultSite::kFlopBranch) continue;
-    const std::uint64_t mask = fsim.detect_mask(fault);
+    const std::uint64_t mask = test::detection_mask(fsim, pats, fault);
     for (int lane = 0; lane < 64 && found < 50; ++lane) {
       const bool expected = reference_detects(rig.nl, rig.ctx, pats[lane], fault);
       ASSERT_EQ((mask >> lane) & 1, expected ? 1u : 0u);
@@ -151,13 +112,13 @@ TEST(FaultSim, InactiveDomainFlopsDoNotObserve) {
   const TestContext ctx1 = TestContext::for_domain(rig.nl, 1);
   FaultSimulator fsim(rig.nl, ctx1);
   const auto pats = rig.random_patterns(64, 10);
-  fsim.load_batch(pats);
   // A flop-branch fault on a domain-0 flop cannot be observed in a domain-1
   // test session.
   for (const auto& fault : rig.faults) {
     if (fault.site == FaultSite::kFlopBranch &&
         rig.nl.flop(fault.load).domain == 0) {
-      EXPECT_EQ(fsim.detect_mask(fault), 0u);
+      EXPECT_EQ(fsim.grade(pats, std::span<const TdfFault>(&fault, 1))[0],
+                FaultSimulator::kUndetected);
       break;
     }
   }
@@ -206,13 +167,26 @@ TEST(FaultSim, PartialBatchMasksHighLanes) {
   SimRig rig;
   const auto pats = rig.random_patterns(5, 13);
   FaultSimulator fsim(rig.nl, rig.ctx);
-  fsim.load_batch(pats);
+  std::vector<TdfFault> sample;
   for (int trial = 0; trial < 50; ++trial) {
-    const auto& fault = rig.faults[static_cast<std::size_t>(trial) * 37 %
-                                   rig.faults.size()];
-    EXPECT_EQ(fsim.detect_mask(fault) & ~0x1full, 0u)
-        << "lanes beyond the batch must stay clear";
+    sample.push_back(rig.faults[static_cast<std::size_t>(trial) * 37 %
+                                rig.faults.size()]);
   }
+  for (const std::size_t W : {std::size_t{1}, std::size_t{4}}) {
+    fsim.set_batch_words(W);
+    for (const std::size_t idx : fsim.grade(pats, sample)) {
+      if (idx == FaultSimulator::kUndetected) continue;
+      EXPECT_LT(idx, pats.size()) << "lanes beyond the batch must stay clear";
+    }
+  }
+}
+
+TEST(FaultSim, GradeRejectsPatternShorterThanTheContext) {
+  SimRig rig;
+  FaultSimulator fsim(rig.nl, rig.ctx);
+  auto pats = rig.random_patterns(4, 14);
+  pats[2].s1.resize(3);
+  EXPECT_THROW(fsim.grade(pats, rig.faults), std::invalid_argument);
 }
 
 }  // namespace

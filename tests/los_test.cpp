@@ -7,7 +7,7 @@
 #include "atpg/podem.h"
 #include "core/pattern_sim.h"
 #include "core/validation.h"
-#include "sim/logic_sim.h"
+#include "ref/ref_models.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -50,66 +50,35 @@ TEST(LosContext, WiringFollowsChains) {
   }
 }
 
-/// Scalar reference for LOS detection.
+/// Scalar reference for LOS detection: the reference grader, which takes
+/// the launch state from the shift predecessors for explicit-S2 contexts.
 bool los_reference_detects(const Netlist& nl, const TestContext& ctx,
                            const Pattern& p, const TdfFault& fault) {
-  LogicSim sim(nl);
-  std::vector<std::uint8_t> f1;
-  std::span<const std::uint8_t> flop_bits(p.s1.data(), nl.num_flops());
-  sim.eval_frame(flop_bits, ctx.pi_values, f1);
-  std::vector<std::uint8_t> s2(nl.num_flops());
-  for (FlopId f = 0; f < nl.num_flops(); ++f) s2[f] = p.s1[ctx.los_pred[f]];
-  std::vector<std::uint8_t> g2;
-  sim.eval_frame(s2, ctx.pi_values, g2);
-  if (f1[fault.net] != fault.v1() || g2[fault.net] != fault.v2()) return false;
-  if (fault.site == FaultSite::kFlopBranch) return ctx.active[fault.load];
-
-  std::vector<std::uint8_t> x2(nl.num_nets());
-  for (std::size_t i = 0; i < nl.primary_inputs().size(); ++i) {
-    x2[nl.primary_inputs()[i]] = ctx.pi_values[i];
-  }
-  for (FlopId f = 0; f < nl.num_flops(); ++f) x2[nl.flop(f).q] = s2[f];
-  if (fault.site == FaultSite::kStem) {
-    x2[fault.net] = static_cast<std::uint8_t>(fault.v1());
-  }
-  std::array<std::uint8_t, 4> ins{};
-  for (GateId g : nl.topo_order()) {
-    const auto in_nets = nl.gate_inputs(g);
-    for (std::size_t i = 0; i < in_nets.size(); ++i) {
-      ins[i] = x2[in_nets[i]];
-      if (fault.site == FaultSite::kGateBranch && fault.load == g &&
-          fault.pin == i) {
-        ins[i] = static_cast<std::uint8_t>(fault.v1());
-      }
-    }
-    std::uint8_t out = eval_scalar(
-        nl.gate(g).type,
-        std::span<const std::uint8_t>(ins.data(), in_nets.size()));
-    if (fault.site == FaultSite::kStem && nl.gate(g).out == fault.net) {
-      out = static_cast<std::uint8_t>(fault.v1());
-    }
-    x2[nl.gate(g).out] = out;
-  }
-  for (FlopId f = 0; f < nl.num_flops(); ++f) {
-    if (ctx.active[f] && x2[nl.flop(f).d] != g2[nl.flop(f).d]) return true;
-  }
-  return false;
+  return ref::fault_grade_ref(nl, ctx, std::span<const Pattern>(&p, 1),
+                              std::span<const TdfFault>(&fault, 1))[0] !=
+         ref::kRefUndetected;
 }
 
 TEST(LosFaultSim, MatchesScalarReference) {
   LosRig rig;
   const auto pats = rig.random_patterns(64, 3, rig.los);
   FaultSimulator fsim(rig.nl, rig.los);
-  fsim.load_batch(pats);
   Rng rng(4);
+  std::vector<TdfFault> sample;
   for (int trial = 0; trial < 100; ++trial) {
-    const auto& fault = rig.faults[rng.below(rig.faults.size())];
-    const std::uint64_t mask = fsim.detect_mask(fault);
-    for (int lane : {0, 17, 63}) {
-      ASSERT_EQ((mask >> lane) & 1,
-                los_reference_detects(rig.nl, rig.los, pats[lane], fault) ? 1u
-                                                                          : 0u)
-          << describe_fault(rig.nl, fault) << " lane " << lane;
+    sample.push_back(rig.faults[rng.below(rig.faults.size())]);
+  }
+  const std::size_t lanes[] = {0, 17, 63};
+  std::vector<Pattern> lane_pats;
+  for (std::size_t lane : lanes) lane_pats.push_back(pats[lane]);
+  const auto masks = test::detection_masks(fsim, lane_pats, sample);
+  for (std::size_t k = 0; k < sample.size(); ++k) {
+    for (std::size_t j = 0; j < lane_pats.size(); ++j) {
+      ASSERT_EQ((masks[k] >> j) & 1,
+                los_reference_detects(rig.nl, rig.los, lane_pats[j], sample[k])
+                    ? 1u
+                    : 0u)
+          << describe_fault(rig.nl, sample[k]) << " lane " << lanes[j];
     }
   }
 }
@@ -119,14 +88,17 @@ TEST(LosPodem, ProbeAgreesWithFaultSim) {
   Podem podem(rig.nl, rig.los);
   FaultSimulator fsim(rig.nl, rig.los);
   const auto pats = rig.random_patterns(8, 5, rig.los);
-  fsim.load_batch(pats);
   Rng rng(6);
+  std::vector<TdfFault> sample;
   for (int trial = 0; trial < 50; ++trial) {
-    const auto& fault = rig.faults[rng.below(rig.faults.size())];
-    const std::uint64_t mask = fsim.detect_mask(fault);
+    sample.push_back(rig.faults[rng.below(rig.faults.size())]);
+  }
+  const auto masks = test::detection_masks(fsim, pats, sample);
+  for (std::size_t k = 0; k < sample.size(); ++k) {
     for (std::size_t lane = 0; lane < pats.size(); ++lane) {
-      ASSERT_EQ(podem.probe(fault, pats[lane].s1), ((mask >> lane) & 1) != 0)
-          << describe_fault(rig.nl, fault) << " lane " << lane;
+      ASSERT_EQ(podem.probe(sample[k], pats[lane].s1),
+                ((masks[k] >> lane) & 1) != 0)
+          << describe_fault(rig.nl, sample[k]) << " lane " << lane;
     }
   }
 }
@@ -147,8 +119,9 @@ TEST(LosPodem, CubesDetectTheirTargets) {
     for (auto& b : p.s1) {
       if (b == kBitX) b = 0;
     }
-    fsim.load_batch(std::span<const Pattern>(&p, 1));
-    ASSERT_NE(fsim.detect_mask(fault) & 1, 0u)
+    ASSERT_NE(fsim.grade(std::span<const Pattern>(&p, 1),
+                         std::span<const TdfFault>(&fault, 1))[0],
+              FaultSimulator::kUndetected)
         << describe_fault(rig.nl, fault);
   }
   EXPECT_GT(detected, 50);
@@ -259,13 +232,16 @@ TEST(EnhancedScan, ProbeAgreesWithFaultSim) {
     p.s1.resize(enh.num_vars());
     for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
   }
-  fsim.load_batch(pats);
+  std::vector<TdfFault> sample;
   for (int trial = 0; trial < 40; ++trial) {
-    const auto& fault = rig.faults[rng.below(rig.faults.size())];
-    const std::uint64_t mask = fsim.detect_mask(fault);
+    sample.push_back(rig.faults[rng.below(rig.faults.size())]);
+  }
+  const auto masks = test::detection_masks(fsim, pats, sample);
+  for (std::size_t k = 0; k < sample.size(); ++k) {
     for (std::size_t lane = 0; lane < pats.size(); ++lane) {
-      ASSERT_EQ(podem.probe(fault, pats[lane].s1), ((mask >> lane) & 1) != 0)
-          << describe_fault(rig.nl, fault) << " lane " << lane;
+      ASSERT_EQ(podem.probe(sample[k], pats[lane].s1),
+                ((masks[k] >> lane) & 1) != 0)
+          << describe_fault(rig.nl, sample[k]) << " lane " << lane;
     }
   }
 }

@@ -18,8 +18,9 @@ bool cube_detects(const Netlist& nl, const TestContext& ctx,
     if (b == kBitX) b = 0;
   }
   FaultSimulator fsim(nl, ctx);
-  fsim.load_batch(std::span<const Pattern>(&p, 1));
-  return fsim.detect_mask(fault) != 0;
+  return fsim.grade(std::span<const Pattern>(&p, 1),
+                    std::span<const TdfFault>(&fault, 1))[0] !=
+         FaultSimulator::kUndetected;
 }
 
 TEST(Podem, DetectsSimpleStemFault) {
@@ -136,13 +137,16 @@ TEST(Podem, ProbeAgreesWithFaultSimulator) {
     p.s1.resize(rig.nl.num_flops());
     for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
   }
-  fsim.load_batch(pats);
+  std::vector<TdfFault> sample;
   for (int trial = 0; trial < 60; ++trial) {
-    const auto& fault = rig.faults[rng.below(rig.faults.size())];
-    const std::uint64_t mask = fsim.detect_mask(fault);
+    sample.push_back(rig.faults[rng.below(rig.faults.size())]);
+  }
+  const auto masks = test::detection_masks(fsim, pats, sample);
+  for (std::size_t k = 0; k < sample.size(); ++k) {
     for (std::size_t lane = 0; lane < pats.size(); ++lane) {
-      ASSERT_EQ(podem.probe(fault, pats[lane].s1), ((mask >> lane) & 1) != 0)
-          << describe_fault(rig.nl, fault) << " lane " << lane;
+      ASSERT_EQ(podem.probe(sample[k], pats[lane].s1),
+                ((masks[k] >> lane) & 1) != 0)
+          << describe_fault(rig.nl, sample[k]) << " lane " << lane;
     }
   }
 }

@@ -9,7 +9,8 @@
 #include "core/pattern_sim.h"
 #include "netlist/verilog.h"
 #include "power/power_grid.h"
-#include "sim/logic_sim.h"
+#include "ref/ref_models.h"
+#include "sim/batch_sim.h"
 #include "soc/generator.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -42,7 +43,7 @@ TEST_P(GeneratorProperty, VerilogRoundTripFunctionalEquivalence) {
   const Netlist orig = generate_soc_netlist(cfg);
   const Netlist back = parse_verilog(to_verilog(orig));
   ASSERT_EQ(back.num_flops(), orig.num_flops());
-  WordSim sa(orig), sb(back);
+  const BatchSim sa(orig.levelized_view(), 1), sb(back.levelized_view(), 1);
   Rng rng(GetParam() * 31 + 7);
   std::vector<std::uint64_t> s1(orig.num_flops());
   for (auto& w : s1) w = rng.word();
@@ -52,7 +53,8 @@ TEST_P(GeneratorProperty, VerilogRoundTripFunctionalEquivalence) {
   sb.broadside(s1, pi, f1b, s2b, f2b);
   EXPECT_EQ(s2a, s2b);
   for (FlopId f = 0; f < orig.num_flops(); ++f) {
-    EXPECT_EQ(f2a[orig.flop(f).d], f2b[back.flop(f).d]);
+    EXPECT_EQ(f2a[sa.view().compact_net(orig.flop(f).d)],
+              f2b[sb.view().compact_net(back.flop(f).d)]);
   }
 }
 
@@ -69,13 +71,16 @@ TEST_P(GeneratorProperty, PodemSoundAgainstFaultSim) {
     p.s1.resize(nl.num_flops());
     for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
   }
-  fsim.load_batch(pats);
+  std::vector<TdfFault> sample;
   for (int trial = 0; trial < 25; ++trial) {
-    const auto& fault = faults[rng.below(faults.size())];
-    const std::uint64_t mask = fsim.detect_mask(fault);
+    sample.push_back(faults[rng.below(faults.size())]);
+  }
+  const auto masks = test::detection_masks(fsim, pats, sample);
+  for (std::size_t k = 0; k < sample.size(); ++k) {
     for (std::size_t lane = 0; lane < pats.size(); ++lane) {
-      ASSERT_EQ(podem.probe(fault, pats[lane].s1), ((mask >> lane) & 1) != 0)
-          << describe_fault(nl, fault);
+      ASSERT_EQ(podem.probe(sample[k], pats[lane].s1),
+                ((masks[k] >> lane) & 1) != 0)
+          << describe_fault(nl, sample[k]);
     }
   }
 }
@@ -93,7 +98,6 @@ TEST_P(EventSimProperty, FinalValuesMatchZeroDelay) {
   const Netlist& nl = soc.netlist;
   const TestContext ctx = TestContext::for_domain(nl, 0);
   PatternAnalyzer analyzer(soc, TechLibrary::generic180());
-  LogicSim logic(nl);
   Rng rng(GetParam());
   Pattern p;
   p.s1.resize(nl.num_flops());
@@ -108,8 +112,8 @@ TEST_P(EventSimProperty, FinalValuesMatchZeroDelay) {
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
     s2[f] = ctx.active[f] ? pa.frame1_nets[nl.flop(f).d] : p.s1[f];
   }
-  std::vector<std::uint8_t> f2;
-  logic.eval_frame(s2, ctx.pi_values, f2);
+  const std::vector<std::uint8_t> f2 =
+      ref::eval_frame_ref(nl, s2, ctx.pi_values);
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     ASSERT_EQ(final_vals[n], f2[n]) << "net " << n;
   }

@@ -16,7 +16,6 @@
 #include "core/validation.h"
 #include "layout/parasitics.h"
 #include "power/dynamic_ir.h"
-#include "sim/logic_sim.h"
 #include "sim/scap.h"
 #include "sim/vcd.h"
 #include "test_helpers.h"

@@ -2,8 +2,11 @@
 // generated SOCs (generation is deterministic, so caching is safe).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "atpg/fault_sim.h"
 #include "netlist/netlist.h"
 #include "soc/generator.h"
 #include "soc/soc_config.h"
@@ -52,6 +55,29 @@ inline const SocDesign& small_soc() {
     return build_soc(cfg);
   }();
   return soc;
+}
+
+/// Per-pattern detection masks from the production grader: bit i of
+/// result[k] is set when patterns[i] alone detects faults[k] (at most 64
+/// patterns; one FaultSimulator::grade call per pattern).
+inline std::vector<std::uint64_t> detection_masks(
+    FaultSimulator& fsim, std::span<const Pattern> patterns,
+    std::span<const TdfFault> faults) {
+  std::vector<std::uint64_t> masks(faults.size(), 0);
+  for (std::size_t i = 0; i < patterns.size() && i < 64; ++i) {
+    const std::vector<std::size_t> first =
+        fsim.grade(patterns.subspan(i, 1), faults);
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      if (first[k] != FaultSimulator::kUndetected) masks[k] |= 1ull << i;
+    }
+  }
+  return masks;
+}
+
+inline std::uint64_t detection_mask(FaultSimulator& fsim,
+                                 std::span<const Pattern> patterns,
+                                 const TdfFault& fault) {
+  return detection_masks(fsim, patterns, std::span<const TdfFault>(&fault, 1))[0];
 }
 
 }  // namespace scap::test

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/verilog.h"
-#include "sim/logic_sim.h"
+#include "sim/batch_sim.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -35,7 +35,8 @@ TEST(VerilogRoundTrip, GeneratedSocIsFunctionallyIdentical) {
   ASSERT_EQ(back.num_flops(), orig.num_flops());
 
   // Same broadside response on random states => functional identity.
-  WordSim sim_a(orig), sim_b(back);
+  const BatchSim sim_a(orig.levelized_view(), 1);
+  const BatchSim sim_b(back.levelized_view(), 1);
   Rng rng(99);
   std::vector<std::uint64_t> s1(orig.num_flops());
   for (auto& w : s1) w = rng.word();

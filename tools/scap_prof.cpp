@@ -37,7 +37,6 @@
 #include "obs/trace.h"
 #include "power/dynamic_ir.h"
 #include "rt/parallel.h"
-#include "sim/logic_sim.h"
 #include "util/version.h"
 
 namespace {
@@ -127,11 +126,10 @@ int main(int argc, char** argv) {
 
   std::function<void()> body;
   if (kernel == "faultsim") {
-    // Share the levelized view across repeats (profiling the grade, not the
-    // one-time schedule build); `--words` picks the batch width.
-    auto view = scap::LevelizedView::build(nl);
-    body = [&exp, &pats, view, words] {
-      scap::FaultSimulator fsim(exp.soc.netlist, exp.ctx, view, words);
+    // `--words` picks the batch width (0 keeps the default).
+    body = [&exp, &pats, words] {
+      scap::FaultSimulator fsim(exp.soc.netlist, exp.ctx);
+      fsim.set_batch_words(words);
       volatile std::size_t n = fsim.grade(pats.patterns, exp.faults).size();
       (void)n;
     };
