@@ -14,12 +14,12 @@ namespace {
 DynamicIrReport ir_for_pattern(std::size_t idx) {
   const Experiment& exp = bench::experiment();
   PatternAnalyzer analyzer(exp.soc, *exp.lib);
-  const PatternAnalysis pa = analyzer.analyze(
-      exp.ctx, bench::conventional_flow().patterns.patterns[idx]);
-  return analyze_pattern_ir(exp.soc.netlist, exp.soc.placement,
-                            exp.soc.parasitics, *exp.lib, exp.soc.floorplan,
-                            exp.grid, pa.trace, &exp.soc.clock_tree,
-                            exp.ctx.domain);
+  DynamicIrBinner binner(exp.soc.netlist, exp.soc.parasitics, *exp.lib);
+  analyzer.analyze_into(
+      exp.ctx, bench::conventional_flow().patterns.patterns[idx], binner);
+  return analyze_pattern_ir(exp.soc.netlist, exp.soc.placement, *exp.lib,
+                            exp.soc.floorplan, exp.grid, binner.charges(),
+                            &exp.soc.clock_tree, exp.ctx.domain);
 }
 
 void print_fig3() {

@@ -74,7 +74,7 @@ void print_fig7() {
   std::printf("\npattern %zu: worst VDD drop %.3f V, worst VSS rise %.3f V, "
               "STW %.2f ns\n",
               pick, v.ir.worst_vdd_v, v.ir.worst_vss_v,
-              v.nominal.trace.last_toggle_ns);
+              v.nominal.scap.stw_ns);
   std::printf("active endpoints: %zu of %zu flops\n", active, n);
   std::printf("Region 1 (slower under IR): %zu endpoints, worst +%.1f%% "
               "(paper: up to +30%%)\n",

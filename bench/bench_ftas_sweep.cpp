@@ -68,14 +68,16 @@ void print_ftas() {
 void BM_EndpointDelayExtraction(benchmark::State& state) {
   const Experiment& exp = bench::experiment();
   PatternAnalyzer analyzer(exp.soc, *exp.lib);
-  const auto pa = analyzer.analyze(
-      exp.ctx, bench::conventional_flow().patterns.patterns[0]);
+  SettleTimeTracker settle;
+  analyzer.analyze_into(
+      exp.ctx, bench::conventional_flow().patterns.patterns[0], settle);
   std::vector<double> arrivals(exp.soc.netlist.num_flops());
   for (FlopId f = 0; f < exp.soc.netlist.num_flops(); ++f) {
     arrivals[f] = exp.soc.clock_tree.nominal_arrival_ns(f);
   }
   for (auto _ : state) {
-    auto delays = analyzer.endpoint_delays(pa.trace, arrivals);
+    auto delays =
+        analyzer.endpoint_delays_from_settle(settle.settle(), arrivals);
     benchmark::DoNotOptimize(delays.data());
   }
 }

@@ -40,20 +40,6 @@ void BM_BatchSimFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSimFrame);
 
-void BM_EventSimPattern(benchmark::State& state) {
-  const Experiment& exp = bench::experiment();
-  PatternAnalyzer analyzer(exp.soc, *exp.lib);
-  Rng rng(2);
-  Pattern p;
-  p.s1.resize(exp.soc.netlist.num_flops());
-  for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
-  for (auto _ : state) {
-    auto pa = analyzer.analyze(exp.ctx, p);
-    benchmark::DoNotOptimize(pa.trace.num_events_processed);
-  }
-}
-BENCHMARK(BM_EventSimPattern)->Unit(benchmark::kMillisecond);
-
 void BM_EventSimPatternStreaming(benchmark::State& state) {
   const Experiment& exp = bench::experiment();
   PatternAnalyzer analyzer(exp.soc, *exp.lib);
@@ -77,12 +63,13 @@ void BM_GridSolveBothRails(benchmark::State& state) {
   Pattern p;
   p.s1.resize(exp.soc.netlist.num_flops());
   for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
-  const auto pa = analyzer.analyze(exp.ctx, p);
+  DynamicIrBinner binner(exp.soc.netlist, exp.soc.parasitics, *exp.lib);
+  analyzer.analyze_into(exp.ctx, p, binner);
   for (auto _ : state) {
     auto rep = analyze_pattern_ir(exp.soc.netlist, exp.soc.placement,
-                                  exp.soc.parasitics, *exp.lib,
-                                  exp.soc.floorplan, exp.grid, pa.trace,
-                                  &exp.soc.clock_tree, exp.ctx.domain);
+                                  *exp.lib, exp.soc.floorplan, exp.grid,
+                                  binner.charges(), &exp.soc.clock_tree,
+                                  exp.ctx.domain);
     benchmark::DoNotOptimize(rep.worst_vdd_v);
   }
 }

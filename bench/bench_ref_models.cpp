@@ -12,6 +12,7 @@
 #include "ref/fuzz.h"
 #include "ref/ref_models.h"
 #include "ref/scenario.h"
+#include "ref/trace.h"
 #include "sim/scap.h"
 #include "util/rng.h"
 
@@ -26,7 +27,7 @@ struct RefRig {
   DelayModel dm{exp.soc.netlist, lib, exp.soc.parasitics};
   PatternAnalyzer analyzer{exp.soc, lib};
   Pattern pattern;
-  PatternAnalysis analysis;
+  ref::SimTrace trace;  ///< the production pass, recorded
   std::vector<std::uint8_t> frame1;
   std::vector<Stimulus> stimuli;
 
@@ -34,10 +35,14 @@ struct RefRig {
     Rng rng(2007);
     pattern.s1.resize(exp.soc.netlist.num_flops());
     for (auto& b : pattern.s1) b = static_cast<std::uint8_t>(rng.below(2));
-    analysis = analyzer.analyze(exp.ctx, pattern, &dm);
+    ref::TraceRecorder recorder;
+    analyzer.analyze_into(exp.ctx, pattern, recorder, &dm);
+    trace = recorder.take();
     frame1.assign(analyzer.frame1().begin(), analyzer.frame1().end());
     stimuli.assign(analyzer.stimuli().begin(), analyzer.stimuli().end());
   }
+
+  double period_ns() const { return exp.soc.config.tester_period_ns; }
 
   static const RefRig& get() {
     static const RefRig* rig = new RefRig();
@@ -50,7 +55,7 @@ void BM_EventSimOptimized(benchmark::State& state) {
   PatternAnalyzer analyzer(rig.exp.soc, rig.lib);
   for (auto _ : state) {
     const auto pa = analyzer.analyze(rig.exp.ctx, rig.pattern, &rig.dm);
-    benchmark::DoNotOptimize(pa.trace.num_events_processed);
+    benchmark::DoNotOptimize(pa.scap.num_toggles);
   }
 }
 BENCHMARK(BM_EventSimOptimized)->Unit(benchmark::kMillisecond);
@@ -59,19 +64,29 @@ void BM_EventSimReference(benchmark::State& state) {
   const RefRig& rig = RefRig::get();
   const ref::EventSimRef rsim(rig.exp.soc.netlist, rig.dm);
   for (auto _ : state) {
-    const SimTrace rt = rsim.run(rig.frame1, rig.stimuli);
+    const ref::SimTrace rt = rsim.run(rig.frame1, rig.stimuli);
     benchmark::DoNotOptimize(rt.num_events_processed);
   }
 }
 BENCHMARK(BM_EventSimReference)->Unit(benchmark::kMillisecond);
 
+/// The recorded toggles replayed through the streaming accumulator: the
+/// accounting cost alone, without the simulation that feeds it.
 void BM_ScapOptimized(benchmark::State& state) {
   const RefRig& rig = RefRig::get();
   ScapCalculator calc(rig.exp.soc.netlist, rig.exp.soc.parasitics, rig.lib);
+  ScapAccumulator acc(calc, rig.period_ns());
+  SimStats stats;
+  stats.num_toggles = rig.trace.toggles.size();
+  stats.first_toggle_ns = rig.trace.first_toggle_ns;
+  stats.last_toggle_ns = rig.trace.last_toggle_ns;
   for (auto _ : state) {
-    const ScapReport rep =
-        calc.compute(rig.analysis.trace, rig.analysis.scap.period_ns);
-    benchmark::DoNotOptimize(rep.vdd_energy_total_pj);
+    acc.on_begin(rig.frame1);
+    for (const ref::ToggleEvent& t : rig.trace.toggles) {
+      acc.on_toggle(t.net, t.t_ns, t.rising);
+    }
+    acc.on_end(stats);
+    benchmark::DoNotOptimize(acc.report().vdd_energy_total_pj);
   }
 }
 BENCHMARK(BM_ScapOptimized)->Unit(benchmark::kMillisecond);
@@ -81,7 +96,7 @@ void BM_ScapReference(benchmark::State& state) {
   for (auto _ : state) {
     const ScapReport rep =
         ref::scap_ref(rig.exp.soc.netlist, rig.exp.soc.parasitics, rig.lib,
-                      rig.analysis.trace, rig.analysis.scap.period_ns);
+                      rig.trace, rig.period_ns());
     benchmark::DoNotOptimize(rep.vdd_energy_total_pj);
   }
 }

@@ -25,20 +25,18 @@ void print_table4() {
   const ScapReport& rep = profile[pick];
 
   // Dynamic rail solve over the two windows: CAP spreads the charge over the
-  // full tester cycle, SCAP concentrates it in the switching window.
+  // full tester cycle T, SCAP concentrates it in the switching window.
   PatternAnalyzer analyzer(exp.soc, *exp.lib);
-  const PatternAnalysis pa =
-      analyzer.analyze(exp.ctx, patterns.patterns[pick]);
-  SimTrace cap_window = pa.trace;
-  cap_window.last_toggle_ns = rep.period_ns;  // average over the full cycle
+  DynamicIrBinner binner(exp.soc.netlist, exp.soc.parasitics, *exp.lib);
+  analyzer.analyze_into(exp.ctx, patterns.patterns[pick], binner);
+  RailCharges cap_window = binner.charges();
+  cap_window.window_ns = rep.period_ns;
   const DynamicIrReport ir_cap = analyze_pattern_ir(
-      exp.soc.netlist, exp.soc.placement, exp.soc.parasitics, *exp.lib,
-      exp.soc.floorplan, exp.grid, cap_window, &exp.soc.clock_tree,
-      exp.ctx.domain);
+      exp.soc.netlist, exp.soc.placement, *exp.lib, exp.soc.floorplan,
+      exp.grid, cap_window, &exp.soc.clock_tree, exp.ctx.domain);
   const DynamicIrReport ir_scap = analyze_pattern_ir(
-      exp.soc.netlist, exp.soc.placement, exp.soc.parasitics, *exp.lib,
-      exp.soc.floorplan, exp.grid, pa.trace, &exp.soc.clock_tree,
-      exp.ctx.domain);
+      exp.soc.netlist, exp.soc.placement, *exp.lib, exp.soc.floorplan,
+      exp.grid, binner.charges(), &exp.soc.clock_tree, exp.ctx.domain);
 
   std::printf("pattern %zu of the random-fill clka set: STW %.2f ns, tester "
               "cycle %.0f ns (paper: 8.34 ns / 20 ns)\n\n",
@@ -80,12 +78,13 @@ void BM_DynamicIrOnePattern(benchmark::State& state) {
   const Experiment& exp = bench::experiment();
   const auto& patterns = bench::conventional_flow().patterns;
   PatternAnalyzer analyzer(exp.soc, *exp.lib);
-  const auto pa = analyzer.analyze(exp.ctx, patterns.patterns[0]);
+  DynamicIrBinner binner(exp.soc.netlist, exp.soc.parasitics, *exp.lib);
+  analyzer.analyze_into(exp.ctx, patterns.patterns[0], binner);
   for (auto _ : state) {
     auto rep = analyze_pattern_ir(exp.soc.netlist, exp.soc.placement,
-                                  exp.soc.parasitics, *exp.lib,
-                                  exp.soc.floorplan, exp.grid, pa.trace,
-                                  &exp.soc.clock_tree, exp.ctx.domain);
+                                  *exp.lib, exp.soc.floorplan, exp.grid,
+                                  binner.charges(), &exp.soc.clock_tree,
+                                  exp.ctx.domain);
     benchmark::DoNotOptimize(rep.worst_vdd_v);
   }
 }

@@ -1,6 +1,6 @@
 // IR-drop debug session for a single suspect pattern (paper Section 3.2):
 //   - simulate the launch-to-capture window at nominal timing,
-//   - feed the toggle trace to the dynamic rail analysis,
+//   - feed its switched charge to the dynamic rail analysis,
 //   - re-simulate with ScaledCellDelay = Delay * (1 + k_volt * dV) and
 //     droop-scaled clock arrivals,
 //   - report the endpoint delay shifts (Figure 7's Regions 1 and 2) and the
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   std::printf("pattern: %zu toggles, STW %.2f ns, worst VDD drop %.3f V, "
               "worst VSS rise %.3f V\n\n",
-              v.nominal.trace.toggles.size(), v.nominal.trace.last_toggle_ns,
+              v.nominal.scap.num_toggles, v.nominal.scap.stw_ns,
               v.ir.worst_vdd_v, v.ir.worst_vss_v);
 
   const double alarm = exp.lib->ir_alarm_fraction() * exp.lib->vdd();
@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
               "measured faster (capture clock slowed)\n",
               slow.size(), fast.size());
 
-  // VCD dump of the nominal window for a waveform viewer. Default next to
-  // the executable (the build tree), never the source checkout; argv[1]
-  // overrides.
+  // VCD dump of the nominal window for a waveform viewer, streamed off one
+  // more nominal simulation pass. Default next to the executable (the build
+  // tree), never the source checkout; argv[1] overrides.
   const std::string vcd_path =
       argc > 1 ? std::string(argv[1])
                : (std::filesystem::path(argv[0]).parent_path() /
@@ -96,8 +96,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", vcd_path.c_str());
     return 1;
   }
-  write_vcd(nl, v.nominal.frame1_nets, v.nominal.trace, os);
+  PatternAnalyzer analyzer(exp.soc, *exp.lib);
+  VcdSink vcd(nl, os);
+  analyzer.analyze_into(exp.ctx, pattern, vcd);
   std::printf("wrote %s (%zu value changes)\n", vcd_path.c_str(),
-              v.nominal.trace.toggles.size());
+              v.nominal.scap.num_toggles);
   return 0;
 }

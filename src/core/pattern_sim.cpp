@@ -7,6 +7,17 @@
 
 namespace scap {
 
+namespace {
+
+void check_clock_arrivals(const Netlist& nl, std::span<const double> arr) {
+  if (!arr.empty() && arr.size() != nl.num_flops()) {
+    throw std::invalid_argument(
+        "PatternAnalyzer: not one clock arrival per flop");
+  }
+}
+
+}  // namespace
+
 PatternAnalyzer::PatternAnalyzer(const SocDesign& soc, const TechLibrary& lib)
     : PatternAnalyzer(soc, lib, SharedTables::build(soc, lib)) {}
 
@@ -26,6 +37,7 @@ std::size_t PatternAnalyzer::build_launch(
     throw std::invalid_argument(
         "PatternAnalyzer: pattern shorter than the context's test variables");
   }
+  check_clock_arrivals(nl, clock_arrivals);
 
   // Frame 1: settled state after the (slow) scan load. The flop bits are
   // the leading num_flops() entries of the test-variable vector.
@@ -116,27 +128,21 @@ PatternAnalysis PatternAnalyzer::analyze(
     const TestContext& ctx, const Pattern& pattern,
     const DelayModel* delay_model,
     std::span<const double> clock_arrivals) const {
-  FanoutSink fan{&recorder_, &scap_acc_};
   PatternAnalysis out;
   out.launched_flops =
-      analyze_into(ctx, pattern, fan, delay_model, clock_arrivals);
-  out.trace = recorder_.take();
+      analyze_into(ctx, pattern, scap_acc_, delay_model, clock_arrivals);
   out.scap = scap_acc_.report();
-  out.frame1_nets.assign(frame1_.begin(), frame1_.end());
   return out;
-}
-
-std::vector<double> PatternAnalyzer::endpoint_delays(
-    const SimTrace& trace, std::span<const double> clock_arrivals) const {
-  const std::vector<double> settle =
-      EventSim::settle_times(trace, soc_->netlist.num_nets());
-  return endpoint_delays_from_settle(settle, clock_arrivals);
 }
 
 std::vector<double> PatternAnalyzer::endpoint_delays_from_settle(
     std::span<const double> settle,
     std::span<const double> clock_arrivals) const {
   const Netlist& nl = soc_->netlist;
+  if (settle.size() != nl.num_nets()) {
+    throw std::invalid_argument("PatternAnalyzer: not one settle time per net");
+  }
+  check_clock_arrivals(nl, clock_arrivals);
   std::vector<double> delays(nl.num_flops(), 0.0);
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
     const double t = settle[nl.flop(f).d];

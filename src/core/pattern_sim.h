@@ -31,10 +31,8 @@
 namespace scap {
 
 struct PatternAnalysis {
-  SimTrace trace;
   ScapReport scap;
-  std::vector<std::uint8_t> frame1_nets;  ///< settled pre-launch net values
-  std::size_t launched_flops = 0;         ///< flops that toggled at launch
+  std::size_t launched_flops = 0;  ///< flops that toggled at launch
 };
 
 class PatternAnalyzer {
@@ -63,10 +61,9 @@ class PatternAnalyzer {
   PatternAnalyzer(const SocDesign& soc, const TechLibrary& lib,
                   std::shared_ptr<const SharedTables> tables);
 
-  /// Analyze one pattern, materializing the trace and SCAP report (the
-  /// back-compat bundle). `delay_model` overrides the nominal model (pass a
-  /// droop-derated one for IR-aware simulation); `clock_arrivals` overrides
-  /// the nominal per-flop launch-clock arrivals.
+  /// Analyze one pattern into an owned SCAP report. `delay_model` overrides
+  /// the nominal model (pass a droop-derated one for IR-aware simulation);
+  /// `clock_arrivals` overrides the nominal per-flop launch-clock arrivals.
   PatternAnalysis analyze(const TestContext& ctx, const Pattern& pattern,
                           const DelayModel* delay_model = nullptr,
                           std::span<const double> clock_arrivals = {}) const;
@@ -75,7 +72,8 @@ class PatternAnalyzer {
   /// timing simulation, pushing every toggle into `sink`. The settled
   /// pre-launch state stays readable via frame1() until the next analysis.
   /// Returns the number of launched flops. Every analysis entry point throws
-  /// std::invalid_argument on a pattern shorter than ctx.num_vars().
+  /// std::invalid_argument on a pattern shorter than ctx.num_vars() or a
+  /// non-empty `clock_arrivals` without one entry per flop.
   std::size_t analyze_into(const TestContext& ctx, const Pattern& pattern,
                            ToggleSink& sink,
                            const DelayModel* delay_model = nullptr,
@@ -100,13 +98,12 @@ class PatternAnalyzer {
   /// gate delays).
   const lint::StaticScapModel& static_model() const;
 
-  /// Endpoint path delay per flop: last D-pin transition relative to the
-  /// flop's own clock arrival (the paper's Figure 7 measurement). Inactive
-  /// endpoints (no transition observed) report 0.
-  std::vector<double> endpoint_delays(const SimTrace& trace,
-                                      std::span<const double> clock_arrivals) const;
-
-  /// Same, over per-net settle times already captured by a SettleTimeTracker.
+  /// Endpoint path delay per flop over per-net settle times captured by a
+  /// SettleTimeTracker: last D-pin transition relative to the flop's own
+  /// clock arrival (the paper's Figure 7 measurement). Inactive endpoints
+  /// (no transition observed) report 0. Throws std::invalid_argument unless
+  /// `settle` has one entry per net and a non-empty `clock_arrivals` one per
+  /// flop.
   std::vector<double> endpoint_delays_from_settle(
       std::span<const double> settle,
       std::span<const double> clock_arrivals) const;
@@ -141,7 +138,6 @@ class PatternAnalyzer {
   mutable std::vector<std::uint8_t> frame1_;
   mutable std::vector<Stimulus> stimuli_;
   mutable ScapAccumulator scap_acc_;
-  mutable TraceRecorder recorder_;
   mutable std::unique_ptr<lint::StaticScapModel> static_model_;
 };
 

@@ -113,23 +113,20 @@ IrValidationResult validate_pattern_ir(const SocDesign& soc,
   IrValidationResult out;
   PatternAnalyzer analyzer(soc, lib);
 
-  // Simulation 1: nominal timing. One streaming pass feeds the trace, the
-  // SCAP accounting, the rail-charge bins and the settle times all at once
-  // (the paper's Figure-5 PLI tap instead of its VCD -> SOC Encounter step).
-  TraceRecorder recorder;
+  // Simulation 1: nominal timing. One streaming pass feeds the SCAP
+  // accounting, the rail-charge bins and the settle times all at once (the
+  // paper's Figure-5 PLI tap instead of its VCD -> SOC Encounter step).
   ScapAccumulator scap_acc(analyzer.scap_calculator(),
                            soc.config.tester_period_ns);
   DynamicIrBinner binner(soc.netlist, soc.parasitics, lib);
   SettleTimeTracker settle;
-  FanoutSink nominal_sinks{&recorder, &scap_acc, &binner, &settle};
+  FanoutSink nominal_sinks{&scap_acc, &binner, &settle};
   out.nominal.launched_flops =
       analyzer.analyze_into(ctx, pattern, nominal_sinks);
-  out.nominal.trace = recorder.take();
   out.nominal.scap = scap_acc.report();
-  out.nominal.frame1_nets.assign(analyzer.frame1().begin(),
-                                 analyzer.frame1().end());
   out.ir = analyze_pattern_ir(soc.netlist, soc.placement, lib, soc.floorplan,
-                              grid, binner, &soc.clock_tree, ctx.domain);
+                              grid, binner.charges(), &soc.clock_tree,
+                              ctx.domain);
 
   out.nominal_arrival_ns.resize(soc.netlist.num_flops());
   for (FlopId f = 0; f < soc.netlist.num_flops(); ++f) {
@@ -146,13 +143,10 @@ IrValidationResult validate_pattern_ir(const SocDesign& soc,
   out.scaled_arrival_ns = soc.clock_tree.arrivals_with_droop(
       lib, [&](Point p) { return out.ir.droop_at(p); });
 
-  FanoutSink scaled_sinks{&recorder, &scap_acc, &settle};
+  FanoutSink scaled_sinks{&scap_acc, &settle};
   out.scaled.launched_flops = analyzer.analyze_into(
       ctx, pattern, scaled_sinks, &scaled_dm, out.scaled_arrival_ns);
-  out.scaled.trace = recorder.take();
   out.scaled.scap = scap_acc.report();
-  out.scaled.frame1_nets.assign(analyzer.frame1().begin(),
-                                analyzer.frame1().end());
   out.scaled_endpoint_ns = analyzer.endpoint_delays_from_settle(
       settle.settle(), out.scaled_arrival_ns);
   return out;

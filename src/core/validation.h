@@ -5,7 +5,7 @@
 //    pattern set (the data behind Figures 2 and 6).
 //  - validate_pattern_ir: the expensive two-simulation debug flow for one
 //    suspect pattern -- nominal timing simulation, dynamic IR-drop analysis
-//    of its toggle trace, then a re-simulation with every cell delay scaled
+//    of its switched charge, then a re-simulation with every cell delay scaled
 //    by its local droop (ScaledCellDelay = Delay * (1 + k_volt * dV)) and
 //    clock-buffer delays scaled the same way, producing the per-endpoint
 //    delay comparison of Figure 7.
@@ -33,7 +33,7 @@ std::vector<ScapReport> scap_profile(const SocDesign& soc,
                                      const PatternSet& patterns);
 
 /// Span form of scap_profile, shared with the repair flow: analyzes every
-/// pattern (timing sim -> toggle trace -> SCAP) fanned out across the rt
+/// pattern (timing sim -> streamed toggles -> SCAP) fanned out across the rt
 /// pool, one shard of patterns per task with a shard-private PatternAnalyzer.
 /// Report i depends only on pattern i, so the output is bit-identical at any
 /// SCAP_THREADS.

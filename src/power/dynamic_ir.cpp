@@ -1,26 +1,55 @@
 #include "power/dynamic_ir.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace scap {
 
-namespace {
+void DynamicIrBinner::on_begin(
+    std::span<const std::uint8_t> /*initial_net_values*/) {
+  charges_.window_ns = 0.0;
+  charges_.gate_vdd_pc.assign(nl_->num_gates(), 0.0);
+  charges_.gate_vss_pc.assign(nl_->num_gates(), 0.0);
+  charges_.flop_vdd_pc.assign(nl_->num_flops(), 0.0);
+  charges_.flop_vss_pc.assign(nl_->num_flops(), 0.0);
+}
 
-/// Back half shared by the trace-based and streaming paths: convert binned
-/// per-instance charges into average rail currents over the window, solve
-/// both rails on the grid and derive the block / per-instance droop views.
-DynamicIrReport solve_from_charges(
-    const Netlist& nl, const Placement& pl, const TechLibrary& lib,
-    const Floorplan& fp, const PowerGrid& grid,
-    std::span<const double> gate_q_vdd, std::span<const double> gate_q_vss,
-    std::span<const double> flop_q_vdd, std::span<const double> flop_q_vss,
-    double window_ns, const ClockTree* clock_tree, DomainId active_domain,
-    const DynamicIrOptions& opt) {
+void DynamicIrBinner::on_toggle(NetId net, double /*t_ns*/, bool rising) {
+  const double q_pc = par_->net_load_pf(net) * vdd_;
+  const Net& nr = nl_->net(net);
+  if (nr.driver_kind == DriverKind::kGate) {
+    (rising ? charges_.gate_vdd_pc : charges_.gate_vss_pc)[nr.driver] +=
+        q_pc;
+  } else if (nr.driver_kind == DriverKind::kFlop) {
+    (rising ? charges_.flop_vdd_pc : charges_.flop_vss_pc)[nr.driver] +=
+        q_pc;
+  }
+}
+
+void DynamicIrBinner::on_end(const SimStats& stats) {
+  charges_.window_ns = std::max(stats.stw_ns(), 1e-3);
+}
+
+DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
+                                   const TechLibrary& lib, const Floorplan& fp,
+                                   const PowerGrid& grid,
+                                   const RailCharges& charges,
+                                   const ClockTree* clock_tree,
+                                   DomainId active_domain,
+                                   const DynamicIrOptions& opt) {
+  SCAP_TRACE_SCOPE("power.dynamic_ir");
+  if (charges.gate_vdd_pc.size() != nl.num_gates() ||
+      charges.gate_vss_pc.size() != nl.num_gates() ||
+      charges.flop_vdd_pc.size() != nl.num_flops() ||
+      charges.flop_vss_pc.size() != nl.num_flops() ||
+      !(charges.window_ns > 0.0)) {
+    throw std::invalid_argument("analyze_pattern_ir: malformed rail charges");
+  }
   DynamicIrReport rep;
-  rep.window_ns = window_ns;
+  rep.window_ns = charges.window_ns;
 
   // Convert to average currents over the window: pC / ns == mA -> A.
   std::vector<Point> where;
@@ -29,16 +58,20 @@ DynamicIrReport solve_from_charges(
   where.reserve(nl.num_gates() + nl.num_flops() + 256);
   const double to_amps = 1e-3 / rep.window_ns;  // (pC -> mA) -> A
   for (GateId g = 0; g < nl.num_gates(); ++g) {
-    if (gate_q_vdd[g] == 0.0 && gate_q_vss[g] == 0.0) continue;
+    if (charges.gate_vdd_pc[g] == 0.0 && charges.gate_vss_pc[g] == 0.0) {
+      continue;
+    }
     where.push_back(pl.gate_pos(g));
-    vdd_amps.push_back(gate_q_vdd[g] * to_amps);
-    vss_amps.push_back(gate_q_vss[g] * to_amps);
+    vdd_amps.push_back(charges.gate_vdd_pc[g] * to_amps);
+    vss_amps.push_back(charges.gate_vss_pc[g] * to_amps);
   }
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
-    if (flop_q_vdd[f] == 0.0 && flop_q_vss[f] == 0.0) continue;
+    if (charges.flop_vdd_pc[f] == 0.0 && charges.flop_vss_pc[f] == 0.0) {
+      continue;
+    }
     where.push_back(pl.flop_pos(f));
-    vdd_amps.push_back(flop_q_vdd[f] * to_amps);
-    vss_amps.push_back(flop_q_vss[f] * to_amps);
+    vdd_amps.push_back(charges.flop_vdd_pc[f] * to_amps);
+    vss_amps.push_back(charges.flop_vss_pc[f] * to_amps);
   }
   if (opt.include_clock_tree && clock_tree != nullptr) {
     for (const ClockBuffer& b : clock_tree->buffers()) {
@@ -78,77 +111,6 @@ DynamicIrReport solve_from_charges(
   obs::count("power.grid_solves", 2);  // one per rail
   obs::observe("power.worst_vdd_v", rep.worst_vdd_v);
   return rep;
-}
-
-}  // namespace
-
-DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
-                                   const Parasitics& par,
-                                   const TechLibrary& lib, const Floorplan& fp,
-                                   const PowerGrid& grid, const SimTrace& trace,
-                                   const ClockTree* clock_tree,
-                                   DomainId active_domain,
-                                   const DynamicIrOptions& opt) {
-  SCAP_TRACE_SCOPE("power.dynamic_ir");
-
-  // Accumulate switched charge [pC] per driving instance and rail.
-  std::vector<double> gate_q_vdd(nl.num_gates(), 0.0);
-  std::vector<double> gate_q_vss(nl.num_gates(), 0.0);
-  std::vector<double> flop_q_vdd(nl.num_flops(), 0.0);
-  std::vector<double> flop_q_vss(nl.num_flops(), 0.0);
-  const double vdd = lib.vdd();
-
-  for (const ToggleEvent& t : trace.toggles) {
-    const double q_pc = par.net_load_pf(t.net) * vdd;
-    const Net& nr = nl.net(t.net);
-    if (nr.driver_kind == DriverKind::kGate) {
-      (t.rising ? gate_q_vdd : gate_q_vss)[nr.driver] += q_pc;
-    } else if (nr.driver_kind == DriverKind::kFlop) {
-      (t.rising ? flop_q_vdd : flop_q_vss)[nr.driver] += q_pc;
-    }
-  }
-
-  return solve_from_charges(nl, pl, lib, fp, grid, gate_q_vdd, gate_q_vss,
-                            flop_q_vdd, flop_q_vss,
-                            std::max(trace.stw_ns(), 1e-3), clock_tree,
-                            active_domain, opt);
-}
-
-void DynamicIrBinner::on_begin(
-    std::span<const std::uint8_t> /*initial_net_values*/) {
-  window_ns_ = 0.0;
-  gate_q_vdd_.assign(nl_->num_gates(), 0.0);
-  gate_q_vss_.assign(nl_->num_gates(), 0.0);
-  flop_q_vdd_.assign(nl_->num_flops(), 0.0);
-  flop_q_vss_.assign(nl_->num_flops(), 0.0);
-}
-
-void DynamicIrBinner::on_toggle(NetId net, double /*t_ns*/, bool rising) {
-  const double q_pc = par_->net_load_pf(net) * vdd_;
-  const Net& nr = nl_->net(net);
-  if (nr.driver_kind == DriverKind::kGate) {
-    (rising ? gate_q_vdd_ : gate_q_vss_)[nr.driver] += q_pc;
-  } else if (nr.driver_kind == DriverKind::kFlop) {
-    (rising ? flop_q_vdd_ : flop_q_vss_)[nr.driver] += q_pc;
-  }
-}
-
-void DynamicIrBinner::on_end(const SimStats& stats) {
-  window_ns_ = std::max(stats.stw_ns(), 1e-3);
-}
-
-DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
-                                   const TechLibrary& lib, const Floorplan& fp,
-                                   const PowerGrid& grid,
-                                   const DynamicIrBinner& binned,
-                                   const ClockTree* clock_tree,
-                                   DomainId active_domain,
-                                   const DynamicIrOptions& opt) {
-  SCAP_TRACE_SCOPE("power.dynamic_ir");
-  return solve_from_charges(nl, pl, lib, fp, grid, binned.gate_q_vdd_pc(),
-                            binned.gate_q_vss_pc(), binned.flop_q_vdd_pc(),
-                            binned.flop_q_vss_pc(), binned.window_ns(),
-                            clock_tree, active_domain, opt);
 }
 
 }  // namespace scap

@@ -1,9 +1,10 @@
 // Per-pattern dynamic IR-drop analysis (paper Section 2.4).
 //
-// The toggle trace of one launch-to-capture simulation is converted into
-// per-instance average currents over the pattern's switching window (rising
-// toggles draw from VDD, falling toggles dump into VSS), and both rails are
-// solved on the resistive grid. The result carries:
+// DynamicIrBinner bins the switched charge of one launch-to-capture
+// simulation onto its driving instances and rails (rising toggles draw from
+// VDD, falling toggles dump into VSS). analyze_pattern_ir turns those
+// charges into average currents over the pattern's switching window and
+// solves both rails on the resistive grid. The result carries:
 //  - worst / per-block IR-drop numbers (Table 4, Figure 3),
 //  - a per-gate voltage droop vector (VDD loss + VSS bounce at the gate's
 //    location) that drives the delay-scaled re-simulation of Figure 7.
@@ -18,7 +19,7 @@
 #include "netlist/netlist.h"
 #include "netlist/tech_library.h"
 #include "power/power_grid.h"
-#include "sim/event_sim.h"
+#include "sim/toggle_sink.h"
 
 namespace scap {
 
@@ -56,19 +57,21 @@ struct DynamicIrReport {
   }
 };
 
-DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
-                                   const Parasitics& par,
-                                   const TechLibrary& lib, const Floorplan& fp,
-                                   const PowerGrid& grid, const SimTrace& trace,
-                                   const ClockTree* clock_tree,
-                                   DomainId active_domain,
-                                   const DynamicIrOptions& opt = {});
+/// Switched charge [pC] of one simulation pass per driving instance and
+/// rail, and the window [ns] the analysis averages it over. Vectors are
+/// indexed by GateId / FlopId.
+struct RailCharges {
+  std::vector<double> gate_vdd_pc;
+  std::vector<double> gate_vss_pc;
+  std::vector<double> flop_vdd_pc;
+  std::vector<double> flop_vss_pc;
+  double window_ns = 0.0;
+};
 
-/// Streaming front half of analyze_pattern_ir: bins the switched charge [pC]
-/// of every committed toggle onto its driving instance and rail directly off
-/// the simulator, so the grid solve needs no toggle trace. Charge totals and
-/// the analysis window are bit-identical to the trace-based path (same
-/// commit-order accumulation, same stw). Reuses its vectors across passes.
+/// Streaming front half of the analysis: bins the charge of every committed
+/// toggle straight off the simulator, in commit order. The window is the
+/// pass's switching time window (at least 1 ps). Reuses its vectors across
+/// passes.
 class DynamicIrBinner final : public ToggleSink {
  public:
   DynamicIrBinner(const Netlist& nl, const Parasitics& par,
@@ -79,30 +82,26 @@ class DynamicIrBinner final : public ToggleSink {
   void on_toggle(NetId net, double t_ns, bool rising) override;
   void on_end(const SimStats& stats) override;
 
-  double window_ns() const { return window_ns_; }
-  std::span<const double> gate_q_vdd_pc() const { return gate_q_vdd_; }
-  std::span<const double> gate_q_vss_pc() const { return gate_q_vss_; }
-  std::span<const double> flop_q_vdd_pc() const { return flop_q_vdd_; }
-  std::span<const double> flop_q_vss_pc() const { return flop_q_vss_; }
+  /// Charges of the most recent pass; valid until the next on_begin.
+  const RailCharges& charges() const { return charges_; }
 
  private:
   const Netlist* nl_;
   const Parasitics* par_;
   double vdd_;
-  double window_ns_ = 0.0;
-  std::vector<double> gate_q_vdd_;
-  std::vector<double> gate_q_vss_;
-  std::vector<double> flop_q_vdd_;
-  std::vector<double> flop_q_vss_;
+  RailCharges charges_;
 };
 
-/// Grid-solve half of the analysis over charges binned by a DynamicIrBinner.
-/// analyze_pattern_ir(trace) == analyze_pattern_ir(binner) when the binner
-/// observed the simulation that produced the trace.
+/// Convert the charges into average rail currents over charges.window_ns,
+/// solve both rails on the grid and derive the block / per-instance droop
+/// views. The active domain's clock-tree buffers add one rise and one fall
+/// each unless opt.include_clock_tree is off. Throws std::invalid_argument
+/// when the charge vectors do not match the netlist's gate / flop counts or
+/// the window is not positive.
 DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
                                    const TechLibrary& lib, const Floorplan& fp,
                                    const PowerGrid& grid,
-                                   const DynamicIrBinner& binned,
+                                   const RailCharges& charges,
                                    const ClockTree* clock_tree,
                                    DomainId active_domain,
                                    const DynamicIrOptions& opt = {});

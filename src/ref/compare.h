@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "power/power_grid.h"
-#include "sim/event_sim.h"
+#include "ref/trace.h"
 #include "sim/scap.h"
 
 namespace scap::ref {

@@ -128,24 +128,31 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
     if (sc.check_sim || sc.check_scap) {
       PatternAnalyzer pa(soc, lib);
       const EventSimRef rsim(nl, dm);
+      // One production pass feeds both the recorded trace and the SCAP
+      // accounting under test.
+      TraceRecorder recorder;
+      ScapAccumulator scap_acc(pa.scap_calculator(),
+                               soc.config.tester_period_ns);
+      FanoutSink sinks{&recorder, &scap_acc};
       for (std::size_t i = 0; i < patterns.size(); ++i) {
-        PatternAnalysis an = pa.analyze(ctx, patterns[i], &dm);
-        if (inject == InjectedBug::kDropLastToggle &&
-            !an.trace.toggles.empty()) {
-          an.trace.toggles.pop_back();
+        pa.analyze_into(ctx, patterns[i], sinks, &dm);
+        SimTrace trace = recorder.take();
+        ScapReport scap = scap_acc.report();
+        if (inject == InjectedBug::kDropLastToggle && !trace.toggles.empty()) {
+          trace.toggles.pop_back();
         }
         if (inject == InjectedBug::kStwWindowOffByOne) {
-          an.scap.stw_ns += 0.05;  // ~one generic180 gate delay
+          scap.stw_ns += 0.05;  // ~one generic180 gate delay
         }
         const SimTrace rt = rsim.run(pa.frame1(), pa.stimuli());
         std::string why;
-        if (sc.check_sim && !compare_traces(an.trace, rt, &why)) {
+        if (sc.check_sim && !compare_traces(trace, rt, &why)) {
           res.divergences.push_back({"eventsim", why, i});
         }
         if (sc.check_scap) {
           const ScapReport rr =
-              scap_ref(nl, soc.parasitics, lib, rt, an.scap.period_ns);
-          if (!compare_scap(an.scap, rr, &why)) {
+              scap_ref(nl, soc.parasitics, lib, rt, scap.period_ns);
+          if (!compare_scap(scap, rr, &why)) {
             res.divergences.push_back({"scap", why, i});
           }
         }

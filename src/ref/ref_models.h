@@ -26,6 +26,7 @@
 #include "netlist/netlist.h"
 #include "netlist/tech_library.h"
 #include "power/power_grid.h"
+#include "ref/trace.h"
 #include "sim/event_sim.h"
 #include "sim/scap.h"
 
@@ -39,8 +40,8 @@ std::uint8_t ref_eval_cell(CellType t, std::span<const std::uint8_t> ins);
 /// Reference event-driven timing simulator: same transport-delay semantics
 /// as EventSim (cancel-on-reschedule, (time, stamp) commit order) expressed
 /// with flat ordered std::map queues -- no workspace, no pending pools, no
-/// heap. Produces a trace that must match EventSim bit-for-bit, event
-/// statistics included.
+/// heap. Produces a trace that must match a TraceRecorder recording of
+/// EventSim bit-for-bit, event statistics included.
 class EventSimRef {
  public:
   EventSimRef(const Netlist& nl, const DelayModel& dm) : nl_(&nl), dm_(&dm) {}

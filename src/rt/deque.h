@@ -45,8 +45,10 @@ class WorkStealingDeque {
       a = grow(a, t, b);
     }
     a->put(b, item);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Publishes the slot to stealers: a release store orders the same as
+    // the paper's release fence plus relaxed store, and ThreadSanitizer
+    // (which does not model fences) can see it.
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only. Returns nullptr when empty (or when a stealer won the race

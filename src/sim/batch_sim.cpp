@@ -89,12 +89,12 @@ void BatchSim::next_state(std::span<const std::uint64_t> net_values,
 
 void BatchSim::broadside(std::span<const std::uint64_t> s1,
                          std::span<const std::uint64_t> pi,
-                         std::vector<std::uint64_t>& frame1_nets,
+                         std::vector<std::uint64_t>& frame1,
                          std::vector<std::uint64_t>& s2,
-                         std::vector<std::uint64_t>& frame2_nets) const {
-  eval_frame(s1, pi, frame1_nets);
-  next_state(frame1_nets, s2);
-  eval_frame(s2, pi, frame2_nets);
+                         std::vector<std::uint64_t>& frame2) const {
+  eval_frame(s1, pi, frame1);
+  next_state(frame1, s2);
+  eval_frame(s2, pi, frame2);
 }
 
 namespace {

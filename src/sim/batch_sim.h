@@ -63,9 +63,9 @@ class BatchSim {
   /// Frame 1 + frame 2 in one call (broadside launch-off-capture).
   void broadside(std::span<const std::uint64_t> s1,
                  std::span<const std::uint64_t> pi,
-                 std::vector<std::uint64_t>& frame1_nets,
+                 std::vector<std::uint64_t>& frame1,
                  std::vector<std::uint64_t>& s2,
-                 std::vector<std::uint64_t>& frame2_nets) const;
+                 std::vector<std::uint64_t>& frame2) const;
 
   /// True when the runtime-dispatched AVX2 kernel backs this instance.
   bool uses_avx2() const { return avx2_; }

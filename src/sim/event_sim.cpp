@@ -59,6 +59,15 @@ void EventSim::run(std::span<const std::uint8_t> initial_net_values,
                    ToggleSink& sink) const {
   SCAP_TRACE_SCOPE("eventsim.run");
   const Netlist& nl = *nl_;
+  // Checked before touching the workspace, so its pools stay drained.
+  if (initial_net_values.size() != nl.num_nets()) {
+    throw std::invalid_argument("EventSim::run: not one initial value per net");
+  }
+  for (const Stimulus& s : stimuli) {
+    if (s.net >= nl.num_nets()) {
+      throw std::invalid_argument("EventSim::run: stimulus net out of range");
+    }
+  }
 
   // Warm the workspace: every pool below drains back to empty by the time a
   // run returns, so only capacity growth (tracked for the reuse gauges) can
@@ -147,23 +156,6 @@ void EventSim::run(std::span<const std::uint8_t> initial_net_values,
   obs::count("eventsim.toggles", stats.num_toggles);
   obs::count("eventsim.events", stats.num_events_processed);
   if (!ws.grew_ && ws.runs_ > 1) obs::count("eventsim.workspace.reuse");
-}
-
-SimTrace EventSim::run(std::span<const std::uint8_t> initial_net_values,
-                       std::span<const Stimulus> stimuli) const {
-  Workspace ws;
-  TraceRecorder rec;
-  run(initial_net_values, stimuli, ws, rec);
-  return rec.take();
-}
-
-std::vector<double> EventSim::settle_times(const SimTrace& trace,
-                                           std::size_t num_nets) {
-  std::vector<double> settle(num_nets, 0.0);
-  for (const ToggleEvent& t : trace.toggles) {
-    settle[t.net] = std::max(settle[t.net], static_cast<double>(t.t_ns));
-  }
-  return settle;
 }
 
 }  // namespace scap

@@ -7,14 +7,12 @@
 // semantics, so glitches are simulated and contribute switching power, as
 // they do in a VCD captured from a real timing simulation).
 //
-// Two output modes share one engine:
-//  - run(initial, stimuli) returns the full SimTrace (back-compat; allocates
-//    a fresh trace per call).
-//  - run(initial, stimuli, Workspace&, ToggleSink&) streams every committed
-//    toggle into the sink as it happens -- the paper's PLI tap -- and keeps
-//    all simulation storage (value array, pending-event pools, queue heap)
-//    in the caller-owned Workspace, so bulk per-pattern screening runs with
-//    zero steady-state heap allocations.
+// There is one output mode: run() streams every committed toggle into a
+// ToggleSink as it happens -- the paper's PLI tap -- and keeps all
+// simulation storage (value array, pending-event pools, queue heap) in the
+// caller-owned Workspace, so bulk per-pattern screening runs with zero
+// steady-state heap allocations. No toggle trace is materialized; the
+// differential oracle (src/ref/) records one when it needs the full list.
 #pragma once
 
 #include <cstdint>
@@ -53,26 +51,6 @@ struct Stimulus {
   NetId net = kNullId;
   double t_ns = 0.0;
   std::uint8_t value = 0;
-};
-
-struct ToggleEvent {
-  NetId net = kNullId;
-  float t_ns = 0.0f;
-  bool rising = false;
-};
-
-struct SimTrace {
-  std::vector<ToggleEvent> toggles;  ///< time-ordered
-  double first_toggle_ns = 0.0;
-  double last_toggle_ns = 0.0;
-  std::size_t num_events_processed = 0;
-  std::size_t num_events_cancelled = 0;  ///< superseded by a later evaluation
-
-  /// Switching time window: the span during which all transitions occur
-  /// (insertion delay of the clock tree does not inflate it).
-  double stw_ns() const {
-    return toggles.empty() ? 0.0 : last_toggle_ns - first_toggle_ns;
-  }
 };
 
 class EventSim {
@@ -137,56 +115,18 @@ class EventSim {
 
   EventSim(const Netlist& nl, const DelayModel& dm) : nl_(&nl), dm_(&dm) {}
 
-  /// Simulate from the settled initial net values under the given stimuli.
-  /// Stimuli need not be sorted. Returns the full toggle trace (stimulus
-  /// transitions included). Convenience wrapper over the streaming overload
-  /// with a TraceRecorder and a throwaway workspace.
-  SimTrace run(std::span<const std::uint8_t> initial_net_values,
-               std::span<const Stimulus> stimuli) const;
-
-  /// Streaming simulation: pushes every committed toggle into `sink` in
-  /// commit (== time) order instead of materializing a trace. Bit-identical
-  /// to the trace-returning overload for any sink composition.
+  /// Simulate from the settled initial net values (one per net) under the
+  /// given stimuli, pushing every committed toggle -- stimulus transitions
+  /// included -- into `sink` in commit (== time) order. Stimuli need not be
+  /// sorted. Throws std::invalid_argument when initial_net_values does not
+  /// hold one value per net or a stimulus names a net past num_nets().
   void run(std::span<const std::uint8_t> initial_net_values,
            std::span<const Stimulus> stimuli, Workspace& ws,
            ToggleSink& sink) const;
 
-  /// Stabilization time per net: last toggle time, 0 for untouched nets.
-  static std::vector<double> settle_times(const SimTrace& trace,
-                                          std::size_t num_nets);
-
  private:
   const Netlist* nl_;
   const DelayModel* dm_;
-};
-
-/// Sink that reproduces the legacy SimTrace, for callers that still need the
-/// materialized toggle list (VCD debugging, Figure-7 endpoint reports).
-class TraceRecorder final : public ToggleSink {
- public:
-  void on_begin(std::span<const std::uint8_t> /*initial*/) override {
-    trace_.toggles.clear();
-    trace_.first_toggle_ns = 0.0;
-    trace_.last_toggle_ns = 0.0;
-    trace_.num_events_processed = 0;
-    trace_.num_events_cancelled = 0;
-  }
-  void on_toggle(NetId net, double t_ns, bool rising) override {
-    trace_.toggles.push_back(
-        ToggleEvent{net, static_cast<float>(t_ns), rising});
-  }
-  void on_end(const SimStats& stats) override {
-    trace_.first_toggle_ns = stats.first_toggle_ns;
-    trace_.last_toggle_ns = stats.last_toggle_ns;
-    trace_.num_events_processed = stats.num_events_processed;
-    trace_.num_events_cancelled = stats.num_events_cancelled;
-  }
-
-  const SimTrace& trace() const { return trace_; }
-  SimTrace take() { return std::move(trace_); }
-
- private:
-  SimTrace trace_;
 };
 
 }  // namespace scap

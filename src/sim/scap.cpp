@@ -1,7 +1,6 @@
 #include "sim/scap.h"
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace scap {
 
@@ -25,34 +24,6 @@ ScapCalculator::ScapCalculator(const Netlist& nl, const Parasitics& par,
         break;
     }
   }
-}
-
-ScapReport ScapCalculator::compute(const SimTrace& trace,
-                                   double period_ns) const {
-  SCAP_TRACE_SCOPE("scap.compute");
-  ScapReport rep;
-  rep.period_ns = period_ns;
-  rep.stw_ns = trace.stw_ns();
-  rep.num_toggles = trace.toggles.size();
-  rep.vdd_energy_pj.assign(nl_->block_count(), 0.0);
-  rep.vss_energy_pj.assign(nl_->block_count(), 0.0);
-
-  for (const ToggleEvent& t : trace.toggles) {
-    const double e = lib_->toggle_energy_pj(net_cap_pf_[t.net]);
-    const BlockId b = net_block_[t.net];
-    if (t.rising) {
-      rep.vdd_energy_pj[b] += e;
-      rep.vdd_energy_total_pj += e;
-    } else {
-      rep.vss_energy_pj[b] += e;
-      rep.vss_energy_total_pj += e;
-    }
-  }
-  // Per-pattern SCAP distribution (Figure 2/6 shape at a glance).
-  obs::count("scap.computes");
-  obs::observe("scap.stw_ns", rep.stw_ns);
-  obs::observe("scap.vdd_scap_mw", rep.scap_mw(Rail::kVdd));
-  return rep;
 }
 
 void ScapAccumulator::on_begin(

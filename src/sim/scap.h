@@ -1,4 +1,4 @@
-// CAP / SCAP power accounting from a toggle trace (the paper's Section 2.3).
+// CAP / SCAP power accounting from the simulator's toggles (Section 2.3).
 //
 //   CAP_j  = (sum_i C_i * VDD^2) / T        -- cycle average power
 //   SCAP_j = (sum_i C_i * VDD^2) / STW_j    -- switching-cycle average power
@@ -9,9 +9,9 @@
 // yields the separate per-rail numbers the paper reports. Energies are kept
 // per block so block-level thresholds (Table 3 / Figures 2 & 6) fall out.
 //
-// This module is the "SCAP calculator" of Figure 5: it consumes the
-// in-memory toggle trace of the event simulator directly, the way the
-// paper's PLI taps VCS without writing a VCD file.
+// This module is the "SCAP calculator" of Figure 5: ScapAccumulator consumes
+// the event simulator's toggle stream directly, the way the paper's PLI taps
+// VCS without writing a VCD file.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +20,7 @@
 #include "layout/parasitics.h"
 #include "netlist/netlist.h"
 #include "netlist/tech_library.h"
-#include "sim/event_sim.h"
+#include "sim/toggle_sink.h"
 
 namespace scap {
 
@@ -59,13 +59,13 @@ struct ScapReport {
   }
 };
 
+/// Per-net accounting tables: the switched load and the block of each net's
+/// driver. Built once per design; ScapAccumulator and the static screening
+/// model read them.
 class ScapCalculator {
  public:
   ScapCalculator(const Netlist& nl, const Parasitics& par,
                  const TechLibrary& lib);
-
-  /// Account a full launch-to-capture toggle trace at tester period T.
-  ScapReport compute(const SimTrace& trace, double period_ns) const;
 
   /// Switching energy charged per toggle of `net` (C_load * VDD^2) -- the
   /// exact quantum on_toggle adds. The static screening proxy
@@ -84,11 +84,10 @@ class ScapCalculator {
   std::vector<BlockId> net_block_;     ///< per net: block of the driver
 };
 
-/// Streaming SCAP accounting: accumulates the same per-block rail energies as
-/// ScapCalculator::compute, but directly from the simulator's toggle stream,
-/// so no trace is materialized (the paper's PLI-based calculator, literally).
-/// Reuses its report storage across passes; numbers are bit-identical to the
-/// trace-based path because toggles arrive in the same commit order.
+/// Streaming SCAP accounting: accumulates the per-block rail energies of one
+/// launch-to-capture pass directly from the simulator's toggle stream (the
+/// paper's PLI-based calculator, literally), summing in commit order. Reuses
+/// its report storage across passes.
 class ScapAccumulator final : public ToggleSink {
  public:
   ScapAccumulator(const ScapCalculator& calc, double period_ns)
@@ -96,14 +95,11 @@ class ScapAccumulator final : public ToggleSink {
     report_.period_ns = period_ns;
   }
 
-  void set_period(double period_ns) { report_.period_ns = period_ns; }
-
   void on_begin(std::span<const std::uint8_t> initial_net_values) override;
   void on_toggle(NetId net, double t_ns, bool rising) override;
   void on_end(const SimStats& stats) override;
 
   const ScapReport& report() const { return report_; }
-  ScapReport take_report() { return std::move(report_); }
 
  private:
   const ScapCalculator* calc_;

@@ -9,11 +9,9 @@ void ToggleSink::on_begin(std::span<const std::uint8_t> /*initial*/) {}
 void ToggleSink::on_end(const SimStats& /*stats*/) {}
 
 FanoutSink::FanoutSink(std::initializer_list<ToggleSink*> sinks) {
-  for (ToggleSink* s : sinks) add(s);
-}
-
-void FanoutSink::add(ToggleSink* sink) {
-  if (sink != nullptr) sinks_.push_back(sink);
+  for (ToggleSink* s : sinks) {
+    if (s != nullptr) sinks_.push_back(s);
+  }
 }
 
 void FanoutSink::on_begin(std::span<const std::uint8_t> initial_net_values) {

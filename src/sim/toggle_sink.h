@@ -2,18 +2,18 @@
 //
 // The paper's Figure-5 flow computes SCAP by tapping the timing simulator
 // directly through a PLI routine precisely so that no VCD file is ever
-// materialized. This interface is that idea taken literally: instead of
-// returning a toggle trace that downstream analyses re-walk in separate
-// passes, the simulator pushes every committed output toggle -- in commit
-// (== time) order -- into one or more sinks as it happens. Concrete sinks
-// accumulate SCAP energies (sim/scap.h), per-instance rail charge for the
-// dynamic IR-drop solve (power/dynamic_ir.h), per-net settle times, a VCD
-// stream (sim/vcd.h), or a back-compat SimTrace (sim/event_sim.h); the
-// FanoutSink combinator lets one simulation pass feed all of them at once.
+// materialized. This interface is that idea taken literally, and it is the
+// only way to consume a simulation: the simulator pushes every committed
+// output toggle -- in commit (== time) order -- into one or more sinks as it
+// happens, and no toggle trace is kept. Concrete sinks accumulate SCAP
+// energies (sim/scap.h), per-instance rail charge for the dynamic IR-drop
+// solve (power/dynamic_ir.h), per-net settle times and a VCD stream
+// (sim/vcd.h); the FanoutSink combinator lets one simulation pass feed all
+// of them at once.
 //
-// Contract: for any sink composition, the streaming results are bit-identical
-// to running the legacy trace-based analyses over the SimTrace of the same
-// simulation (enforced by tests/stream_equiv_test.cpp).
+// Contract: every sink's result equals what the reference simulator's
+// recorded trace of the same simulation input implies (src/ref/, enforced
+// by tests/stream_equiv_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@ namespace scap {
 
 /// Summary of one event-driven simulation pass, handed to every sink when the
 /// pass completes. Toggle-window times are the exact doubles of the commit
-/// loop (SimTrace stores the same values).
+/// loop.
 struct SimStats {
   std::size_t num_events_processed = 0;  ///< queue pops, stale ones included
   std::size_t num_events_cancelled = 0;  ///< superseded by a later evaluation
@@ -55,7 +55,7 @@ class ToggleSink {
   virtual void on_begin(std::span<const std::uint8_t> initial_net_values);
 
   /// One committed output toggle. `t_ns` is the exact commit time; sinks that
-  /// mirror the trace's float timestamps must cast through float themselves.
+  /// report float-precision timestamps cast through float themselves.
   virtual void on_toggle(NetId net, double t_ns, bool rising) = 0;
 
   /// The pass is complete.
@@ -63,15 +63,11 @@ class ToggleSink {
 };
 
 /// Combinator: forwards every event to each attached sink in attachment
-/// order, so a single simulation pass feeds SCAP + IR + settle-time (+ trace)
-/// analysis simultaneously.
+/// order, so a single simulation pass feeds SCAP + IR + settle-time analysis
+/// simultaneously.
 class FanoutSink final : public ToggleSink {
  public:
-  FanoutSink() = default;
   FanoutSink(std::initializer_list<ToggleSink*> sinks);
-
-  void add(ToggleSink* sink);
-  void clear() { sinks_.clear(); }
 
   void on_begin(std::span<const std::uint8_t> initial_net_values) override;
   void on_toggle(NetId net, double t_ns, bool rising) override;
@@ -81,10 +77,9 @@ class FanoutSink final : public ToggleSink {
   std::vector<ToggleSink*> sinks_;
 };
 
-/// Streaming replacement for EventSim::settle_times: per-net stabilization
-/// time (last toggle, 0 for untouched nets). Timestamps are rounded through
-/// float to stay bit-identical with the legacy path, which reads them back
-/// from the trace's float ToggleEvent records.
+/// Per-net stabilization time (last toggle, 0 for untouched nets). Each
+/// timestamp is rounded through float, the precision the reference trace
+/// (src/ref/trace.h) records, so endpoint delays keep that precision.
 class SettleTimeTracker final : public ToggleSink {
  public:
   void on_begin(std::span<const std::uint8_t> initial_net_values) override {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <ostream>
-#include <sstream>
 
 namespace scap {
 
@@ -19,14 +18,16 @@ std::string vcd_id(NetId n) {
   return id;
 }
 
-/// Header + $dumpvars snapshot shared by the trace writer and the sink.
-void write_vcd_prologue(const Netlist& nl,
-                        std::span<const std::uint8_t> initial_net_values,
-                        std::ostream& os, const std::string& top_name) {
+}  // namespace
+
+void VcdSink::on_begin(std::span<const std::uint8_t> initial_net_values) {
+  cur_ps_ = -1;
+  const Netlist& nl = *nl_;
+  std::ostream& os = *os_;
   os << "$date reproduction run $end\n";
   os << "$version scapgen vcd writer $end\n";
   os << "$timescale 1ps $end\n";
-  os << "$scope module " << top_name << " $end\n";
+  os << "$scope module " << top_name_ << " $end\n";
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     os << "$var wire 1 " << vcd_id(n) << ' ' << nl.net_name(n) << " $end\n";
   }
@@ -39,40 +40,8 @@ void write_vcd_prologue(const Netlist& nl,
   os << "$end\n";
 }
 
-}  // namespace
-
-void write_vcd(const Netlist& nl,
-               std::span<const std::uint8_t> initial_net_values,
-               const SimTrace& trace, std::ostream& os,
-               const std::string& top_name) {
-  write_vcd_prologue(nl, initial_net_values, os, top_name);
-
-  long long cur_ps = -1;
-  for (const ToggleEvent& t : trace.toggles) {
-    const long long ps = std::llround(static_cast<double>(t.t_ns) * 1000.0);
-    if (ps != cur_ps) {
-      os << '#' << ps << '\n';
-      cur_ps = ps;
-    }
-    os << (t.rising ? '1' : '0') << vcd_id(t.net) << '\n';
-  }
-}
-
-std::string to_vcd(const Netlist& nl,
-                   std::span<const std::uint8_t> initial_net_values,
-                   const SimTrace& trace, const std::string& top_name) {
-  std::ostringstream os;
-  write_vcd(nl, initial_net_values, trace, os, top_name);
-  return os.str();
-}
-
-void VcdSink::on_begin(std::span<const std::uint8_t> initial_net_values) {
-  cur_ps_ = -1;
-  write_vcd_prologue(*nl_, initial_net_values, *os_, top_name_);
-}
-
 void VcdSink::on_toggle(NetId net, double t_ns, bool rising) {
-  // Round through float: the trace writer reads float timestamps back.
+  // Round through float, the precision of the reference trace's timestamps.
   const double t = static_cast<double>(static_cast<float>(t_ns));
   const long long ps = std::llround(t * 1000.0);
   if (ps != cur_ps_) {

@@ -1,36 +1,25 @@
-// Value Change Dump (VCD) export of a toggle trace.
+// Value Change Dump (VCD) export of a launch-to-capture simulation.
 //
 // The paper's point (Section 3.2) is that VCD files are too large for bulk
 // per-pattern analysis, which is why the SCAP calculator taps the simulator
 // directly. The writer exists for what the paper still uses VCD for:
 // debugging a handful of suspect patterns in a waveform viewer. VcdSink
-// streams the same document straight off the simulator, so a waveform can be
-// captured without ever materializing the trace either.
+// streams the document straight off the simulator, so a waveform is
+// captured without materializing a toggle trace.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
 #include "netlist/netlist.h"
-#include "sim/event_sim.h"
+#include "sim/toggle_sink.h"
 
 namespace scap {
 
-/// Write a launch-to-capture trace as a VCD document. initial_net_values
-/// provides the $dumpvars snapshot at t=0; timescale is 1 ps.
-void write_vcd(const Netlist& nl,
-               std::span<const std::uint8_t> initial_net_values,
-               const SimTrace& trace, std::ostream& os,
-               const std::string& top_name = "top");
-
-std::string to_vcd(const Netlist& nl,
-                   std::span<const std::uint8_t> initial_net_values,
-                   const SimTrace& trace, const std::string& top_name = "top");
-
-/// Streaming VCD writer: emits the header and $dumpvars snapshot in on_begin
-/// and each toggle as it commits. Byte-identical to write_vcd over the trace
-/// of the same simulation (timestamps round through the trace's float
-/// representation on purpose).
+/// Streaming VCD writer: emits the header and the $dumpvars snapshot of the
+/// initial net values at t=0 in on_begin, then each toggle as it commits.
+/// Timescale is 1 ps; timestamps round through float, the precision the
+/// reference trace (src/ref/trace.h) records, before conversion to ps.
 class VcdSink final : public ToggleSink {
  public:
   VcdSink(const Netlist& nl, std::ostream& os,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 
 #include "atpg/context.h"
@@ -56,12 +57,13 @@ TEST(EventSim, ChainDelaysAccumulate) {
 
   EventSim sim(nl, rig.dm);
   const Stimulus stim{nl.flop(0).q, 0.0, 1};
-  const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));
+  const ref::SimTrace trace =
+      test::record_trace(sim, init, std::span<const Stimulus>(&stim, 1));
 
   // One toggle per chain stage plus the stimulus itself.
   ASSERT_EQ(trace.toggles.size(), 5u);
   double prev = -1.0;
-  for (const ToggleEvent& t : trace.toggles) {
+  for (const ref::ToggleEvent& t : trace.toggles) {
     EXPECT_GT(t.t_ns, prev);  // strictly increasing along the chain
     prev = t.t_ns;
   }
@@ -80,7 +82,7 @@ TEST(EventSim, NoStimulusNoToggles) {
   const std::vector<std::uint8_t> init =
       ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
-  const SimTrace trace = sim.run(init, {});
+  const ref::SimTrace trace = test::record_trace(sim, init, {});
   EXPECT_TRUE(trace.toggles.empty());
   EXPECT_EQ(trace.last_toggle_ns, 0.0);
 }
@@ -91,7 +93,8 @@ TEST(EventSim, StimulusEqualToCurrentValueAbsorbed) {
       ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
   const Stimulus stim{rig.nl.flop(0).q, 0.0, init[rig.nl.flop(0).q]};
-  const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));
+  const ref::SimTrace trace =
+      test::record_trace(sim, init, std::span<const Stimulus>(&stim, 1));
   EXPECT_TRUE(trace.toggles.empty());
 }
 
@@ -123,14 +126,15 @@ TEST(EventSim, GlitchOnReconvergence) {
 
   EventSim sim(rig.nl, rig.dm);
   const Stimulus stim{q, 0.0, 1};
-  const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));
+  const ref::SimTrace trace =
+      test::record_trace(sim, init, std::span<const Stimulus>(&stim, 1));
   // y pulses high while the slow path lags, then returns: two y toggles.
   int y_toggles = 0;
-  for (const ToggleEvent& t : trace.toggles) y_toggles += (t.net == y);
+  for (const ref::ToggleEvent& t : trace.toggles) y_toggles += (t.net == y);
   EXPECT_EQ(y_toggles, 2) << "wide hazard pulses must propagate";
   // Final value settles back to the zero-delay result.
   std::uint8_t final_y = init[y];
-  for (const ToggleEvent& t : trace.toggles) {
+  for (const ref::ToggleEvent& t : trace.toggles) {
     if (t.net == y) final_y = t.rising ? 1 : 0;
   }
   EXPECT_EQ(final_y, 0);
@@ -150,17 +154,19 @@ TEST(EventSim, FinalValuesMatchZeroDelayFrame2) {
     Pattern p;
     p.s1.resize(nl.num_flops());
     for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
-    const PatternAnalysis pa = analyzer.analyze(ctx, p);
+    const ref::SimTrace trace = test::record_trace(analyzer, ctx, p);
+    const std::vector<std::uint8_t> frame1(analyzer.frame1().begin(),
+                                           analyzer.frame1().end());
 
     // Reconstruct final values from initial values + toggles.
-    std::vector<std::uint8_t> final_vals = pa.frame1_nets;
-    for (const ToggleEvent& t : pa.trace.toggles) {
+    std::vector<std::uint8_t> final_vals = frame1;
+    for (const ref::ToggleEvent& t : trace.toggles) {
       final_vals[t.net] = t.rising ? 1 : 0;
     }
     // Zero-delay frame 2.
     std::vector<std::uint8_t> s2(nl.num_flops());
     for (FlopId f = 0; f < nl.num_flops(); ++f) {
-      s2[f] = ctx.active[f] ? pa.frame1_nets[nl.flop(f).d] : p.s1[f];
+      s2[f] = ctx.active[f] ? frame1[nl.flop(f).d] : p.s1[f];
     }
     const std::vector<std::uint8_t> f2 =
         ref::eval_frame_ref(nl, s2, ctx.pi_values);
@@ -168,6 +174,57 @@ TEST(EventSim, FinalValuesMatchZeroDelayFrame2) {
       ASSERT_EQ(final_vals[n], f2[n]) << "trial " << trial << " net " << n;
     }
   }
+}
+
+TEST(EventSim, RejectsMissizedInitialStateAndStrayStimulus) {
+  Rig rig(inv_chain(3));
+  const std::vector<std::uint8_t> init =
+      ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
+  EventSim sim(rig.nl, rig.dm);
+  EventSim::Workspace ws;
+  SettleTimeTracker sink;
+  const Stimulus stim{rig.nl.flop(0).q, 0.0, 1};
+  const std::vector<std::uint8_t> short_init(3, 0);
+  ASSERT_LT(short_init.size(), rig.nl.num_nets());
+  EXPECT_THROW(sim.run(short_init, std::span<const Stimulus>(&stim, 1), ws,
+                       sink),
+               std::invalid_argument);
+  const Stimulus stray{static_cast<NetId>(rig.nl.num_nets()), 0.0, 1};
+  EXPECT_THROW(sim.run(init, std::span<const Stimulus>(&stray, 1), ws, sink),
+               std::invalid_argument);
+  // A rejected call leaves the workspace usable.
+  sim.run(init, std::span<const Stimulus>(&stim, 1), ws, sink);
+  EXPECT_GT(sink.settle()[rig.nl.gate(2).out], 0.0);
+}
+
+TEST(PatternAnalyzer, RejectsMissizedClockArrivals) {
+  const SocDesign& soc = test::tiny_soc();
+  const TestContext ctx = TestContext::for_domain(soc.netlist, 0);
+  PatternAnalyzer analyzer(soc, TechLibrary::generic180());
+  Pattern p;
+  p.s1.assign(ctx.num_vars(), 1);
+  SettleTimeTracker sink;
+  const std::vector<double> arrivals(2, 0.5);
+  ASSERT_NE(arrivals.size(), soc.netlist.num_flops());
+  EXPECT_THROW(analyzer.analyze_into(ctx, p, sink, nullptr, arrivals),
+               std::invalid_argument);
+}
+
+TEST(PatternAnalyzer, EndpointDelaysRejectMissizedInputs) {
+  const SocDesign& soc = test::tiny_soc();
+  const Netlist& nl = soc.netlist;
+  PatternAnalyzer analyzer(soc, TechLibrary::generic180());
+  const std::vector<double> settle(nl.num_nets(), 1.0);
+  const std::vector<double> arrivals(nl.num_flops(), 0.5);
+  EXPECT_EQ(analyzer.endpoint_delays_from_settle(settle, arrivals).size(),
+            nl.num_flops());
+  EXPECT_THROW(analyzer.endpoint_delays_from_settle(
+                   std::span<const double>(settle).first(nl.num_nets() - 1),
+                   arrivals),
+               std::invalid_argument);
+  EXPECT_THROW(analyzer.endpoint_delays_from_settle(
+                   settle, std::span<const double>(arrivals).first(2)),
+               std::invalid_argument);
 }
 
 TEST(PatternAnalyzer, RejectsPatternShorterThanTheContext) {
@@ -184,9 +241,12 @@ TEST(EventSim, SettleTimes) {
   const std::vector<std::uint8_t> init =
       ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
+  EventSim::Workspace ws;
+  SettleTimeTracker tracker;
   const Stimulus stim{rig.nl.flop(0).q, 1.5, 1};
-  const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));
-  const auto settle = EventSim::settle_times(trace, rig.nl.num_nets());
+  sim.run(init, std::span<const Stimulus>(&stim, 1), ws, tracker);
+  const std::span<const double> settle = tracker.settle();
+  ASSERT_EQ(settle.size(), rig.nl.num_nets());
   EXPECT_DOUBLE_EQ(settle[rig.nl.flop(0).q], 1.5);
   EXPECT_GT(settle[rig.nl.gate(0).out], 1.5);
   EXPECT_GT(settle[rig.nl.gate(1).out], settle[rig.nl.gate(0).out]);
@@ -221,10 +281,13 @@ TEST(Vcd, WellFormedOutput) {
   const std::vector<std::uint8_t> init =
       ref::eval_frame_ref(rig.nl, std::vector<std::uint8_t>{0}, {});
   EventSim sim(rig.nl, rig.dm);
+  EventSim::Workspace ws;
+  std::ostringstream os;
+  VcdSink sink(rig.nl, os, "chain");
   const Stimulus stim{rig.nl.flop(0).q, 0.0, 1};
-  const SimTrace trace = sim.run(init, std::span<const Stimulus>(&stim, 1));
+  sim.run(init, std::span<const Stimulus>(&stim, 1), ws, sink);
 
-  const std::string vcd = to_vcd(rig.nl, init, trace, "chain");
+  const std::string vcd = os.str();
   EXPECT_NE(vcd.find("$timescale 1ps $end"), std::string::npos);
   EXPECT_NE(vcd.find("$scope module chain $end"), std::string::npos);
   EXPECT_NE(vcd.find("$dumpvars"), std::string::npos);

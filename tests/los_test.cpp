@@ -189,10 +189,10 @@ TEST(LosPattern, HeldDomainsStillShift) {
   Pattern p;
   p.s1.resize(rig.los.num_vars());
   for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
-  const auto pa = analyzer.analyze(rig.los, p);
+  const ref::SimTrace trace = test::record_trace(analyzer, rig.los, p);
   bool inactive_launched = false;
   // Verify via toggles on an inactive flop's Q net.
-  for (const ToggleEvent& t : pa.trace.toggles) {
+  for (const ref::ToggleEvent& t : trace.toggles) {
     const Net& nr = rig.nl.net(t.net);
     if (nr.driver_kind == DriverKind::kFlop && !rig.los.active[nr.driver]) {
       inactive_launched = true;
@@ -256,10 +256,10 @@ TEST(EnhancedScan, EveryLaunchValueIndependent) {
   p.s1.assign(enh.num_vars(), 0);
   const FlopId target = 3;
   p.s1[rig.nl.num_flops() + target] = 1;  // V2 of one flop differs
-  const auto pa = analyzer.analyze(enh, p);
-  EXPECT_GE(pa.launched_flops, 1u);
+  ref::TraceRecorder rec;
+  EXPECT_GE(analyzer.analyze_into(enh, p, rec), 1u);
   bool target_toggled = false;
-  for (const ToggleEvent& t : pa.trace.toggles) {
+  for (const ref::ToggleEvent& t : rec.trace().toggles) {
     const Net& nr = rig.nl.net(t.net);
     if (nr.driver_kind == DriverKind::kFlop && nr.driver == target) {
       target_toggled = true;

@@ -102,15 +102,17 @@ TEST_P(EventSimProperty, FinalValuesMatchZeroDelay) {
   Pattern p;
   p.s1.resize(nl.num_flops());
   for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
-  const PatternAnalysis pa = analyzer.analyze(ctx, p);
+  const ref::SimTrace trace = test::record_trace(analyzer, ctx, p);
+  const std::vector<std::uint8_t> frame1(analyzer.frame1().begin(),
+                                         analyzer.frame1().end());
 
-  std::vector<std::uint8_t> final_vals = pa.frame1_nets;
-  for (const ToggleEvent& t : pa.trace.toggles) {
+  std::vector<std::uint8_t> final_vals = frame1;
+  for (const ref::ToggleEvent& t : trace.toggles) {
     final_vals[t.net] = t.rising ? 1 : 0;
   }
   std::vector<std::uint8_t> s2(nl.num_flops());
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
-    s2[f] = ctx.active[f] ? pa.frame1_nets[nl.flop(f).d] : p.s1[f];
+    s2[f] = ctx.active[f] ? frame1[nl.flop(f).d] : p.s1[f];
   }
   const std::vector<std::uint8_t> f2 =
       ref::eval_frame_ref(nl, s2, ctx.pi_values);
@@ -130,16 +132,18 @@ TEST_P(EventSimProperty, ToggleCountEvenPerNetWhenValueUnchanged) {
   Pattern p;
   p.s1.resize(nl.num_flops());
   for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
-  const PatternAnalysis pa = analyzer.analyze(ctx, p);
+  const ref::SimTrace trace = test::record_trace(analyzer, ctx, p);
+  const std::vector<std::uint8_t> frame1(analyzer.frame1().begin(),
+                                         analyzer.frame1().end());
 
   std::vector<std::size_t> counts(nl.num_nets(), 0);
-  std::vector<std::uint8_t> final_vals = pa.frame1_nets;
-  for (const ToggleEvent& t : pa.trace.toggles) {
+  std::vector<std::uint8_t> final_vals = frame1;
+  for (const ref::ToggleEvent& t : trace.toggles) {
     ++counts[t.net];
     final_vals[t.net] = t.rising ? 1 : 0;
   }
   for (NetId n = 0; n < nl.num_nets(); ++n) {
-    if (final_vals[n] == pa.frame1_nets[n]) {
+    if (final_vals[n] == frame1[n]) {
       EXPECT_EQ(counts[n] % 2, 0u) << "net " << n;
     } else {
       EXPECT_EQ(counts[n] % 2, 1u) << "net " << n;

@@ -204,8 +204,8 @@ TEST(RtDeterminism, StatisticalAnalysisInvariant) {
 }
 
 TEST(RtDeterminism, ValidatePatternIrInvariant) {
-  // The single-pass streaming validation (trace + SCAP + rail charges +
-  // settle times off one simulation, then two parallel grid solves) must be
+  // The single-pass streaming validation (SCAP + rail charges + settle
+  // times off one simulation, then two parallel grid solves) must be
   // bit-identical at any thread count.
   const Experiment& exp = exp_fixture();
   const PatternSet pats =
@@ -219,7 +219,7 @@ TEST(RtDeterminism, ValidatePatternIrInvariant) {
 
   EXPECT_EQ(at1.nominal.scap.vdd_energy_pj, at4.nominal.scap.vdd_energy_pj);
   EXPECT_EQ(at1.nominal.scap.stw_ns, at4.nominal.scap.stw_ns);
-  EXPECT_EQ(at1.nominal.trace.toggles.size(), at4.nominal.trace.toggles.size());
+  EXPECT_EQ(at1.nominal.scap.num_toggles, at4.nominal.scap.num_toggles);
   EXPECT_EQ(at1.ir.worst_vdd_v, at4.ir.worst_vdd_v);
   EXPECT_EQ(at1.ir.worst_vss_v, at4.ir.worst_vss_v);
   EXPECT_EQ(at1.ir.gate_droop_v, at4.ir.gate_droop_v);

@@ -58,8 +58,9 @@ TEST(Sta, BoundsEventSimulation) {
     Pattern p;
     p.s1.resize(rig.nl.num_flops());
     for (auto& b : p.s1) b = static_cast<std::uint8_t>(rng.below(2));
-    const auto pa = analyzer.analyze(ctx, p);
-    const auto settle = EventSim::settle_times(pa.trace, rig.nl.num_nets());
+    SettleTimeTracker tracker;
+    analyzer.analyze_into(ctx, p, tracker);
+    const std::span<const double> settle = tracker.settle();
     for (NetId n = 0; n < rig.nl.num_nets(); ++n) {
       if (settle[n] <= 0.0) continue;
       ASSERT_LE(settle[n], sta.arrival_ns[n] + 1e-6)

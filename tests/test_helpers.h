@@ -7,7 +7,10 @@
 #include <vector>
 
 #include "atpg/fault_sim.h"
+#include "core/pattern_sim.h"
 #include "netlist/netlist.h"
+#include "ref/trace.h"
+#include "sim/event_sim.h"
 #include "soc/generator.h"
 #include "soc/soc_config.h"
 
@@ -78,6 +81,26 @@ inline std::uint64_t detection_mask(FaultSimulator& fsim,
                                  std::span<const Pattern> patterns,
                                  const TdfFault& fault) {
   return detection_masks(fsim, patterns, std::span<const TdfFault>(&fault, 1))[0];
+}
+
+/// One production EventSim pass, recorded as a reference trace.
+inline ref::SimTrace record_trace(const EventSim& sim,
+                                  std::span<const std::uint8_t> initial,
+                                  std::span<const Stimulus> stimuli) {
+  EventSim::Workspace ws;
+  ref::TraceRecorder rec;
+  sim.run(initial, stimuli, ws, rec);
+  return rec.take();
+}
+
+/// One nominal PatternAnalyzer pass, recorded as a reference trace; the
+/// analyzer's frame1() / stimuli() describe the same pass afterwards.
+inline ref::SimTrace record_trace(const PatternAnalyzer& analyzer,
+                                  const TestContext& ctx,
+                                  const Pattern& pattern) {
+  ref::TraceRecorder rec;
+  analyzer.analyze_into(ctx, pattern, rec);
+  return rec.take();
 }
 
 }  // namespace scap::test
