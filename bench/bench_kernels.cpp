@@ -107,7 +107,7 @@ double wall_ms(const std::function<void()>& fn) {
       .count();
 }
 
-/// Strong-scaling sweep of the three rt-parallelized kernels at 1/2/4/8
+/// Strong-scaling sweep of the four rt-parallelized kernels at 1/2/4/8
 /// global pool threads. Speedup and parallel efficiency (vs the 1-thread
 /// run of the same kernel) are printed and recorded as obs gauges, so they
 /// land in BENCH_kernels.json. On a machine with fewer physical cores than
@@ -133,6 +133,15 @@ void run_thread_scaling_sweep() {
     amps.push_back(2e-6 * static_cast<double>(1 + g % 5));
   }
 
+  // Conventional ATPG runs on its own scale-0.012 fixture, so one serial
+  // run takes about a second.
+  const Experiment small = Experiment::standard(0.012, 2007);
+  AtpgOptions atpg_opt;
+  atpg_opt.seed = 2007;
+  atpg_opt.backtrack_limit = 32;
+  atpg_opt.fill = FillMode::kRandom;
+  atpg_opt.chains = &small.soc.scan.chains;
+
   struct Kernel {
     const char* name;
     std::function<void()> body;
@@ -154,6 +163,13 @@ void run_thread_scaling_sweep() {
          benchmark::DoNotOptimize(
              scap_profile_patterns(exp.soc, *exp.lib, exp.ctx, scap_pats)
                  .size());
+       }},
+      {"atpg_conventional",
+       [&] {
+         benchmark::DoNotOptimize(
+             run_conventional_atpg(small.soc.netlist, small.ctx, small.faults,
+                                   atpg_opt)
+                 .patterns.size());
        }},
   };
   constexpr std::size_t kThreads[] = {1, 2, 4, 8};

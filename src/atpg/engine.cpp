@@ -1,13 +1,62 @@
 #include "atpg/engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <stdexcept>
 
 #include "atpg/quiet_state.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rt/thread_pool.h"
 
 namespace scap {
+namespace {
+
+/// Primary targets prefetched per pool lane.
+constexpr std::size_t kWindowPerLane = 4;
+
+/// One speculative PODEM call: its outcome and the work it took, which the
+/// engine counts only if it commits the call.
+struct Search {
+  PodemStatus status = PodemStatus::kAborted;
+  TestCube cube;
+  std::uint64_t implications = 0;
+  std::uint64_t backtracks = 0;
+};
+
+/// Run `call(podem, k)` for k in [0, n) on the pool, one Podem replica per
+/// lane, into out[k]. Lanes claim indices in increasing order. With
+/// `stop_at_hit`, no lane claims an index past a detected result; every
+/// index up to the first detection in index order is still searched, so the
+/// prefix a serial scan would commit is complete.
+template <typename Call>
+void speculate(rt::ThreadPool& pool, std::vector<Podem>& lanes, std::size_t n,
+               bool stop_at_hit, std::vector<Search>& out, const Call& call) {
+  out.resize(std::max(out.size(), n));
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> first_hit{n};
+  pool.run_chunked(std::min(lanes.size(), n), [&](std::size_t lane) {
+    Podem& podem = lanes[lane];
+    for (;;) {
+      const std::size_t k = next++;
+      if (k >= n || k > first_hit) return;
+      Search& s = out[k];
+      const std::uint64_t impl0 = podem.implications();
+      const std::uint64_t bt0 = podem.backtracks();
+      s.status = call(podem, k, s.cube);
+      s.implications = podem.implications() - impl0;
+      s.backtracks = podem.backtracks() - bt0;
+      if (stop_at_hit && s.status == PodemStatus::kDetected) {
+        std::size_t cur = first_hit;
+        while (k < cur && !first_hit.compare_exchange_weak(cur, k)) {
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
 
 AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
                            const AtpgOptions& opt,
@@ -54,11 +103,32 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   }
   run_untestable += run_static_untestable;
 
-  // A fault already tried as a primary target this run (avoid rework while
-  // its pattern sits in the unsimulated buffer).
+  // A fault already tried as a primary target or merged this run (avoid
+  // rework while its pattern sits in the unsimulated buffer). A fault never
+  // becomes eligible again once it is tried or no longer undetected.
   std::vector<std::uint8_t> tried(faults.size(), 0);
+  auto eligible = [&](std::size_t i) {
+    return targetable[i] && !tried[i] && st[i] == FaultStatus::kUndetected;
+  };
 
-  Podem podem(nl, *ctx_, PodemOptions{opt.backtrack_limit});
+  // One PODEM replica per pool lane. Every call is a pure function of
+  // (assignment, fault, seed), so searches run speculatively on any lane and
+  // the engine commits them in fault-list order: patterns, statuses and the
+  // committed counts below are identical at every pool size.
+  const std::shared_ptr<rt::ThreadPool> pool = rt::ThreadPool::global();
+  std::vector<Podem> lanes;
+  lanes.reserve(pool->concurrency());
+  for (std::size_t l = 0; l < pool->concurrency(); ++l) {
+    lanes.emplace_back(nl, *ctx_,
+                       PodemOptions{opt.backtrack_limit, opt.seed});
+  }
+  std::uint64_t podem_generates = 0, podem_extends = 0;
+  std::uint64_t implications = 0, backtracks = 0;
+  auto count_work = [&](const Search& s) {
+    implications += s.implications;
+    backtracks += s.backtracks;
+  };
+
   FaultSimulator fsim(nl, *ctx_);
   fsim.set_batch_words(1);  // one 64-pattern buffer per grade() block
   Rng rng(opt.seed);
@@ -162,69 +232,89 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     buffer_care_bits.clear();
   };
 
-  // Main loop: sweep the fault list, generating one pattern per remaining
-  // primary target; simulate in batches of 64 with dropping.
+  // Main loop: sweep the fault list in windows of eligible primary targets,
+  // generating every window's cubes speculatively and committing them in
+  // order; a target merged or dropped since the prefetch is skipped. Each
+  // committed cube is compacted and buffered; buffers of 64 are simulated
+  // with dropping.
+  std::vector<std::size_t> window, cands;
+  std::vector<Search> generated, extended;
   std::size_t cursor = 0;
-  std::size_t remaining_scan = faults.size();
-  while (remaining_scan > 0) {
-    // Find the next primary target.
-    std::size_t target = faults.size();
-    while (remaining_scan > 0) {
-      if (cursor == faults.size()) cursor = 0;
-      const std::size_t i = cursor++;
-      --remaining_scan;
-      if (targetable[i] && !tried[i] && st[i] == FaultStatus::kUndetected) {
-        target = i;
-        break;
-      }
+  for (;;) {
+    window.clear();
+    for (; cursor < faults.size() &&
+           window.size() < kWindowPerLane * lanes.size();
+         ++cursor) {
+      if (eligible(cursor)) window.push_back(cursor);
     }
-    if (target == faults.size()) break;
-    tried[target] = 1;
+    if (window.empty()) break;
+    speculate(*pool, lanes, window.size(), /*stop_at_hit=*/false, generated,
+              [&](Podem& podem, std::size_t k, TestCube& out) {
+                return podem.generate(faults[window[k]], out);
+              });
 
-    TestCube cube;
-    const PodemStatus ps = podem.generate(faults[target], cube);
-    if (ps == PodemStatus::kUntestable) {
-      st[target] = FaultStatus::kUntestable;
-      ++run_untestable;
-      continue;
-    }
-    if (ps == PodemStatus::kAborted) {
-      st[target] = FaultStatus::kAborted;
-      ++run_aborted;
-      continue;
-    }
-
-    // Dynamic compaction: try to pack nearby undetected targets in as well,
-    // under the per-block care-bit budget (rechecked only when a merge
-    // changes the cube).
-    std::uint32_t merged = 0;
-    std::uint32_t scanned = 0;
-    bool budget_ok = within_care_budget(cube);
-    for (std::size_t j = target + 1;
-         j < faults.size() && merged < opt.compaction_limit &&
-         scanned < opt.compaction_scan && budget_ok;
-         ++j) {
-      if (!targetable[j] || tried[j] || st[j] != FaultStatus::kUndetected) {
+    for (std::size_t w = 0; w < window.size(); ++w) {
+      const std::size_t target = window[w];
+      if (!eligible(target)) continue;
+      tried[target] = 1;
+      ++podem_generates;
+      count_work(generated[w]);
+      const PodemStatus ps = generated[w].status;
+      if (ps == PodemStatus::kUntestable) {
+        st[target] = FaultStatus::kUntestable;
+        ++run_untestable;
         continue;
       }
-      ++scanned;
-      TestCube merged_cube;
-      if (podem.extend(faults[j], merged_cube) == PodemStatus::kDetected) {
-        cube = std::move(merged_cube);
-        tried[j] = 1;
-        ++merged;
-        ++run_merges;
-        budget_ok = within_care_budget(cube);
+      if (ps == PodemStatus::kAborted) {
+        st[target] = FaultStatus::kAborted;
+        ++run_aborted;
+        continue;
       }
+      TestCube cube = std::move(generated[w].cube);
+
+      // Dynamic compaction: try to pack the next undetected targets in as
+      // well, under the per-block care-bit budget (rechecked only when a
+      // merge changes the cube). Each round searches the remaining
+      // candidates against the current cube; the first success in candidate
+      // order wins, after every earlier candidate failed against that same
+      // cube -- exactly what a serial scan sees. Searches past the winner are
+      // discarded and re-run against the merged cube.
+      cands.clear();
+      for (std::size_t j = target + 1;
+           j < faults.size() && cands.size() < opt.compaction_scan; ++j) {
+        if (eligible(j)) cands.push_back(j);
+      }
+      std::uint32_t merged = 0;
+      std::size_t scanned = 0;
+      bool budget_ok = within_care_budget(cube);
+      while (scanned < cands.size() && merged < opt.compaction_limit &&
+             budget_ok) {
+        const std::size_t base = scanned;
+        speculate(*pool, lanes, cands.size() - base, /*stop_at_hit=*/true,
+                  extended, [&](Podem& podem, std::size_t k, TestCube& out) {
+                    podem.adopt(cube);
+                    return podem.extend(faults[cands[base + k]], out);
+                  });
+        for (std::size_t k = 0; base + k < cands.size(); ++k) {
+          ++scanned;
+          ++podem_extends;
+          count_work(extended[k]);
+          if (extended[k].status != PodemStatus::kDetected) continue;
+          cube = std::move(extended[k].cube);
+          tried[cands[base + k]] = 1;
+          ++merged;
+          ++run_merges;
+          budget_ok = within_care_budget(cube);
+          break;
+        }
+      }
+
+      buffer_care_bits.push_back(cube.care_bits());
+      buffer.push_back(fill_cube(cube));
+      // Every targeted fault whose fill already covers it will drop at
+      // flush.
+      if (buffer.size() == 64) flush_buffer();
     }
-
-    buffer_care_bits.push_back(cube.care_bits());
-    buffer.push_back(fill_cube(cube));
-    // Every targeted fault whose fill already covers it will drop at flush.
-    if (buffer.size() == 64) flush_buffer();
-
-    // After a flush the dropped faults free up the scan; rescan the list.
-    remaining_scan = faults.size();
   }
   flush_buffer();
 
@@ -245,6 +335,10 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     }
   }
   obs::count("atpg.runs");
+  obs::count("atpg.podem_generates", podem_generates);
+  obs::count("atpg.podem_extends", podem_extends);
+  obs::count("atpg.implications", implications);
+  obs::count("atpg.backtracks", backtracks);
   obs::count("atpg.patterns", result.patterns.size());
   obs::count("atpg.compaction_merges", run_merges);
   obs::count("atpg.detected_faults", run_detected);

@@ -13,6 +13,14 @@
 //    untestable before any search (observable_nets()), as the commercial
 //    tool reports such faults ATPG-untestable without searching them.
 //
+// PODEM searches run speculatively on the rt pool, one Podem replica per
+// lane: the next window of primary targets is generated ahead, and each
+// compaction round searches the remaining candidates against the current
+// cube with the first success in candidate order winning. Every call is a
+// pure function of (assignment, fault, seed) and results are committed in
+// fault-list order, so patterns, fault statuses and the atpg.* counts --
+// taken from committed calls only -- are identical at any SCAP_THREADS.
+//
 // A fault-status vector can be threaded through successive run() calls,
 // which is how the paper's multi-step per-block-subset flow (Step1: B1-B4,
 // Step2: B6, Step3: B5) is expressed.

@@ -2,10 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
-#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace scap {
+namespace {
+
+/// Per-call backtrace salt: a hash of the fault and the run seed. A salt
+/// carried over from earlier calls would make each search depend on every
+/// search before it; a seedless one would repeat the same failed search
+/// when a later run re-targets an aborted fault.
+std::size_t call_salt(const TdfFault& f, std::uint64_t seed) {
+  std::uint64_t s = seed ^ ((std::uint64_t{f.net} << 32) | f.load);
+  s = splitmix64(s) ^ ((std::uint64_t{f.pin} << 16) |
+                       (static_cast<std::uint64_t>(f.site) << 8) |
+                       static_cast<std::uint64_t>(f.type));
+  return static_cast<std::size_t>(splitmix64(s));
+}
+
+}  // namespace
 
 Podem::Podem(const Netlist& nl, const TestContext& ctx, PodemOptions opt)
     : nl_(&nl), ctx_(&ctx), opt_(opt) {
@@ -468,6 +484,35 @@ TestCube Podem::cube() const {
   return c;
 }
 
+void Podem::adopt(const TestCube& cube) {
+  if (cube.s1.size() != s1_.size()) {
+    throw std::invalid_argument(
+        "Podem::adopt: cube needs one entry per test variable");
+  }
+  // Synchronisation is not search work: keep it out of implications().
+  const std::uint64_t impl = implications_;
+  reset_fault_plane();
+  bool grows = true;
+  for (std::size_t v = 0; v < s1_.size() && grows; ++v) {
+    grows = s1_[v] == kBitX || s1_[v] == cube.s1[v];
+  }
+  if (grows) {
+    for (FlopId v = 0; v < s1_.size(); ++v) {
+      if (s1_[v] != kBitX || cube.s1[v] == kBitX) continue;
+      stack_.push_back(Decision{v, cube.s1[v], true});
+      set_s1(v, cube.s1[v]);
+    }
+  } else {
+    s1_ = cube.s1;
+    stack_.clear();
+    for (FlopId v = 0; v < s1_.size(); ++v) {
+      if (s1_[v] != kBitX) stack_.push_back(Decision{v, s1_[v], true});
+    }
+    rebuild_planes();
+  }
+  implications_ = impl;
+}
+
 void Podem::clear_assignments() {
   pop_to(0);
   // Any non-decision residue (defensive): rebuild from scratch if some bit
@@ -524,6 +569,10 @@ PodemStatus Podem::run(std::size_t baseline, TestCube& out) {
 }
 
 bool Podem::probe(const TdfFault& fault, std::span<const std::uint8_t> s1) {
+  if (s1.size() != s1_.size()) {
+    throw std::invalid_argument(
+        "Podem::probe: assignment needs one entry per test variable");
+  }
   pop_to(0);
   install_fault(fault);
   for (FlopId f = 0; f < s1.size(); ++f) {
@@ -537,28 +586,25 @@ bool Podem::probe(const TdfFault& fault, std::span<const std::uint8_t> s1) {
 }
 
 PodemStatus Podem::generate(const TdfFault& fault, TestCube& out) {
-  const std::uint64_t impl0 = implications_, bt0 = backtracks_;
+  // Clearing the previous cube is not this call's search work: keeping it
+  // out of implications() keeps the per-call count independent of history.
+  const std::uint64_t impl = implications_;
   pop_to(0);
-  PodemStatus st = PodemStatus::kUntestable;
-  if (!statically_unobservable(*nl_, *ctx_, observable_, fault)) {
-    install_fault(fault);
-    st = run(0, out);
+  implications_ = impl;
+  if (statically_unobservable(*nl_, *ctx_, observable_, fault)) {
+    return PodemStatus::kUntestable;
   }
-  obs::count("atpg.podem_generates");
-  obs::count("atpg.implications", implications_ - impl0);
-  obs::count("atpg.backtracks", backtracks_ - bt0);
-  return st;
+  backtrace_salt_ = call_salt(fault, opt_.seed);
+  install_fault(fault);
+  return run(0, out);
 }
 
 PodemStatus Podem::extend(const TdfFault& fault, TestCube& out) {
-  const std::uint64_t impl0 = implications_, bt0 = backtracks_;
   const std::size_t baseline = stack_.size();
+  backtrace_salt_ = call_salt(fault, opt_.seed);
   install_fault(fault);
   const PodemStatus st = run(baseline, out);
   if (st != PodemStatus::kDetected) pop_to(baseline);
-  obs::count("atpg.podem_extends");
-  obs::count("atpg.implications", implications_ - impl0);
-  obs::count("atpg.backtracks", backtracks_ - bt0);
   return st;
 }
 

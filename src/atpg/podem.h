@@ -21,6 +21,13 @@
 // an X-path -- a chain of nets still undetermined in the frame-2 good or
 // faulty plane from its output to an active flop D -- and backtracks when
 // none is left.
+//
+// Every generate()/extend() call is a pure function of the assignment it
+// starts from, the fault and PodemOptions: the backtrace salt is re-seeded
+// per call from the fault and the run seed, and nothing else of a search
+// outlives its call. So a replica that adopt()s a cube returns exactly what
+// the Podem that built the cube would -- which is what lets the ATPG engine
+// run searches speculatively on one replica per pool lane.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +45,10 @@ enum class PodemStatus : std::uint8_t { kDetected, kUntestable, kAborted };
 
 struct PodemOptions {
   std::uint32_t backtrack_limit = 64;
+  /// Run seed, mixed with the fault into each call's backtrace salt. The
+  /// ATPG engine fills it from AtpgOptions::seed, so a fault re-targeted in
+  /// a later run (flow step, repair round) explores different paths.
+  std::uint64_t seed = 0;
 };
 
 class Podem {
@@ -56,6 +67,12 @@ class Podem {
   /// Drop all assignments (generate() does this implicitly).
   void clear_assignments();
 
+  /// Make the current assignment equal to `cube`, as fixed decisions that
+  /// extend() never revisits: incremental when `cube` only adds to the
+  /// current assignment, a plane rebuild otherwise. Throws
+  /// std::invalid_argument unless `cube` has one entry per test variable.
+  void adopt(const TestCube& cube);
+
   /// Current cube (assignments made so far).
   TestCube cube() const;
 
@@ -63,8 +80,12 @@ class Podem {
   /// from `s1` (0/1 per variable), and report whether the implication sees the
   /// fault detected. Under a full assignment the 3-valued planes are exact,
   /// so this must agree with the fault simulator -- tests rely on that.
+  /// Throws std::invalid_argument unless `s1` has one entry per variable.
   bool probe(const TdfFault& fault, std::span<const std::uint8_t> s1);
 
+  /// Running totals. The difference across one generate()/extend() call is
+  /// that call's search work: neither the clearing generate() starts with
+  /// nor adopt() is counted, so it does not depend on earlier calls.
   std::uint64_t implications() const { return implications_; }
   std::uint64_t backtracks() const { return backtracks_; }
 
@@ -139,7 +160,9 @@ class Podem {
   std::vector<Decision> stack_;
   std::uint64_t implications_ = 0;
   std::uint64_t backtracks_ = 0;
-  mutable std::size_t backtrace_salt_ = 0;  ///< path diversification counter
+  /// Which X input backtrace() follows: seeded per call from the fault and
+  /// the run seed, bumped on every backtrack to diversify paths.
+  std::size_t backtrace_salt_ = 0;
 };
 
 }  // namespace scap

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "atpg/fault_sim.h"
 #include "atpg/podem.h"
 #include "test_helpers.h"
@@ -274,6 +277,98 @@ TEST(Podem, ClearAssignmentsResets) {
   podem.clear_assignments();
   const TestCube after = podem.cube();
   for (auto b : after.s1) EXPECT_EQ(b, kBitX);
+}
+
+/// One call's observable outcome: status, cube (when detected) and the
+/// work it took.
+struct CallResult {
+  PodemStatus status;
+  std::vector<std::uint8_t> cube;
+  std::uint64_t implications;
+  std::uint64_t backtracks;
+
+  friend bool operator==(const CallResult&, const CallResult&) = default;
+};
+
+CallResult observe(Podem& podem, const TdfFault& f, bool extend) {
+  const std::uint64_t impl0 = podem.implications();
+  const std::uint64_t bt0 = podem.backtracks();
+  TestCube out;
+  const PodemStatus st =
+      extend ? podem.extend(f, out) : podem.generate(f, out);
+  CallResult r{st, {}, podem.implications() - impl0, podem.backtracks() - bt0};
+  if (st == PodemStatus::kDetected) r.cube = out.s1;
+  return r;
+}
+
+TEST(Podem, CallsArePureInAssignmentAndFault) {
+  // The engine searches speculatively on replicas, so a call must depend on
+  // nothing but the assignment it starts from, the fault and the options:
+  // not on the calls a Podem ran before.
+  PodemRig rig;
+  const PodemOptions opt{16, /*seed=*/7};
+  Podem busy(rig.nl, rig.ctx, opt);
+  Rng rng(81);
+  auto random_fault = [&] { return rig.faults[rng.below(rig.faults.size())]; };
+  int backtracking_calls = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const TdfFault f = random_fault();
+    // Leave `busy` in an arbitrary state: other targets and merges.
+    for (int k = 0; k < 3; ++k) {
+      TestCube scratch;
+      busy.generate(random_fault(), scratch);
+      busy.extend(random_fault(), scratch);
+    }
+    Podem fresh(rig.nl, rig.ctx, opt);
+    const CallResult a = observe(fresh, f, /*extend=*/false);
+    ASSERT_EQ(a, observe(busy, f, /*extend=*/false))
+        << describe_fault(rig.nl, f);
+    backtracking_calls += a.backtracks > 0;
+    if (a.status != PodemStatus::kDetected) continue;
+
+    // extend() on a replica that adopted the cube -- by incremental sync
+    // from a subset, or by plane rebuild from an unrelated cube -- matches
+    // extend() on the Podem that built it.
+    TestCube cube;
+    cube.s1 = a.cube;
+    Podem from_empty(rig.nl, rig.ctx, opt);
+    from_empty.adopt(cube);
+    TestCube other;
+    while (busy.generate(random_fault(), other) != PodemStatus::kDetected) {
+    }
+    busy.adopt(cube);
+    ASSERT_EQ(from_empty.cube().s1, cube.s1);
+    ASSERT_EQ(busy.cube().s1, cube.s1);
+    for (int k = 0; k < 4; ++k) {
+      const TdfFault g = random_fault();
+      const CallResult built = observe(fresh, g, /*extend=*/true);
+      ASSERT_EQ(built, observe(from_empty, g, /*extend=*/true))
+          << describe_fault(rig.nl, g);
+      ASSERT_EQ(built, observe(busy, g, /*extend=*/true))
+          << describe_fault(rig.nl, g);
+      backtracking_calls += built.backtracks > 0;
+    }
+  }
+  EXPECT_GT(backtracking_calls, 0) << "the salt only matters on backtracks";
+}
+
+TEST(Podem, ProbeRejectsMissizedAssignment) {
+  PodemRig rig;
+  Podem podem(rig.nl, rig.ctx);
+  TestCube cube;
+  for (const auto& f : rig.faults) {
+    if (podem.generate(f, cube) == PodemStatus::kDetected) break;
+  }
+  const std::vector<std::uint8_t> before = podem.cube().s1;
+  const std::vector<std::uint8_t> shorter(rig.ctx.num_vars() - 1, 0);
+  const std::vector<std::uint8_t> longer(rig.ctx.num_vars() + 3, 1);
+  EXPECT_THROW(podem.probe(rig.faults[0], shorter), std::invalid_argument);
+  EXPECT_THROW(podem.probe(rig.faults[0], longer), std::invalid_argument);
+  EXPECT_EQ(podem.cube().s1, before) << "a rejected probe changes nothing";
+  TestCube bad;
+  bad.s1.assign(rig.ctx.num_vars() + 1, kBitX);
+  EXPECT_THROW(podem.adopt(bad), std::invalid_argument);
+  EXPECT_EQ(podem.cube().s1, before);
 }
 
 TEST(Podem, AbortedOnTinyBacktrackLimit) {

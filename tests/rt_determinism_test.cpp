@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "atpg/fault_sim.h"
@@ -12,6 +15,7 @@
 #include "core/experiment.h"
 #include "core/power_aware.h"
 #include "core/validation.h"
+#include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "power/power_grid.h"
@@ -37,6 +41,33 @@ auto at_threads(std::size_t threads, Fn&& fn) {
   auto out = fn();
   rt::ThreadPool::set_global_concurrency(0);
   return out;
+}
+
+/// Run `fn` like at_threads, between two registry snapshots, and return its
+/// output with the atpg.* counters it recorded: the committed PODEM work
+/// (podem_generates, podem_extends, compaction_merges, implications,
+/// backtracks) and the engine's per-run outcomes (*_faults). Speculative
+/// searches that were discarded must not show up in them.
+template <typename Fn>
+auto counted_at_threads(std::size_t threads, Fn&& fn) {
+  obs::Registry::global().snapshot_and_reset();
+  auto out = at_threads(threads, fn);
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& [name, value] :
+       obs::Registry::global().snapshot_and_reset().counters) {
+    if (name.starts_with("atpg.")) counts[name] = value;
+  }
+  if (obs::metrics_enabled()) {
+    EXPECT_GT(counts["atpg.podem_generates"], 0u) << "the run must search";
+  }
+  return std::pair(std::move(out), std::move(counts));
+}
+
+void expect_stats_identical(const AtpgStats& a, const AtpgStats& b) {
+  EXPECT_EQ(a.total_faults, b.total_faults);
+  EXPECT_EQ(a.detected, b.detected);
+  EXPECT_EQ(a.untestable, b.untestable);
+  EXPECT_EQ(a.aborted, b.aborted);
 }
 
 void expect_patterns_identical(const PatternSet& a, const PatternSet& b) {
@@ -77,13 +108,15 @@ TEST(RtDeterminism, Fig2ConventionalPipeline) {
         scap_profile(exp.soc, *exp.lib, exp.ctx, flow.patterns);
     return std::pair(std::move(flow), std::move(scap));
   };
-  const auto at1 = at_threads(1, run);
-  const auto at4 = at_threads(4, run);
+  const auto [at1, counts1] = counted_at_threads(1, run);
+  const auto [at4, counts4] = counted_at_threads(4, run);
 
   expect_patterns_identical(at1.first.patterns, at4.first.patterns);
   EXPECT_EQ(at1.first.new_detects_per_pattern,
             at4.first.new_detects_per_pattern);
   EXPECT_EQ(at1.first.coverage_curve(), at4.first.coverage_curve());
+  expect_stats_identical(at1.first.stats, at4.first.stats);
+  EXPECT_EQ(counts1, counts4);
   expect_reports_identical(at1.second, at4.second);
 }
 
@@ -101,12 +134,14 @@ TEST(RtDeterminism, Fig6PowerAwarePipeline) {
         scap_profile(exp.soc, *exp.lib, exp.ctx, flow.patterns);
     return std::pair(std::move(flow), std::move(scap));
   };
-  const auto at1 = at_threads(1, run);
-  const auto at4 = at_threads(4, run);
+  const auto [at1, counts1] = counted_at_threads(1, run);
+  const auto [at4, counts4] = counted_at_threads(4, run);
 
   expect_patterns_identical(at1.first.patterns, at4.first.patterns);
   EXPECT_EQ(at1.first.step_start, at4.first.step_start);
   EXPECT_EQ(at1.first.coverage_curve(), at4.first.coverage_curve());
+  expect_stats_identical(at1.first.stats, at4.first.stats);
+  EXPECT_EQ(counts1, counts4);
   expect_reports_identical(at1.second, at4.second);
 }
 
@@ -296,8 +331,9 @@ TEST(RtDeterminism, ScapScreenCascadeInvariant) {
 
 TEST(RtDeterminism, RepairFlowInvariant) {
   // The repair loop interleaves parallel grading, parallel SCAP screening,
-  // and serial ATPG rounds; the kept pattern set must not depend on the
-  // thread count.
+  // and speculative ATPG rounds; the kept pattern set must not depend on the
+  // thread count. RepairResult carries no AtpgStats, so the rounds' outcomes
+  // are compared through the engine's per-run outcome counters.
   const Experiment& exp = exp_fixture();
   AtpgOptions conv;
   conv.seed = 99;
@@ -315,8 +351,8 @@ TEST(RtDeterminism, RepairFlowInvariant) {
                                   Experiment::kHotBlock, opt,
                                   /*max_rounds=*/2);
   };
-  const RepairResult at1 = at_threads(1, run);
-  const RepairResult at4 = at_threads(4, run);
+  const auto [at1, counts1] = counted_at_threads(1, run);
+  const auto [at4, counts4] = counted_at_threads(4, run);
 
   expect_patterns_identical(at1.patterns, at4.patterns);
   EXPECT_EQ(at1.violations_before, at4.violations_before);
@@ -324,6 +360,7 @@ TEST(RtDeterminism, RepairFlowInvariant) {
   EXPECT_EQ(at1.detected_before, at4.detected_before);
   EXPECT_EQ(at1.detected_after, at4.detected_after);
   EXPECT_EQ(at1.rounds, at4.rounds);
+  EXPECT_EQ(counts1, counts4);
 }
 
 }  // namespace

@@ -8,8 +8,12 @@
 // "<2% prof-off overhead" acceptance check quotes.
 //
 // Usage:
-//   scap_prof [--kernel faultsim|grid|scap] [--threads N] [--repeat N]
+//   scap_prof [--kernel faultsim|grid|scap|atpg] [--threads N] [--repeat N]
 //             [--scale S] [--words 1|2|4] [--out DIR] [--overhead]
+//
+// `--kernel atpg` runs conventional random-fill ATPG at backtrack limit 32,
+// the body of the sweep's atpg_conventional kernel (which uses --scale
+// 0.012).
 //
 // Artifacts (scap_prof_metrics.json, and scap_prof_trace.json when
 // SCAP_TRACE is on) land next to the executable by default, or under --out
@@ -30,6 +34,7 @@
 #include "atpg/fault_sim.h"
 #include "atpg/pattern.h"
 #include "core/experiment.h"
+#include "core/power_aware.h"
 #include "core/validation.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -43,7 +48,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--kernel faultsim|grid|scap] [--threads N]\n"
+               "usage: %s [--kernel faultsim|grid|scap|atpg] [--threads N]\n"
                "       [--repeat N] [--scale S] [--words 1|2|4] [--out DIR]\n"
                "       [--overhead]\n",
                argv0);
@@ -155,6 +160,19 @@ int main(int argc, char** argv) {
               .first(std::min<std::size_t>(24, pats.size()));
       volatile std::size_t n =
           scap::scap_profile_patterns(exp.soc, *exp.lib, exp.ctx, sp).size();
+      (void)n;
+    };
+  } else if (kernel == "atpg") {
+    body = [&exp] {
+      scap::AtpgOptions opt;
+      opt.seed = 2007;
+      opt.backtrack_limit = 32;
+      opt.fill = scap::FillMode::kRandom;
+      opt.chains = &exp.soc.scan.chains;
+      volatile std::size_t n =
+          scap::run_conventional_atpg(exp.soc.netlist, exp.ctx, exp.faults,
+                                      opt)
+              .patterns.size();
       (void)n;
     };
   } else {
