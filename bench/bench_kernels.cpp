@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "atpg/fault_sim.h"
+#include "atpg/quiet_state.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "power/dynamic_ir.h"
@@ -107,7 +108,7 @@ double wall_ms(const std::function<void()>& fn) {
       .count();
 }
 
-/// Strong-scaling sweep of the four rt-parallelized kernels at 1/2/4/8
+/// Strong-scaling sweep of the six rt-parallelized kernels at 1/2/4/8
 /// global pool threads. Speedup and parallel efficiency (vs the 1-thread
 /// run of the same kernel) are printed and recorded as obs gauges, so they
 /// land in BENCH_kernels.json. On a machine with fewer physical cores than
@@ -121,6 +122,25 @@ void run_thread_scaling_sweep() {
   const std::span<const Pattern> scap_pats =
       std::span<const Pattern>(pats.patterns)
           .first(std::min<std::size_t>(24, pats.size()));
+
+  // A sign-off set shaped like pipebench's validate_set: 48 random-fill
+  // patterns, then 48 quiet-fill ones around a few care bits. The slow half
+  // comes first, so only a balanced loop scales on it.
+  std::vector<Pattern> mixed(pats.patterns.begin(), pats.patterns.begin() + 48);
+  {
+    std::vector<std::uint8_t> quiet = compute_quiet_state(nl, exp.ctx).s1;
+    quiet.resize(exp.ctx.num_vars(), 0);
+    Rng rng(2007);
+    for (int i = 0; i < 48; ++i) {
+      TestCube cube;
+      cube.s1.assign(exp.ctx.num_vars(), kBitX);
+      for (int c = 0; c < 4; ++c) {
+        cube.s1[rng.below(nl.num_flops())] =
+            static_cast<std::uint8_t>(rng.below(2));
+      }
+      mixed.push_back(apply_fill(cube, FillMode::kQuiet, rng, {}, quiet));
+    }
+  }
 
   PowerGridOptions gopt;
   gopt.nx = 512;
@@ -163,6 +183,22 @@ void run_thread_scaling_sweep() {
          benchmark::DoNotOptimize(
              scap_profile_patterns(exp.soc, *exp.lib, exp.ctx, scap_pats)
                  .size());
+       }},
+      {"scap_screen_mixed",
+       [&] {
+         benchmark::DoNotOptimize(
+             scap_screen_patterns(exp.soc, *exp.lib, exp.ctx, mixed,
+                                  exp.thresholds, Experiment::kHotBlock)
+                 .event_simmed);
+       }},
+      {"validate_pattern_ir",
+       [&] {
+         for (std::size_t i = 0; i < 4; ++i) {
+           benchmark::DoNotOptimize(
+               validate_pattern_ir(exp.soc, *exp.lib, exp.grid, exp.ctx,
+                                   mixed[i])
+                   .ir.worst_vdd_v);
+         }
        }},
       {"atpg_conventional",
        [&] {

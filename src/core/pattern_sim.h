@@ -10,9 +10,9 @@
 // One PatternAnalyzer owns a warm EventSim::Workspace plus reusable frame-1 /
 // stimulus / SCAP-report buffers, so screening a pattern stream through
 // analyze_scap()/analyze_into() is allocation-free in steady state. A single
-// instance must therefore not be used from two threads concurrently; shard
-// the pattern set over thread-private analyzers instead (see
-// scap_profile_patterns).
+// instance must therefore not be used from two threads concurrently; give
+// each thread its own analyzer instead (scap_profile_patterns keeps one per
+// pool lane).
 #pragma once
 
 #include <memory>
@@ -39,9 +39,9 @@ class PatternAnalyzer {
  public:
   /// Immutable per-design analysis tables: the nominal delay model and the
   /// SCAP calculator, the two expensive per-net/per-gate precomputations an
-  /// analyzer needs. They are read-only after construction, so sharded
+  /// analyzer needs. They are read-only after construction, so parallel
   /// screens build them once and hand every thread-private analyzer the same
-  /// instance instead of recomputing them per shard (see
+  /// instance instead of recomputing them per analyzer (see
   /// scap_profile_patterns / serve::WorkspacePool).
   struct SharedTables {
     DelayModel dm;

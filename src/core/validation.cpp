@@ -1,11 +1,54 @@
 #include "core/validation.h"
 
+#include <algorithm>
+#include <atomic>
+#include <optional>
+
 #include "atpg/fault_sim.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rt/parallel.h"
 
 namespace scap {
+namespace {
+
+/// Patterns a lane claims at a time.
+constexpr std::size_t kPatternBlock = 8;
+
+/// Run fn(analyzer, i) for every pattern index i in [0, n). On the rt pool
+/// each lane builds one PatternAnalyzer over the shared per-design tables on
+/// its first claim, then claims blocks of kPatternBlock indices from a
+/// shared counter in index order, so a slow stretch of the set spreads over
+/// every lane instead of landing on one. fn must write only index-i state;
+/// the result then does not depend on which lane ran what. A serial pool,
+/// fewer than two patterns or a nested call runs one analyzer over all of
+/// them in order.
+template <typename Fn>
+void for_each_pattern(const SocDesign& soc, const TechLibrary& lib,
+                      std::size_t n, const Fn& fn) {
+  const auto pool = rt::ThreadPool::global();
+  if (pool->concurrency() <= 1 || n < 2 ||
+      rt::ThreadPool::on_worker_thread()) {
+    PatternAnalyzer analyzer(soc, lib);
+    for (std::size_t i = 0; i < n; ++i) fn(analyzer, i);
+    return;
+  }
+  const auto tables = PatternAnalyzer::SharedTables::build(soc, lib);
+  const std::size_t blocks = (n + kPatternBlock - 1) / kPatternBlock;
+  std::atomic<std::size_t> next{0};
+  pool->run_chunked(std::min(pool->concurrency(), blocks), [&](std::size_t) {
+    std::optional<PatternAnalyzer> analyzer;
+    for (;;) {
+      const std::size_t b = next.fetch_add(kPatternBlock);
+      if (b >= n) return;
+      if (!analyzer) analyzer.emplace(soc, lib, tables);
+      const std::size_t e = std::min(n, b + kPatternBlock);
+      for (std::size_t i = b; i < e; ++i) fn(*analyzer, i);
+    }
+  });
+}
+
+}  // namespace
 
 std::vector<ScapReport> scap_profile_patterns(
     const SocDesign& soc, const TechLibrary& lib, const TestContext& ctx,
@@ -14,32 +57,10 @@ std::vector<ScapReport> scap_profile_patterns(
   obs::count("scap.profiles");
   obs::count("scap.profile_patterns", patterns.size());
   std::vector<ScapReport> out(patterns.size());
-  const std::size_t threads = rt::concurrency();
-  if (threads <= 1 || patterns.size() < 2 ||
-      rt::ThreadPool::on_worker_thread()) {
-    PatternAnalyzer analyzer(soc, lib);
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-      out[i] = analyzer.analyze_scap(ctx, patterns[i]);
-    }
-    return out;
-  }
-  // One contiguous pattern shard per thread. The expensive per-design tables
-  // (delay model, SCAP calculator) are built once and shared read-only; each
-  // shard-private analyzer owns only its warm event workspace, which makes
-  // every pattern after its first allocation-free. Shards write only their
-  // own slots of `out`, so the result is chunking-independent.
-  const auto tables = PatternAnalyzer::SharedTables::build(soc, lib);
-  const std::size_t n_shards = std::min(patterns.size(), threads);
-  const std::size_t per = (patterns.size() + n_shards - 1) / n_shards;
-  rt::ThreadPool::global()->run_chunked(n_shards, [&](std::size_t s) {
-    const std::size_t b = s * per;
-    const std::size_t e = std::min(patterns.size(), b + per);
-    if (b >= e) return;
-    PatternAnalyzer analyzer(soc, lib, tables);
-    for (std::size_t i = b; i < e; ++i) {
-      out[i] = analyzer.analyze_scap(ctx, patterns[i]);
-    }
-  });
+  for_each_pattern(soc, lib, patterns.size(),
+                   [&](const PatternAnalyzer& analyzer, std::size_t i) {
+                     out[i] = analyzer.analyze_scap(ctx, patterns[i]);
+                   });
   return out;
 }
 
@@ -62,40 +83,21 @@ ScapScreenResult scap_screen_patterns(const SocDesign& soc,
   ScapScreenResult out;
   out.violates.assign(patterns.size(), 0);
   std::vector<std::uint8_t> simmed(patterns.size(), 0);
-
-  const auto screen_range = [&](const PatternAnalyzer& analyzer, std::size_t b,
-                                std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const lint::StaticScapBound& bound =
-          analyzer.screen_static(ctx, patterns[i]);
-      if (bound.block_scap_mw(hot_block) <= thresholds.block_mw[hot_block]) {
-        continue;  // bound clears the threshold: provably not a violation
-      }
-      simmed[i] = 1;
-      out.violates[i] = thresholds.violates(
-                            analyzer.analyze_scap(ctx, patterns[i]), hot_block)
-                            ? 1
-                            : 0;
-    }
-  };
-
-  const std::size_t threads = rt::concurrency();
-  if (threads <= 1 || patterns.size() < 2 ||
-      rt::ThreadPool::on_worker_thread()) {
-    PatternAnalyzer analyzer(soc, lib);
-    screen_range(analyzer, 0, patterns.size());
-  } else {
-    const auto tables = PatternAnalyzer::SharedTables::build(soc, lib);
-    const std::size_t n_shards = std::min(patterns.size(), threads);
-    const std::size_t per = (patterns.size() + n_shards - 1) / n_shards;
-    rt::ThreadPool::global()->run_chunked(n_shards, [&](std::size_t s) {
-      const std::size_t b = s * per;
-      const std::size_t e = std::min(patterns.size(), b + per);
-      if (b >= e) return;
-      PatternAnalyzer analyzer(soc, lib, tables);
-      screen_range(analyzer, b, e);
-    });
-  }
+  for_each_pattern(
+      soc, lib, patterns.size(),
+      [&](const PatternAnalyzer& analyzer, std::size_t i) {
+        const lint::StaticScapBound& bound =
+            analyzer.screen_static(ctx, patterns[i]);
+        if (bound.block_scap_mw(hot_block) <= thresholds.block_mw[hot_block]) {
+          return;  // bound clears the threshold: provably not a violation
+        }
+        simmed[i] = 1;
+        out.violates[i] =
+            thresholds.violates(analyzer.analyze_scap(ctx, patterns[i]),
+                                hot_block)
+                ? 1
+                : 0;
+      });
 
   for (auto s : simmed) out.event_simmed += s;
   out.statically_clean = patterns.size() - out.event_simmed;

@@ -33,10 +33,12 @@ std::vector<ScapReport> scap_profile(const SocDesign& soc,
                                      const PatternSet& patterns);
 
 /// Span form of scap_profile, shared with the repair flow: analyzes every
-/// pattern (timing sim -> streamed toggles -> SCAP) fanned out across the rt
-/// pool, one shard of patterns per task with a shard-private PatternAnalyzer.
-/// Report i depends only on pattern i, so the output is bit-identical at any
-/// SCAP_THREADS.
+/// pattern (timing sim -> streamed toggles -> SCAP) across the rt pool. Each
+/// lane keeps one PatternAnalyzer and claims blocks of patterns in index
+/// order, so uneven sets stay balanced. Report i depends only on pattern i,
+/// so the output is bit-identical at any SCAP_THREADS. Throws
+/// std::invalid_argument on a pattern shorter than ctx.num_vars(), at any
+/// thread count.
 std::vector<ScapReport> scap_profile_patterns(const SocDesign& soc,
                                               const TechLibrary& lib,
                                               const TestContext& ctx,
@@ -48,7 +50,8 @@ std::vector<ScapReport> scap_profile_patterns(const SocDesign& soc,
 /// exact verdict. Because the bound is sound (bound <= threshold implies
 /// exact <= threshold), the verdicts are identical to exactly screening every
 /// pattern, and bit-identical at any SCAP_THREADS; the statically-cleared
-/// majority just never pays for a simulation.
+/// majority just never pays for a simulation. Runs the same lane-claimed
+/// pattern loop as scap_profile_patterns, with the same short-pattern error.
 struct ScapScreenResult {
   std::vector<std::uint8_t> violates;  ///< exact per-pattern verdicts
   std::size_t statically_clean = 0;    ///< tier-1 proven clean (sim skipped)

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rt/parallel.h"
 
 namespace scap {
 
@@ -84,8 +85,12 @@ DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
     }
   }
 
-  rep.vdd_solution = grid.solve(where, vdd_amps, /*vdd_rail=*/true);
-  rep.vss_solution = grid.solve(where, vss_amps, /*vdd_rail=*/false);
+  // The two rails are independent solves over the same injection sites, as
+  // in analyze_statistical: run them as a pair of rt tasks. Each writes only
+  // its own GridSolution, so the pairing cannot perturb either result.
+  rt::parallel_invoke(
+      [&] { rep.vdd_solution = grid.solve(where, vdd_amps, /*vdd_rail=*/true); },
+      [&] { rep.vss_solution = grid.solve(where, vss_amps, /*vdd_rail=*/false); });
   rep.worst_vdd_v = rep.vdd_solution.worst();
   rep.worst_vss_v = rep.vss_solution.worst();
 

@@ -93,9 +93,10 @@ class DynamicIrBinner final : public ToggleSink {
 };
 
 /// Convert the charges into average rail currents over charges.window_ns,
-/// solve both rails on the grid and derive the block / per-instance droop
-/// views. The active domain's clock-tree buffers add one rise and one fall
-/// each unless opt.include_clock_tree is off. Throws std::invalid_argument
+/// solve both rails on the grid (concurrently on the rt pool; bit-identical
+/// at any SCAP_THREADS) and derive the block / per-instance droop views. The
+/// active domain's clock-tree buffers add one rise and one fall each unless
+/// opt.include_clock_tree is off. Throws std::invalid_argument
 /// when the charge vectors do not match the netlist's gate / flop counts or
 /// the window is not positive.
 DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,

@@ -5,10 +5,83 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "power/multigrid.h"
 #include "rt/parallel.h"
 
 namespace scap {
+
+// The SOR stencil on a (nx+2) x (ny+2) lattice: the mesh inside a ring of
+// nodes that have no edges and zero drop. Every mesh node then has four
+// neighbours, an absent edge is a zero conductance, and a sweep tests no
+// edges. Each drop is finite, so an absent edge adds exactly 0.0 to the
+// inflow and the sums equal the edge-tested ones bit for bit.
+struct PowerGrid::SorOperator {
+  std::uint32_t nx = 0, ny = 0;  ///< the mesh, without the ring
+  std::size_t px = 0;            ///< padded row length, nx + 2
+  std::vector<double> g_left, g_right, g_up, g_down;
+  /// Per rail: pad + left + right + up + down, summed in that order.
+  std::vector<double> gsum_vdd, gsum_vss;
+  std::vector<std::uint8_t> active;  ///< 0 on the ring and in voids
+
+  explicit SorOperator(const PdnTopology& t)
+      : nx(t.nx), ny(t.ny), px(t.nx + 2) {
+    const std::size_t n = px * (ny + 2);
+    for (auto* v : {&g_left, &g_right, &g_up, &g_down, &gsum_vdd, &gsum_vss}) {
+      v->assign(n, 0.0);
+    }
+    active.assign(n, 0);
+    for (std::uint32_t iy = 0; iy < ny; ++iy) {
+      for (std::uint32_t ix = 0; ix < nx; ++ix) {
+        const std::size_t p = at(ix, iy);
+        const std::uint32_t i = t.node(ix, iy);
+        active[p] = t.active[i];
+        if (ix > 0) g_left[p] = t.edge_h(ix - 1, iy);
+        if (ix + 1 < nx) g_right[p] = t.edge_h(ix, iy);
+        if (iy > 0) g_up[p] = t.edge_v(ix, iy - 1);
+        if (iy + 1 < ny) g_down[p] = t.edge_v(ix, iy);
+        gsum_vdd[p] =
+            t.vdd_pad_g[i] + g_left[p] + g_right[p] + g_up[p] + g_down[p];
+        gsum_vss[p] =
+            t.vss_pad_g[i] + g_left[p] + g_right[p] + g_up[p] + g_down[p];
+      }
+    }
+  }
+
+  std::size_t at(std::uint32_t ix, std::uint32_t iy) const {
+    return (iy + 1) * px + ix + 1;
+  }
+
+  /// b + the four neighbours' g * d, added left, right, up, down.
+  double flow(std::size_t p, double b, const double* d) const {
+    double f = b;
+    f += g_left[p] * d[p - 1];
+    f += g_right[p] * d[p + 1];
+    f += g_up[p] * d[p - px];
+    f += g_down[p] * d[p + px];
+    return f;
+  }
+
+  /// A row-major nx * ny map in the padded layout (0 on the ring).
+  std::vector<double> pad(std::span<const double> v) const {
+    std::vector<double> out(active.size(), 0.0);
+    for (std::uint32_t iy = 0; iy < ny; ++iy) {
+      std::copy_n(v.begin() + static_cast<std::ptrdiff_t>(iy) * nx, nx,
+                  out.begin() + static_cast<std::ptrdiff_t>(at(0, iy)));
+    }
+    return out;
+  }
+
+  /// The inverse of pad: the mesh nodes of `padded`, row-major.
+  std::vector<double> unpad(const std::vector<double>& padded) const {
+    std::vector<double> out(static_cast<std::size_t>(nx) * ny);
+    for (std::uint32_t iy = 0; iy < ny; ++iy) {
+      std::copy_n(padded.begin() + static_cast<std::ptrdiff_t>(at(0, iy)), nx,
+                  out.begin() + static_cast<std::ptrdiff_t>(iy) * nx);
+    }
+    return out;
+  }
+};
 
 double GridSolution::drop_at(Point p) const {
   // Map p to fractional grid coordinates; clamp to the node lattice.
@@ -81,6 +154,7 @@ PowerGrid::PowerGrid(const Rect& die, PowerGridOptions opt, PdnTopology topo)
 }
 
 void PowerGrid::init_solver() {
+  sor_ = std::make_shared<const SorOperator>(topo_);
   resolved_ = opt_.solver;
   if (resolved_ == GridSolver::kAuto) {
     // SOR converges comfortably on small meshes and keeps its decade of
@@ -120,6 +194,7 @@ std::vector<double> PowerGrid::gather_currents(
 GridSolution PowerGrid::solve(std::span<const Point> where,
                               std::span<const double> amps,
                               bool vdd_rail) const {
+  SCAP_TRACE_SCOPE("power.grid_solve");
   const std::vector<double> current = gather_currents(where, amps);
   GridSolution sol = resolved_ == GridSolver::kMultigrid
                          ? solve_multigrid(current, vdd_rail)
@@ -138,19 +213,17 @@ GridSolution PowerGrid::solve(std::span<const Point> where,
 
 GridSolution PowerGrid::solve_sor(std::span<const double> current,
                                   bool vdd_rail) const {
+  const SorOperator& op = *sor_;
   const std::uint32_t nx = opt_.nx, ny = opt_.ny;
-  const std::size_t n = static_cast<std::size_t>(nx) * ny;
-  const std::vector<double>& pad_g =
-      vdd_rail ? topo_.vdd_pad_g : topo_.vss_pad_g;
-  const std::vector<double>& gh = topo_.g_h;
-  const std::vector<double>& gv = topo_.g_v;
-  const std::vector<std::uint8_t>& act = topo_.active;
+  const std::vector<double>& gsum = vdd_rail ? op.gsum_vdd : op.gsum_vss;
+  const std::vector<std::uint8_t>& act = op.active;
+  const double omega = opt_.sor_omega;
+  const std::vector<double> b = op.pad(current);
 
   GridSolution sol;
   sol.nx = nx;
   sol.ny = ny;
   sol.die = die_;
-  sol.drop_v.assign(n, 0.0);
   sol.solver = GridSolver::kSor;
 
   // Red-black SOR sweeps. The 4-neighbour mesh is bipartite under
@@ -159,49 +232,26 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
   // which makes the sweep safe to run on the rt pool AND bit-identical at
   // any thread count (max-of-|delta| is an exact reduction). Large meshes
   // split the pass into row bands; small ones stay inline -- both paths
-  // produce the same values by construction. On a uniform topology the edge
-  // arrays all hold the same conductance, so the arithmetic (values and
-  // order) is unchanged from the original constant-gseg solver.
-  std::vector<double>& d = sol.drop_v;
-  const bool parallel = n >= 8192 && rt::concurrency() > 1 &&
+  // produce the same values by construction.
+  std::vector<double> d(b.size(), 0.0);  // padded drops; the ring stays 0
+  const bool parallel = static_cast<std::size_t>(nx) * ny >= 8192 &&
+                        rt::concurrency() > 1 &&
                         !rt::ThreadPool::on_worker_thread();
   for (std::uint32_t it = 0; it < opt_.max_iterations; ++it) {
     double max_delta = 0.0;
-    for (int color = 0; color < 2; ++color) {
+    for (std::uint32_t color = 0; color < 2; ++color) {
       auto sweep_rows = [&](std::size_t y0, std::size_t y1) {
         double local = 0.0;
         for (std::uint32_t iy = static_cast<std::uint32_t>(y0);
              iy < static_cast<std::uint32_t>(y1); ++iy) {
-          for (std::uint32_t ix = (iy + static_cast<std::uint32_t>(color)) & 1u;
-               ix < nx; ix += 2) {
-            const std::uint32_t i = node_index(ix, iy);
-            if (!act[i]) continue;
-            double gsum = pad_g[i];
-            double flow = current[i];
-            if (ix > 0) {
-              const double g = gh[iy * (nx - 1) + (ix - 1)];
-              gsum += g;
-              flow += g * d[i - 1];
-            }
-            if (ix + 1 < nx) {
-              const double g = gh[iy * (nx - 1) + ix];
-              gsum += g;
-              flow += g * d[i + 1];
-            }
-            if (iy > 0) {
-              const double g = gv[(iy - 1) * nx + ix];
-              gsum += g;
-              flow += g * d[i - nx];
-            }
-            if (iy + 1 < ny) {
-              const double g = gv[iy * nx + ix];
-              gsum += g;
-              flow += g * d[i + nx];
-            }
-            const double next = flow / gsum;
-            const double relaxed = d[i] + opt_.sor_omega * (next - d[i]);
-            local = std::max(local, std::abs(relaxed - d[i]));
-            d[i] = relaxed;
+          const std::size_t row = op.at(0, iy);
+          for (std::uint32_t ix = (iy + color) & 1u; ix < nx; ix += 2) {
+            const std::size_t p = row + ix;
+            if (!act[p]) continue;
+            const double next = op.flow(p, b[p], d.data()) / gsum[p];
+            const double relaxed = d[p] + omega * (next - d[p]);
+            local = std::max(local, std::abs(relaxed - d[p]));
+            d[p] = relaxed;
           }
         }
         return local;
@@ -210,7 +260,7 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
       if (parallel) {
         color_delta = rt::parallel_transform_reduce(
             ny, /*grain=*/16, 0.0, sweep_rows,
-            [](double a, double b) { return std::max(a, b); });
+            [](double a, double c) { return std::max(a, c); });
       } else {
         color_delta = sweep_rows(0, ny);
       }
@@ -223,6 +273,7 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
       break;
     }
   }
+  sol.drop_v = op.unpad(d);
   return sol;
 }
 
@@ -246,39 +297,18 @@ double PowerGrid::residual_inf(const GridSolution& sol,
                                std::span<const Point> where,
                                std::span<const double> amps,
                                bool vdd_rail) const {
+  const SorOperator& op = *sor_;
   const std::vector<double> b = gather_currents(where, amps);
-  const std::vector<double>& pad_g =
-      vdd_rail ? topo_.vdd_pad_g : topo_.vss_pad_g;
-  const std::uint32_t nx = opt_.nx, ny = opt_.ny;
-  const std::vector<double>& d = sol.drop_v;
+  const std::vector<double>& gsum = vdd_rail ? op.gsum_vdd : op.gsum_vss;
+  const std::vector<double> d = op.pad(sol.drop_v);
   double worst = 0.0;
-  for (std::uint32_t iy = 0; iy < ny; ++iy) {
-    for (std::uint32_t ix = 0; ix < nx; ++ix) {
-      const std::uint32_t i = node_index(ix, iy);
-      if (!topo_.active[i]) continue;
-      double gsum = pad_g[i];
-      double flow = 0.0;
-      if (ix > 0) {
-        const double g = topo_.g_h[iy * (nx - 1) + (ix - 1)];
-        gsum += g;
-        flow += g * d[i - 1];
-      }
-      if (ix + 1 < nx) {
-        const double g = topo_.g_h[iy * (nx - 1) + ix];
-        gsum += g;
-        flow += g * d[i + 1];
-      }
-      if (iy > 0) {
-        const double g = topo_.g_v[(iy - 1) * nx + ix];
-        gsum += g;
-        flow += g * d[i - nx];
-      }
-      if (iy + 1 < ny) {
-        const double g = topo_.g_v[iy * nx + ix];
-        gsum += g;
-        flow += g * d[i + nx];
-      }
-      worst = std::max(worst, std::abs(b[i] - (gsum * d[i] - flow)));
+  for (std::uint32_t iy = 0; iy < opt_.ny; ++iy) {
+    for (std::uint32_t ix = 0; ix < opt_.nx; ++ix) {
+      const std::size_t p = op.at(ix, iy);
+      if (!op.active[p]) continue;
+      const double flow = op.flow(p, 0.0, d.data());
+      worst = std::max(worst, std::abs(b[node_index(ix, iy)] -
+                                       (gsum[p] * d[p] - flow)));
     }
   }
   return worst;

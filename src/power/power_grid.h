@@ -17,7 +17,9 @@
 // Two solvers sit behind solve():
 //  - red-black SOR: the original solver, O(n^1.5)-ish sweeps to converge;
 //    retained as the small-mesh default and as an in-tree oracle for the
-//    multigrid path;
+//    multigrid path. It sweeps a padded operator built once per grid (the
+//    mesh inside a ring of edgeless nodes, so no node needs edge tests),
+//    which residual_inf() evaluates too;
 //  - geometric multigrid (power/multigrid.h): mesh-independent convergence,
 //    the default at >= 64x64 where SOR's iteration count explodes.
 // Both run their sweeps on the rt pool under the bit-identical-at-any-
@@ -144,11 +146,14 @@ class PowerGrid {
   GridSolution solve_multigrid(std::span<const double> current,
                                bool vdd_rail) const;
 
+  struct SorOperator;
+
   PowerGridOptions opt_;
   Rect die_;
   PdnTopology topo_;
   GridSolver resolved_ = GridSolver::kSor;
   /// Immutable after construction; shared so PowerGrid stays copyable.
+  std::shared_ptr<const SorOperator> sor_;
   std::shared_ptr<const mg::Hierarchy> mg_;
 };
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -45,6 +46,11 @@ std::shared_ptr<ThreadPool> g_global;  // guarded by g_global_mu
 struct ThreadPool::Job {
   const std::function<void(std::size_t)>* body = nullptr;
   std::atomic<std::size_t> remaining{0};
+  // The first exception a chunk threw. Written once, by the thread that wins
+  // `failed`, before its chunk counts down; the submitter reads it only
+  // after `remaining` hits zero.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
   // Task arena: a binary split tree over n chunks has at most 2n-1 nodes.
   // Bump-allocated so task creation is lock-free and addresses are stable.
   std::vector<Task> arena;
@@ -156,7 +162,15 @@ void ThreadPool::execute(Task* task, Worker* self) {
     }
     end = mid;
   }
-  (*job->body)(begin);
+  // A throwing chunk still counts down, so the job drains and the
+  // submitter -- never a worker -- rethrows.
+  try {
+    (*job->body)(begin);
+  } catch (...) {
+    if (!job->failed.exchange(true, std::memory_order_relaxed)) {
+      job->error = std::current_exception();
+    }
+  }
   if (obs::metrics_enabled()) tasks_ctr_->add(1);
   // TaskEnd lands before the drain counter drops: once `remaining` hits zero
   // the submitter may collect a profile, which must already see this task.
@@ -282,6 +296,7 @@ void ThreadPool::run_chunked(std::size_t n_chunks,
   }
   active_jobs_.fetch_sub(1, std::memory_order_relaxed);
   if (prof_on) obs::caller_prof_ring().record(obs::ProfKind::kJobEnd);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 std::shared_ptr<ThreadPool> ThreadPool::global() {

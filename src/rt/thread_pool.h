@@ -61,7 +61,10 @@ class ThreadPool {
   /// chunk->thread placement is arbitrary (see the determinism contract
   /// above). Executes inline when the pool is serial, n_chunks < 2, or the
   /// calling thread is itself a pool worker (nested regions are serialized
-  /// rather than risking deadlock).
+  /// rather than risking deadlock). If a chunk throws, the other chunks
+  /// still run and the first exception thrown is rethrown here once the
+  /// job has drained (inline execution stops at the throwing chunk); the
+  /// pool stays usable.
   void run_chunked(std::size_t n_chunks,
                    const std::function<void(std::size_t)>& body);
 

@@ -3,9 +3,12 @@
 // screening, and the IR-drop delay-scaling validation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/experiment.h"
 #include "core/power_aware.h"
 #include "core/validation.h"
+#include "rt/thread_pool.h"
 #include "test_helpers.h"
 
 namespace scap {
@@ -159,6 +162,31 @@ TEST(ScapProfile, OneReportPerPattern) {
   for (const auto& rep : f.conv_scap) {
     EXPECT_GE(rep.stw_ns, 0.0);
     EXPECT_LE(rep.stw_ns, rep.period_ns);
+  }
+}
+
+TEST(ScapProfile, RejectsShortPatternAtAnyThreadCount) {
+  // A pattern shorter than the context's test variables is a clean
+  // std::invalid_argument from the profile and the screen at any pool size,
+  // wherever it sits in the set and whichever lane reaches it.
+  const Experiment& exp = exp_fixture();
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const bool last : {false, true}) {
+      PatternSet pats = random_pattern_set(40, exp.ctx.num_vars(), 2007);
+      pats.patterns[last ? pats.size() - 1 : 0].s1.resize(
+          exp.ctx.num_vars() - 1);
+      rt::ThreadPool::set_global_concurrency(threads);
+      EXPECT_THROW(scap_profile_patterns(exp.soc, *exp.lib, exp.ctx,
+                                         pats.patterns),
+                   std::invalid_argument)
+          << threads << " threads, short pattern " << (last ? "last" : "first");
+      EXPECT_THROW(scap_screen_patterns(exp.soc, *exp.lib, exp.ctx,
+                                        pats.patterns, exp.thresholds,
+                                        Experiment::kHotBlock),
+                   std::invalid_argument)
+          << threads << " threads, short pattern " << (last ? "last" : "first");
+      rt::ThreadPool::set_global_concurrency(0);
+    }
   }
 }
 

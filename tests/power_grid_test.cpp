@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "layout/floorplan.h"
 #include "obs/metrics.h"
+#include "power/pdn_topology.h"
 #include "power/power_grid.h"
+#include "util/rng.h"
 
 namespace scap {
 namespace {
@@ -167,6 +172,107 @@ TEST(PowerGrid, ConvergenceFlagHonest) {
         obs::Registry::global().counter("power.grid_solve_nonconverged").value(),
         1u);
   }
+}
+
+/// FNV-1a over the bit patterns of a drop map: equal hashes mean the maps
+/// agree in every bit, not just to a tolerance.
+std::uint64_t bit_hash(const std::vector<double>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double x : v) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+struct SorGolden {
+  std::uint32_t iterations;
+  std::uint64_t final_delta_bits;
+  std::uint64_t drop_hash;
+};
+
+void expect_sor_golden(const GridSolution& sol, const SorGolden& g,
+                       const char* what) {
+  EXPECT_EQ(sol.solver, GridSolver::kSor) << what;
+  EXPECT_TRUE(sol.converged) << what;
+  EXPECT_EQ(sol.iterations, g.iterations) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sol.final_delta_v),
+            g.final_delta_bits)
+      << what << std::hex << ": final_delta_v bits 0x"
+      << std::bit_cast<std::uint64_t>(sol.final_delta_v);
+  EXPECT_EQ(bit_hash(sol.drop_v), g.drop_hash)
+      << what << std::hex << ": drop_v hash 0x" << bit_hash(sol.drop_v);
+}
+
+/// 64 fixed point loads over the die.
+void fixed_loads(const Rect& die, std::vector<Point>& where,
+                 std::vector<double>& amps) {
+  Rng r(2007);
+  for (int i = 0; i < 64; ++i) {
+    where.push_back({r.uniform(die.x0, die.x1), r.uniform(die.y0, die.y1)});
+    amps.push_back(r.uniform(1e-3, 2e-2));
+  }
+}
+
+TEST(PowerGrid, SorGoldenBitForBit) {
+  // Recorded from the edge-tested SOR kernel before it became a sweep over
+  // a padded operator: the iteration count, the final update and every bit
+  // of both rails' drop maps must stay exactly as they were. Never
+  // re-baseline these to make a kernel change pass.
+  const Floorplan fp = Floorplan::turbo_eagle_like(1000.0, 8);
+  std::vector<Point> where;
+  std::vector<double> amps;
+  fixed_loads(fp.die(), where, amps);
+
+  // (a) The default 48x48 uniform mesh, the one every validation solves.
+  const PowerGrid uniform(fp);
+  ASSERT_EQ(uniform.resolved_solver(), GridSolver::kSor);
+  expect_sor_golden(uniform.solve(where, amps, /*vdd_rail=*/true),
+                    {370, 0x3e7ab60f42d80000ull, 0x7f20c68520f28659ull},
+                    "uniform vdd");
+  expect_sor_golden(uniform.solve(where, amps, /*vdd_rail=*/false),
+                    {307, 0x3e7a63e51aa00000ull, 0x867af9ce5b1030b6ull},
+                    "uniform vss");
+
+  // (b) An irregular mesh: a punched-out void, jittered edges and the
+  // floorplan's pads, so absent and zero-conductance edges both occur.
+  PowerGridOptions opt;
+  opt.nx = 24;
+  opt.ny = 24;
+  opt.solver = GridSolver::kSor;
+  PdnTopology topo = PdnTopology::uniform(24, 24, 1.0 / opt.segment_res_ohm);
+  topo.punch_void(9, 8, 13, 12);
+  topo.jitter_edges(0.3, 11);
+  for (const PowerPad& pad : fp.pads()) {
+    topo.add_pad_at(fp.die(), pad.pos, pad.is_vdd, 1.0 / opt.pad_res_ohm);
+  }
+  topo.finalize();
+  ASSERT_LT(topo.active_nodes, std::size_t{24 * 24});
+  const PowerGrid voided(fp.die(), opt, topo);
+  const GridSolution void_vdd = voided.solve(where, amps, /*vdd_rail=*/true);
+  expect_sor_golden(void_vdd,
+                    {103, 0x3e736f54ca700000ull, 0x8ce4deec52ad33efull},
+                    "void vdd");
+  // residual_inf evaluates the same stencil.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                voided.residual_inf(void_vdd, where, amps, /*vdd_rail=*/true)),
+            0x3e98f067c4b00000ull);
+  expect_sor_golden(voided.solve(where, amps, /*vdd_rail=*/false),
+                    {109, 0x3e776d6a00200000ull, 0x7a229b172827eecdull},
+                    "void vss");
+
+  // (c) A 96x96 mesh, large enough for the row-band parallel sweep.
+  PowerGridOptions big;
+  big.nx = 96;
+  big.ny = 96;
+  big.solver = GridSolver::kSor;
+  const PowerGrid banded(fp, big);
+  expect_sor_golden(banded.solve(where, amps, /*vdd_rail=*/true),
+                    {1648, 0x3e7ac870b9580000ull, 0x06feb736375da845ull},
+                    "banded vdd");
 }
 
 }  // namespace

@@ -7,11 +7,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "atpg/fault_sim.h"
 #include "atpg/pattern.h"
+#include "atpg/quiet_state.h"
 #include "core/experiment.h"
 #include "core/power_aware.h"
 #include "core/validation.h"
@@ -21,6 +23,7 @@
 #include "power/power_grid.h"
 #include "power/statistical.h"
 #include "rt/thread_pool.h"
+#include "util/rng.h"
 
 namespace scap {
 namespace {
@@ -300,32 +303,68 @@ TEST(RtDeterminism, SchedulerProfilerDoesNotChangeResults) {
 TEST(RtDeterminism, ScapScreenCascadeInvariant) {
   // The two-tier screen (static bound -> selective event sim) must give the
   // same verdicts, the same statically-clean count, and exactly the verdicts
-  // of the exact-everywhere profile, at any thread count.
+  // of the exact-everywhere profile, at any thread count. Two inputs: 96
+  // uniform random patterns, and a set shaped like pipebench's validate_set
+  // -- a random half, then a quiet-fill half around a few care bits --
+  // whose slow patterns all sit in the first half.
   const Experiment& exp = exp_fixture();
-  const PatternSet pats =
+  const Netlist& nl = exp.soc.netlist;
+  const PatternSet uniform =
       random_pattern_set(96, exp.ctx.num_vars(), /*seed=*/2007);
-  auto run = [&] {
-    return scap_screen_patterns(exp.soc, *exp.lib, exp.ctx, pats.patterns,
-                                exp.thresholds, Experiment::kHotBlock);
-  };
-  const ScapScreenResult at1 = at_threads(1, run);
-  const ScapScreenResult at4 = at_threads(4, run);
+  std::vector<Pattern> uneven =
+      random_pattern_set(48, exp.ctx.num_vars(), /*seed=*/11).patterns;
+  {
+    std::vector<std::uint8_t> quiet = compute_quiet_state(nl, exp.ctx).s1;
+    quiet.resize(exp.ctx.num_vars(), 0);
+    Rng rng(11);
+    for (int i = 0; i < 48; ++i) {
+      TestCube cube;
+      cube.s1.assign(exp.ctx.num_vars(), kBitX);
+      for (int c = 0; c < 4; ++c) {
+        cube.s1[rng.below(nl.num_flops())] =
+            static_cast<std::uint8_t>(rng.below(2));
+      }
+      uneven.push_back(apply_fill(cube, FillMode::kQuiet, rng, {}, quiet));
+    }
+  }
 
-  EXPECT_EQ(at1.violates, at4.violates);
-  EXPECT_EQ(at1.statically_clean, at4.statically_clean);
-  EXPECT_EQ(at1.event_simmed, at4.event_simmed);
-  EXPECT_EQ(at1.statically_clean + at1.event_simmed, pats.size());
+  for (const std::span<const Pattern> pats :
+       {std::span<const Pattern>(uniform.patterns),
+        std::span<const Pattern>(uneven)}) {
+    auto run = [&] {
+      return scap_screen_patterns(exp.soc, *exp.lib, exp.ctx, pats,
+                                  exp.thresholds, Experiment::kHotBlock);
+    };
+    const ScapScreenResult at1 = at_threads(1, run);
+    const ScapScreenResult at4 = at_threads(4, run);
 
-  // Verdict equivalence with the unscreened exact profile (soundness of the
-  // tier-1 skip): every skipped pattern is genuinely non-violating.
-  const std::vector<ScapReport> exact = at_threads(4, [&] {
-    return scap_profile_patterns(exp.soc, *exp.lib, exp.ctx, pats.patterns);
-  });
-  ASSERT_EQ(exact.size(), at4.violates.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(at4.violates[i] != 0,
-              exp.thresholds.violates(exact[i], Experiment::kHotBlock))
-        << "pattern " << i;
+    EXPECT_EQ(at1.violates, at4.violates);
+    EXPECT_EQ(at1.statically_clean, at4.statically_clean);
+    EXPECT_EQ(at1.event_simmed, at4.event_simmed);
+    EXPECT_EQ(at1.statically_clean + at1.event_simmed, pats.size());
+
+    // Verdict equivalence with the unscreened exact profile (soundness of
+    // the tier-1 skip): every skipped pattern is genuinely non-violating.
+    auto profile = [&] {
+      return scap_profile_patterns(exp.soc, *exp.lib, exp.ctx, pats);
+    };
+    const std::vector<ScapReport> exact = at_threads(4, profile);
+    ASSERT_EQ(exact.size(), at4.violates.size());
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_EQ(at4.violates[i] != 0,
+                exp.thresholds.violates(exact[i], Experiment::kHotBlock))
+          << "pattern " << i;
+    }
+    if (pats.data() == uneven.data()) {
+      expect_reports_identical(at_threads(1, profile), exact);
+      // The quiet half must actually be quieter, or the input is not uneven.
+      std::size_t random_toggles = 0, quiet_toggles = 0;
+      for (std::size_t i = 0; i < 48; ++i) {
+        random_toggles += exact[i].num_toggles;
+        quiet_toggles += exact[48 + i].num_toggles;
+      }
+      EXPECT_GT(random_toggles, 2 * quiet_toggles);
+    }
   }
 }
 

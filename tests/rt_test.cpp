@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -127,6 +130,35 @@ TEST(ThreadPool, BackToBackJobsReuseSleepingWorkers) {
     std::atomic<int> n{0};
     pool.run_chunked(16, [&](std::size_t) { n.fetch_add(1); });
     ASSERT_EQ(n.load(), 16);
+  }
+}
+
+TEST(ThreadPool, RethrowsBodyExceptionAfterDrain) {
+  // One throwing chunk must neither terminate the process nor unwind the
+  // submitter while other threads still run its job: every other chunk runs,
+  // the submitter receives the exception, and the pool keeps working. The
+  // throwing chunk moves so it lands on the submitter and on workers.
+  rt::ThreadPool pool(4);
+  constexpr std::size_t kChunks = 64;
+  for (const std::size_t bad : {std::size_t{0}, std::size_t{31}, kChunks - 1}) {
+    std::vector<std::atomic<int>> hits(kChunks);
+    for (auto& h : hits) h.store(0);
+    try {
+      pool.run_chunked(kChunks, [&](std::size_t c) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        if (c == bad) throw std::runtime_error("chunk " + std::to_string(c));
+        hits[c].fetch_add(1);
+      });
+      ADD_FAILURE() << "run_chunked swallowed the exception of chunk " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "chunk " + std::to_string(bad));
+    }
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      EXPECT_EQ(hits[c].load(), c == bad ? 0 : 1) << "chunk " << c;
+    }
+    std::atomic<int> n{0};
+    pool.run_chunked(kChunks, [&](std::size_t) { n.fetch_add(1); });
+    EXPECT_EQ(n.load(), static_cast<int>(kChunks));
   }
 }
 
