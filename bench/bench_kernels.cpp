@@ -189,7 +189,7 @@ void run_thread_scaling_sweep() {
          benchmark::DoNotOptimize(
              scap_screen_patterns(exp.soc, *exp.lib, exp.ctx, mixed,
                                   exp.thresholds, Experiment::kHotBlock)
-                 .event_simmed);
+                 .count_violations());
        }},
       {"validate_pattern_ir",
        [&] {
@@ -315,9 +315,8 @@ void run_grid_solver_comparison() {
 /// After a short warm-up that sizes the workspace pools, every subsequent
 /// pattern must be served allocation-free: grown_runs stalls while runs keeps
 /// climbing, which is the zero-allocation evidence recorded in
-/// BENCH_kernels.json alongside the patterns/sec number. Returns the
-/// measured patterns/sec (the baseline the static screen is compared to).
-double run_streaming_throughput() {
+/// BENCH_kernels.json alongside the patterns/sec number.
+void run_streaming_throughput() {
   const Experiment& exp = bench::experiment();
   const PatternSet pats = random_pattern_set(256, exp.ctx.num_vars(), 2007);
   PatternAnalyzer analyzer(exp.soc, *exp.lib);
@@ -350,49 +349,6 @@ double run_streaming_throughput() {
       "steady-state growths=%zu (0 == allocation-free)\n",
       pats.size(), ms, pps, analyzer.workspace().runs(),
       analyzer.workspace().grown_runs(), grown_steady);
-  return pps;
-}
-
-/// Tier-1 static screen throughput (PatternAnalyzer::screen_static) against
-/// the event-sim baseline measured above, plus the fraction of patterns the
-/// two-tier cascade proves clean without simulation. The speedup is the
-/// whole point of the cascade: the roadmap gate is >= 5x patterns/sec.
-void run_static_screen_throughput(double eventsim_pps) {
-  const Experiment& exp = bench::experiment();
-  const PatternSet pats = random_pattern_set(256, exp.ctx.num_vars(), 2007);
-  PatternAnalyzer analyzer(exp.soc, *exp.lib);
-
-  // Warm pass: builds the lazy StaticScapModel (levelization) and sizes the
-  // scratch vectors; the measured pass is steady-state.
-  for (const Pattern& p : pats.patterns) {
-    analyzer.screen_static(exp.ctx, p);
-  }
-  const double ms = wall_ms([&] {
-    for (const Pattern& p : pats.patterns) {
-      benchmark::DoNotOptimize(
-          analyzer.screen_static(exp.ctx, p).toggle_bound);
-    }
-  });
-  const double pps =
-      ms > 0.0 ? 1000.0 * static_cast<double>(pats.size()) / ms : 0.0;
-  const double speedup = eventsim_pps > 0.0 ? pps / eventsim_pps : 0.0;
-
-  const ScapScreenResult screen =
-      scap_screen_patterns(exp.soc, *exp.lib, exp.ctx, pats.patterns,
-                           exp.thresholds, Experiment::kHotBlock);
-  const double clean_frac =
-      static_cast<double>(screen.statically_clean) /
-      static_cast<double>(pats.size());
-
-  obs::observe("screen.static.patterns_per_sec", pps);
-  obs::observe("screen.static.speedup_vs_eventsim", speedup);
-  obs::observe("screen.static.clean_fraction", clean_frac);
-  std::printf(
-      "\nStatic SCAP screen: %zu patterns in %.2f ms (%.0f patterns/sec, "
-      "%.1fx event-sim); cascade skips %zu/%zu patterns "
-      "(%.0f%% statically clean)\n",
-      pats.size(), ms, pps, speedup, screen.statically_clean, pats.size(),
-      100.0 * clean_frac);
 }
 
 }  // namespace
@@ -405,9 +361,7 @@ int main(int argc, char** argv) {
   run.phase("grid_solver_comparison");
   scap::run_grid_solver_comparison();
   run.phase("streaming_throughput");
-  const double eventsim_pps = scap::run_streaming_throughput();
-  run.phase("static_screen");
-  scap::run_static_screen_throughput(eventsim_pps);
+  scap::run_streaming_throughput();
   run.phase("microbench");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -96,34 +96,6 @@ const ScapReport& PatternAnalyzer::analyze_scap(const TestContext& ctx,
   return scap_acc_.report();
 }
 
-const lint::StaticScapModel& PatternAnalyzer::static_model() const {
-  if (!static_model_) {
-    const Netlist& nl = soc_->netlist;
-    std::vector<double> energy(nl.num_nets());
-    for (NetId n = 0; n < nl.num_nets(); ++n) {
-      energy[n] = tables_->scap.net_toggle_energy_pj(n);
-    }
-    std::vector<double> arrival(nl.num_flops());
-    for (FlopId f = 0; f < nl.num_flops(); ++f) {
-      arrival[f] = soc_->clock_tree.nominal_arrival_ns(f);
-    }
-    std::vector<double> min_delay(nl.num_gates());
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      min_delay[g] =
-          std::min(tables_->dm.rise_ns(g), tables_->dm.fall_ns(g));
-    }
-    static_model_ = std::make_unique<lint::StaticScapModel>(nl, energy, arrival,
-                                                            min_delay);
-  }
-  return *static_model_;
-}
-
-const lint::StaticScapBound& PatternAnalyzer::screen_static(
-    const TestContext& ctx, const Pattern& pattern) const {
-  SCAP_TRACE_SCOPE("sim.screen_static");
-  return static_model().screen(ctx, pattern);
-}
-
 PatternAnalysis PatternAnalyzer::analyze(
     const TestContext& ctx, const Pattern& pattern,
     const DelayModel* delay_model,

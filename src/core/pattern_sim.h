@@ -21,7 +21,6 @@
 
 #include "atpg/context.h"
 #include "atpg/pattern.h"
-#include "lint/static_power.h"
 #include "netlist/tech_library.h"
 #include "sim/batch_sim.h"
 #include "sim/event_sim.h"
@@ -85,19 +84,6 @@ class PatternAnalyzer {
   const ScapReport& analyze_scap(const TestContext& ctx,
                                  const Pattern& pattern) const;
 
-  /// Tier-1 static screen: a sound per-block SCAP *upper bound* from the
-  /// pattern bits alone -- no event simulation (lint/static_power.h). A
-  /// pattern whose bound clears every threshold provably cannot violate, so
-  /// only the remainder needs analyze_scap (see scap_screen_patterns). The
-  /// returned reference is valid until the next screen_static() call.
-  const lint::StaticScapBound& screen_static(const TestContext& ctx,
-                                             const Pattern& pattern) const;
-
-  /// The lazily-built static model behind screen_static (same per-net toggle
-  /// energies as the exact calculator, nominal clock arrivals, min nominal
-  /// gate delays).
-  const lint::StaticScapModel& static_model() const;
-
   /// Endpoint path delay per flop over per-net settle times captured by a
   /// SettleTimeTracker: last D-pin transition relative to the flop's own
   /// clock arrival (the paper's Figure 7 measurement). Inactive endpoints
@@ -138,7 +124,6 @@ class PatternAnalyzer {
   mutable std::vector<std::uint8_t> frame1_;
   mutable std::vector<Stimulus> stimuli_;
   mutable ScapAccumulator scap_acc_;
-  mutable std::unique_ptr<lint::StaticScapModel> static_model_;
 };
 
 }  // namespace scap

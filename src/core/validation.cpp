@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <stdexcept>
 
 #include "atpg/fault_sim.h"
 #include "obs/metrics.h"
@@ -77,32 +78,22 @@ ScapScreenResult scap_screen_patterns(const SocDesign& soc,
                                       std::span<const Pattern> patterns,
                                       const ScapThresholds& thresholds,
                                       std::size_t hot_block) {
+  if (hot_block >= thresholds.block_mw.size() ||
+      hot_block >= soc.netlist.block_count()) {
+    throw std::invalid_argument(
+        "scap_screen_patterns: hot_block has no threshold or no block");
+  }
   SCAP_TRACE_SCOPE("scap.screen");
   obs::count("screen.runs");
   obs::count("screen.patterns", patterns.size());
   ScapScreenResult out;
   out.violates.assign(patterns.size(), 0);
-  std::vector<std::uint8_t> simmed(patterns.size(), 0);
-  for_each_pattern(
-      soc, lib, patterns.size(),
-      [&](const PatternAnalyzer& analyzer, std::size_t i) {
-        const lint::StaticScapBound& bound =
-            analyzer.screen_static(ctx, patterns[i]);
-        if (bound.block_scap_mw(hot_block) <= thresholds.block_mw[hot_block]) {
-          return;  // bound clears the threshold: provably not a violation
-        }
-        simmed[i] = 1;
-        out.violates[i] =
-            thresholds.violates(analyzer.analyze_scap(ctx, patterns[i]),
-                                hot_block)
-                ? 1
-                : 0;
-      });
-
-  for (auto s : simmed) out.event_simmed += s;
-  out.statically_clean = patterns.size() - out.event_simmed;
-  obs::count("screen.static.clean", out.statically_clean);
-  obs::count("screen.eventsim", out.event_simmed);
+  for_each_pattern(soc, lib, patterns.size(),
+                   [&](const PatternAnalyzer& analyzer, std::size_t i) {
+                     out.violates[i] = thresholds.violates(
+                         analyzer.analyze_scap(ctx, patterns[i]), hot_block);
+                   });
+  obs::count("screen.eventsim", patterns.size());
   return out;
 }
 
@@ -175,8 +166,6 @@ RepairResult repair_scap_violations(const SocDesign& soc,
     }
   }
 
-  // Keep only the clean patterns (two-tier screen: most patterns are cleared
-  // by the static bound and never event-simulated).
   std::vector<Pattern> kept;
   {
     const auto screen = scap_screen_patterns(soc, lib, ctx, patterns.patterns,

@@ -44,18 +44,14 @@ std::vector<ScapReport> scap_profile_patterns(const SocDesign& soc,
                                               const TestContext& ctx,
                                               std::span<const Pattern> patterns);
 
-/// Two-tier threshold screen. Tier 1 bounds every pattern's hot-block SCAP
-/// statically (PatternAnalyzer::screen_static -- no event simulation); only
-/// patterns whose *bound* exceeds the threshold are event-simulated for the
-/// exact verdict. Because the bound is sound (bound <= threshold implies
-/// exact <= threshold), the verdicts are identical to exactly screening every
-/// pattern, and bit-identical at any SCAP_THREADS; the statically-cleared
-/// majority just never pays for a simulation. Runs the same lane-claimed
-/// pattern loop as scap_profile_patterns, with the same short-pattern error.
+/// Threshold screen: event-simulates every pattern (analyze_scap) and flags
+/// the ones whose hot-block SCAP exceeds that block's threshold. Runs the
+/// same lane-claimed pattern loop as scap_profile_patterns, so the verdicts
+/// are bit-identical at any SCAP_THREADS, with the same short-pattern error.
+/// Throws std::invalid_argument before any simulation unless `hot_block` is
+/// below both thresholds.block_mw.size() and the design's block count.
 struct ScapScreenResult {
-  std::vector<std::uint8_t> violates;  ///< exact per-pattern verdicts
-  std::size_t statically_clean = 0;    ///< tier-1 proven clean (sim skipped)
-  std::size_t event_simmed = 0;        ///< tier-2 exact screens run
+  std::vector<std::uint8_t> violates;  ///< per-pattern verdicts
 
   std::size_t count_violations() const {
     std::size_t n = 0;
@@ -92,7 +88,7 @@ IrValidationResult validate_pattern_ir(const SocDesign& soc,
 /// patterns uniquely detected using a throttled, quiet-filled ATPG pass.
 /// Tightens the care budget each round until the set is clean or
 /// `max_rounds` is exhausted (reference [18]'s verify-and-fix flow, closed
-/// into a loop).
+/// into a loop). Rejects a bad `hot_block` like scap_screen_patterns.
 struct RepairResult {
   PatternSet patterns;
   std::size_t patterns_before = 0;

@@ -21,10 +21,9 @@
 //    explicit scan-state assignment, used to push ATPG care-bit masks
 //    through the logic and find X-contaminated capture values.
 //
-// The same facts power the dataflow lint rules (dataflow_rules.cpp), the
-// static SCAP screening proxy (lint/static_power.h) and the scap_analyze
-// CLI. Everything here is pure data-plane analysis: no simulation engines,
-// no link dependencies beyond scap_netlist.
+// The same facts power the dataflow lint rules (dataflow_rules.cpp) and the
+// scap_analyze CLI. Everything here is pure data-plane analysis: no
+// simulation engines, no link dependencies beyond scap_netlist.
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,12 @@
 // Dataflow-powered lint rules (lint/lint.h): SCOAP-based controllability /
-// observability findings, constant-net and constant-capture inference,
-// X-contamination of capture values, and the static-SCAP screening
-// annotations. All facts come from the dataflow engine (lint/dataflow.h)
-// and the static power proxy (lint/static_power.h); nothing here simulates.
-#include <algorithm>
+// observability findings, constant-net and constant-capture inference, and
+// X-contamination of capture values. All facts come from the dataflow engine
+// (lint/dataflow.h); nothing here simulates.
 #include <string>
 #include <vector>
 
 #include "lint/dataflow.h"
 #include "lint/lint.h"
-#include "lint/static_power.h"
 
 namespace scap::lint {
 
@@ -30,10 +27,6 @@ Location flop_loc(const Netlist& nl, FlopId f) {
 Location pattern_loc(std::size_t j) {
   return Location{"pattern", static_cast<std::uint32_t>(j),
                   "p" + std::to_string(j)};
-}
-Location block_loc(std::size_t b) {
-  return Location{"block", static_cast<std::uint32_t>(b),
-                  "B" + std::to_string(b + 1)};
 }
 
 /// True when the net's recorded driver is a tie cell (constant by design,
@@ -167,41 +160,6 @@ void check_capture_x(const LintInput& in, const LevelMap& levels,
   }
 }
 
-void check_static_scap(const LintInput& in, Diagnostics& diag) {
-  const std::span<const double> thr = in.thresholds->block_mw;
-  if (diag.rule_enabled(rule::kScapStaticOverThreshold)) {
-    for (std::size_t j = 0; j < in.static_bounds.size(); ++j) {
-      const StaticScapBound& b = in.static_bounds[j];
-      const std::size_t nb = std::min(thr.size(), b.vdd_energy_pj.size());
-      for (std::size_t blk = 0; blk < nb; ++blk) {
-        const double mw = b.block_scap_mw(blk);
-        if (mw <= thr[blk]) continue;
-        diag.add(rule::kScapStaticOverThreshold, pattern_loc(j),
-                 "pattern " + std::to_string(j) + ": static SCAP bound " +
-                     std::to_string(mw) + " mW exceeds block B" +
-                     std::to_string(blk + 1) + " threshold " +
-                     std::to_string(thr[blk]) + " mW (needs tier-2 "
-                     "event-sim screening)");
-      }
-    }
-  }
-  if (in.static_worst != nullptr &&
-      diag.rule_enabled(rule::kBlockStaticHot)) {
-    const StaticScapBound& w = *in.static_worst;
-    const std::size_t nb = std::min(thr.size(), w.vdd_energy_pj.size());
-    for (std::size_t blk = 0; blk < nb; ++blk) {
-      const double mw = w.block_scap_mw(blk);
-      if (mw <= thr[blk]) continue;
-      diag.add(rule::kBlockStaticHot, block_loc(blk),
-               "block B" + std::to_string(blk + 1) +
-                   ": worst-case static SCAP bound " + std::to_string(mw) +
-                   " mW exceeds its threshold " + std::to_string(thr[blk]) +
-                   " mW; patterns targeting it cannot be statically "
-                   "pre-cleared");
-    }
-  }
-}
-
 }  // namespace
 
 void check_dataflow(const LintInput& in, Diagnostics& diag) {
@@ -221,11 +179,6 @@ void check_dataflow(const LintInput& in, Diagnostics& diag) {
     if (want_capture_x) check_capture_x(in, facts.levels, diag);
   } else if (want_capture_x) {
     check_capture_x(in, levelize(nl), diag);
-  }
-
-  if (in.thresholds != nullptr &&
-      (!in.static_bounds.empty() || in.static_worst != nullptr)) {
-    check_static_scap(in, diag);
   }
 }
 

@@ -35,7 +35,6 @@
 #include "core/thresholds.h"
 #include "lint/diagnostics.h"
 #include "lint/rules.h"
-#include "lint/static_power.h"
 #include "netlist/netlist.h"
 #include "sim/scap.h"
 
@@ -69,14 +68,6 @@ struct LintInput {
   /// Per-pattern SCAP reports + block thresholds for the screening rule.
   const ScapThresholds* thresholds = nullptr;
   std::span<const ScapReport> scap_reports;
-
-  // -- dataflow / static-screen checks (dataflow_rules.cpp) ------------------
-  /// Per-pattern static SCAP bounds (StaticScapModel::screen) matching
-  /// `patterns` index-for-index, for the tier-1 screening annotation rule.
-  std::span<const StaticScapBound> static_bounds;
-  /// Worst-case bound over an all-X cube (every scan cell unfilled): the
-  /// per-block "can this block ever be statically pre-cleared" summary.
-  const StaticScapBound* static_worst = nullptr;
 };
 
 LintReport run(const LintInput& in, const LintConfig& cfg = {});

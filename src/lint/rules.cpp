@@ -102,15 +102,6 @@ constexpr RuleInfo kRules[] = {
      "pattern launches X into capture: unfilled cells reach active flops",
      "fill the contributing don't-care scan cells (or mask the capture); "
      "an X launch value makes the measured response unpredictable"},
-    {rule::kScapStaticOverThreshold, Severity::kInfo,
-     "pattern's static SCAP upper bound exceeds a block threshold",
-     "not provably clean by the tier-1 static screen; event-simulate the "
-     "pattern (tier 2) before signing it off"},
-    {rule::kBlockStaticHot, Severity::kInfo,
-     "block's worst-case static SCAP bound exceeds its threshold",
-     "some pattern may violate this block's threshold; keep the block in "
-     "the event-sim screening set (a bound under the threshold would have "
-     "proven every pattern clean)"},
 };
 
 }  // namespace

@@ -49,9 +49,6 @@ inline constexpr std::string_view kNetConstant = "net-constant";
 inline constexpr std::string_view kFlopConstantD = "flop-constant-d";
 inline constexpr std::string_view kCaptureXContaminated =
     "capture-x-contaminated";
-inline constexpr std::string_view kScapStaticOverThreshold =
-    "scap-static-over-threshold";
-inline constexpr std::string_view kBlockStaticHot = "block-static-hot";
 
 }  // namespace rule
 

@@ -6,7 +6,7 @@
 // Evaluation is provided in the domains used by different engines:
 //   - scalar 0/1            (event-driven timing simulation)
 //   - 3-valued "possible set" logic (PODEM implication, dataflow
-//     X-propagation, the static SCAP screen)
+//     X-propagation)
 // The bit-parallel word domain (BatchSim, fault simulation) lives in
 // sim/batch_kernels.inl.
 #pragma once

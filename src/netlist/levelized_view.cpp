@@ -52,7 +52,6 @@ LevelizedView::LevelizedView(const Netlist& nl) {
 
   // Flat gate records + pooled compact input ids.
   g_type_.reserve(ng);
-  g_nin_.reserve(ng);
   g_level_.reserve(ng);
   g_out_.reserve(ng);
   g_in_off_.reserve(ng + 1);
@@ -68,7 +67,6 @@ LevelizedView::LevelizedView(const Netlist& nl) {
     g_level_.push_back(gr.level);
     g_out_.push_back(compact_of_net_[gr.out]);
     const std::span<const NetId> ins = nl.gate_inputs(g);
-    g_nin_.push_back(static_cast<std::uint8_t>(ins.size()));
     for (const NetId in : ins) g_in_.push_back(compact_of_net_[in]);
     g_in_off_.push_back(static_cast<std::uint32_t>(g_in_.size()));
   }

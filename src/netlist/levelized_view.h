@@ -25,8 +25,8 @@
 // Netlist it was built from except for result translation maps.
 // Netlist::finalize() builds the one instance of a design, and every sweep
 // engine (BatchSim, FaultSimulator, PatternAnalyzer's frame settle,
-// compute_quiet_state, the static SCAP screen) shares it read-only across
-// threads through Netlist::levelized_view().
+// compute_quiet_state) shares it read-only across threads through
+// Netlist::levelized_view().
 #pragma once
 
 #include <cstdint>
@@ -70,7 +70,6 @@ class LevelizedView {
 
   // ---- flat gate records, indexed by schedule position -------------------
   const CellType* gate_types() const { return g_type_.data(); }
-  const std::uint8_t* gate_nins() const { return g_nin_.data(); }
   const std::uint32_t* gate_levels() const { return g_level_.data(); }
   /// Compact output net per scheduled gate. Gate i's output id is
   /// first_gate_out() + i by construction (outputs are numbered in schedule
@@ -102,7 +101,6 @@ class LevelizedView {
 
  private:
   std::vector<CellType> g_type_;
-  std::vector<std::uint8_t> g_nin_;
   std::vector<std::uint32_t> g_level_;
   std::vector<NetId> g_out_;
   std::vector<NetId> g_in_;

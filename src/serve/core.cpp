@@ -41,15 +41,6 @@ void pooled_for(DesignEntry& entry, std::size_t n, Fn&& fn) {
   });
 }
 
-/// One pattern's slice of the fused tier-1 (static-bound) pass.
-struct StaticUnit {
-  const Pattern* pat = nullptr;
-  std::uint32_t hot = 0;
-  double threshold = 0.0;
-  double bound_mw = 0.0;     // out
-  std::uint8_t exceeds = 0;  // out: bound fails to clear the threshold
-};
-
 /// One pattern's slice of the fused exact (event-sim) pass.
 struct ExactUnit {
   const Pattern* pat = nullptr;
@@ -61,14 +52,8 @@ struct ExactUnit {
 struct GroupMember {
   std::size_t slot = 0;  ///< index into the batch's reply span
   const Request* req = nullptr;
-  std::size_t static_begin = 0;  ///< first StaticUnit (screen ops)
-  std::size_t exact_begin = 0;   ///< first ExactUnit (profile ops)
-  /// screen_exact: per pattern, index into exact units, or npos if the
-  /// static bound already cleared it.
-  std::vector<std::size_t> sim_unit;
+  std::size_t exact_begin = 0;  ///< first ExactUnit (screen / profile ops)
 };
-
-constexpr std::size_t kNoUnit = static_cast<std::size_t>(-1);
 
 struct Group {
   std::shared_ptr<DesignEntry> entry;
@@ -79,44 +64,15 @@ void execute_group(Group& g, std::span<Reply> out) {
   DesignEntry& entry = *g.entry;
   const TestContext& ctx = entry.design.ctx;
 
-  // Tier 1: one fused static-bound pass over every screening request.
-  std::vector<StaticUnit> statics;
-  for (GroupMember& m : g.members) {
-    if (m.req->op != Op::kScreenStatic && m.req->op != Op::kScreenExact) {
-      continue;
-    }
-    m.static_begin = statics.size();
-    for (const Pattern& p : m.req->patterns) {
-      statics.push_back(
-          StaticUnit{&p, m.req->hot_block, m.req->threshold_mw, 0.0, 0});
-    }
-  }
-  pooled_for(entry, statics.size(), [&](PatternAnalyzer& a, std::size_t i) {
-    StaticUnit& u = statics[i];
-    u.bound_mw = a.screen_static(ctx, *u.pat).block_scap_mw(u.hot);
-    // Same predicate as scap_screen_patterns: a bound at or under the
-    // threshold proves the pattern clean (soundness); anything else -- above,
-    // or +inf when the window could not be bounded -- needs the exact sim.
-    u.exceeds = u.bound_mw <= u.threshold ? 0 : 1;
-  });
-
-  // Tier 2: one fused event-sim pass over every profile request plus the
-  // screen_exact patterns the static bound could not clear.
+  // One fused event-sim pass over every screen and profile request.
   std::vector<ExactUnit> exacts;
   for (GroupMember& m : g.members) {
-    if (m.req->op == Op::kScapProfile) {
-      m.exact_begin = exacts.size();
-      for (const Pattern& p : m.req->patterns) {
-        exacts.push_back(ExactUnit{&p, {}});
-      }
-    } else if (m.req->op == Op::kScreenExact) {
-      m.sim_unit.assign(m.req->patterns.size(), kNoUnit);
-      for (std::size_t i = 0; i < m.req->patterns.size(); ++i) {
-        if (statics[m.static_begin + i].exceeds) {
-          m.sim_unit[i] = exacts.size();
-          exacts.push_back(ExactUnit{&m.req->patterns[i], {}});
-        }
-      }
+    if (m.req->op != Op::kScreenExact && m.req->op != Op::kScapProfile) {
+      continue;
+    }
+    m.exact_begin = exacts.size();
+    for (const Pattern& p : m.req->patterns) {
+      exacts.push_back(ExactUnit{&p, {}});
     }
   }
   obs::count("serve.eventsim_patterns", exacts.size());
@@ -128,30 +84,13 @@ void execute_group(Group& g, std::span<Reply> out) {
   for (GroupMember& m : g.members) {
     const Request& q = *m.req;
     switch (q.op) {
-      case Op::kScreenStatic: {
-        std::vector<StaticScreenItem> items(q.patterns.size());
-        for (std::size_t i = 0; i < items.size(); ++i) {
-          const StaticUnit& u = statics[m.static_begin + i];
-          items[i] = StaticScreenItem{u.exceeds, u.bound_mw};
-        }
-        out[m.slot] = encode_static_reply(items);
-        break;
-      }
       case Op::kScreenExact: {
         ExactScreenReply rep;
-        rep.violates.assign(q.patterns.size(), 0);
+        rep.violates.resize(q.patterns.size());
         for (std::size_t i = 0; i < q.patterns.size(); ++i) {
-          const std::size_t u = m.sim_unit[i];
-          if (u == kNoUnit) {
-            ++rep.statically_clean;  // tier-1 proven clean, verdict 0
-            continue;
-          }
-          ++rep.event_simmed;
-          rep.violates[i] =
-              ScapThresholds::block_scap_mw(exacts[u].rep, q.hot_block) >
-                      q.threshold_mw
-                  ? 1
-                  : 0;
+          rep.violates[i] = ScapThresholds::block_scap_mw(
+                                exacts[m.exact_begin + i].rep, q.hot_block) >
+                            q.threshold_mw;
         }
         out[m.slot] = encode_exact_reply(rep);
         break;
@@ -240,7 +179,7 @@ void ServeCore::execute_batch(std::span<const Request* const> reqs,
                           "num_vars does not match the design's context");
       continue;
     }
-    if ((q.op == Op::kScreenStatic || q.op == Op::kScreenExact) &&
+    if (q.op == Op::kScreenExact &&
         q.hot_block >= entry.design.soc.netlist.block_count()) {
       out[i] = make_error(ErrCode::kBadRequest, "hot_block out of range");
       continue;
@@ -248,7 +187,7 @@ void ServeCore::execute_batch(std::span<const Request* const> reqs,
     obs::count("serve.patterns", q.patterns.size());
     auto [git, new_group] = group_of.try_emplace(&entry, groups.size());
     if (new_group) groups.push_back(Group{it->second.entry, {}});
-    groups[git->second].members.push_back(GroupMember{i, &q, 0, 0, {}});
+    groups[git->second].members.push_back(GroupMember{i, &q, 0});
   }
 
   for (Group& g : groups) {

@@ -29,8 +29,6 @@ const char* op_name(Op op) {
   switch (op) {
     case Op::kPing:
       return "ping";
-    case Op::kScreenStatic:
-      return "screen_static";
     case Op::kScreenExact:
       return "screen_exact";
     case Op::kScapProfile:
@@ -148,34 +146,9 @@ bool decode_error(std::span<const std::uint8_t> payload, ErrCode* code,
   return true;
 }
 
-Reply encode_static_reply(std::span<const StaticScreenItem> items) {
-  WireWriter w;
-  w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& it : items) {
-    w.u8(it.exceeds);
-    w.f64(it.bound_mw);
-  }
-  return Reply{Op::kOk, w.take()};
-}
-
-bool decode_static_reply(std::span<const std::uint8_t> payload,
-                         std::vector<StaticScreenItem>* out) {
-  WireReader r(payload);
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > kMaxPatterns) return false;
-  out->assign(n, StaticScreenItem{});
-  for (auto& it : *out) {
-    it.exceeds = r.u8();
-    it.bound_mw = r.f64();
-  }
-  return r.done();
-}
-
 Reply encode_exact_reply(const ExactScreenReply& rep) {
   WireWriter w;
   w.u32(static_cast<std::uint32_t>(rep.violates.size()));
-  w.u32(rep.statically_clean);
-  w.u32(rep.event_simmed);
   w.bytes(rep.violates);
   return Reply{Op::kOk, w.take()};
 }
@@ -185,8 +158,6 @@ bool decode_exact_reply(std::span<const std::uint8_t> payload,
   WireReader r(payload);
   const std::uint32_t n = r.u32();
   if (!r.ok() || n > kMaxPatterns) return false;
-  out->statically_clean = r.u32();
-  out->event_simmed = r.u32();
   const auto v = r.bytes(n);
   if (!r.done()) return false;
   out->violates.assign(v.begin(), v.end());

@@ -5,15 +5,14 @@
 //
 // Request opcodes:
 //   kPing          payload echoed back verbatim (liveness / framing probe)
-//   kScreenStatic  tier-1 static screen: per-pattern sound SCAP bound vs the
-//                  request threshold (no event simulation)
-//   kScreenExact   the two-tier cascade of core/validation.h: exact
-//                  per-pattern violation verdicts, statically-clean patterns
-//                  never simulated
+//   kScreenExact   the threshold screen of core/validation.h: per-pattern
+//                  violation verdicts from an event simulation of each
+//                  pattern
 //   kScapProfile   exact per-pattern ScapReports (the Fig 2/6 bulk profile)
 //   kFaultGrade    first-detect fault grading of the pattern set against the
 //                  design's (optionally sampled) collapsed fault list
 //   kStats         server-side counter snapshot as KvDoc text
+// Opcode 2 is retired (it was a static-bound screen) and answers kUnknownOp.
 //
 // Reply opcodes: kOk (op-specific payload below), kBusy (admission queue
 // full -- empty payload, retry later), kError (u32 code + str32 message).
@@ -40,7 +39,6 @@ namespace scap::serve {
 
 enum class Op : std::uint16_t {
   kPing = 1,
-  kScreenStatic = 2,
   kScreenExact = 3,
   kScapProfile = 4,
   kFaultGrade = 5,
@@ -56,8 +54,8 @@ const char* op_name(Op op);
 /// Ops whose requests go through the admission queue / batcher (and the
 /// journal); ping and stats are answered inline by the connection reader.
 inline bool is_compute_op(Op op) {
-  return op == Op::kScreenStatic || op == Op::kScreenExact ||
-         op == Op::kScapProfile || op == Op::kFaultGrade;
+  return op == Op::kScreenExact || op == Op::kScapProfile ||
+         op == Op::kFaultGrade;
 }
 
 enum class ErrCode : std::uint32_t {
@@ -71,7 +69,7 @@ enum class ErrCode : std::uint32_t {
 
 /// One decoded request. For kPing the echo payload rides in `blob`; compute
 /// ops use the remaining fields (threshold_mw / hot_block only matter to the
-/// screening ops, fault grading ignores them).
+/// screen, profiling and fault grading ignore them).
 struct Request {
   Op op = Op::kPing;
   std::uint32_t hot_block = 0;
@@ -108,17 +106,8 @@ Reply make_error(ErrCode code, std::string_view msg);
 bool decode_error(std::span<const std::uint8_t> payload, ErrCode* code,
                   std::string* msg);
 
-struct StaticScreenItem {
-  std::uint8_t exceeds = 0;  ///< bound exceeds threshold (needs event sim)
-  double bound_mw = 0.0;     ///< hot-block SCAP upper bound (+inf possible)
-};
-Reply encode_static_reply(std::span<const StaticScreenItem> items);
-bool decode_static_reply(std::span<const std::uint8_t> payload,
-                         std::vector<StaticScreenItem>* out);
-
+/// screen_exact reply: u32 n | n verdict bytes (1 = violates).
 struct ExactScreenReply {
-  std::uint32_t statically_clean = 0;
-  std::uint32_t event_simmed = 0;
   std::vector<std::uint8_t> violates;  ///< exact per-pattern verdicts
 };
 Reply encode_exact_reply(const ExactScreenReply& r);

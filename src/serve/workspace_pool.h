@@ -6,8 +6,8 @@
 // The pool keeps finished analyzers warm instead of destroying them: a batch
 // dispatch leases one analyzer per shard, and the lease returns it on scope
 // exit, so steady-state serving pays the analyzer construction cost
-// (delay model, SCAP tables, static model) only until the pool has grown to
-// the shard fan-out, then never again.
+// (delay model, SCAP tables) only until the pool has grown to the shard
+// fan-out, then never again.
 #pragma once
 
 #include <memory>

@@ -60,20 +60,11 @@ struct ScapReport {
 };
 
 /// Per-net accounting tables: the switched load and the block of each net's
-/// driver. Built once per design; ScapAccumulator and the static screening
-/// model read them.
+/// driver. Built once per design; ScapAccumulator reads them.
 class ScapCalculator {
  public:
   ScapCalculator(const Netlist& nl, const Parasitics& par,
                  const TechLibrary& lib);
-
-  /// Switching energy charged per toggle of `net` (C_load * VDD^2) -- the
-  /// exact quantum on_toggle adds. The static screening proxy
-  /// (lint/static_power.h) is built from these so its energy bound uses the
-  /// same per-net numbers as the exact accounting.
-  double net_toggle_energy_pj(NetId net) const {
-    return lib_->toggle_energy_pj(net_cap_pf_[net]);
-  }
 
  private:
   friend class ScapAccumulator;

@@ -165,17 +165,21 @@ TEST(ScapProfile, OneReportPerPattern) {
   }
 }
 
-TEST(ScapProfile, RejectsShortPatternAtAnyThreadCount) {
+TEST(ScapProfile, RejectsBadInputAtAnyThreadCount) {
   // A pattern shorter than the context's test variables is a clean
   // std::invalid_argument from the profile and the screen at any pool size,
-  // wherever it sits in the set and whichever lane reaches it.
+  // wherever it sits in the set and whichever lane reaches it. So is a screen
+  // hot block without a threshold or without a block in the design.
   const Experiment& exp = exp_fixture();
+  const std::size_t blocks = exp.soc.netlist.block_count();
+  ScapThresholds extra = exp.thresholds;
+  extra.block_mw.resize(blocks + 1, extra.block_mw.back());
   for (const std::size_t threads : {1u, 4u}) {
+    rt::ThreadPool::set_global_concurrency(threads);
     for (const bool last : {false, true}) {
       PatternSet pats = random_pattern_set(40, exp.ctx.num_vars(), 2007);
       pats.patterns[last ? pats.size() - 1 : 0].s1.resize(
           exp.ctx.num_vars() - 1);
-      rt::ThreadPool::set_global_concurrency(threads);
       EXPECT_THROW(scap_profile_patterns(exp.soc, *exp.lib, exp.ctx,
                                          pats.patterns),
                    std::invalid_argument)
@@ -185,8 +189,17 @@ TEST(ScapProfile, RejectsShortPatternAtAnyThreadCount) {
                                         Experiment::kHotBlock),
                    std::invalid_argument)
           << threads << " threads, short pattern " << (last ? "last" : "first");
-      rt::ThreadPool::set_global_concurrency(0);
     }
+    const PatternSet pats = random_pattern_set(40, exp.ctx.num_vars(), 2007);
+    EXPECT_THROW(scap_screen_patterns(exp.soc, *exp.lib, exp.ctx,
+                                      pats.patterns, ScapThresholds{}, 4),
+                 std::invalid_argument)
+        << threads << " threads, no threshold for the hot block";
+    EXPECT_THROW(scap_screen_patterns(exp.soc, *exp.lib, exp.ctx,
+                                      pats.patterns, extra, blocks),
+                 std::invalid_argument)
+        << threads << " threads, hot block past the design's blocks";
+    rt::ThreadPool::set_global_concurrency(0);
   }
 }
 

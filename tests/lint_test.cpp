@@ -538,7 +538,7 @@ TEST(LintRegistry, AllRulesResolvable) {
     EXPECT_FALSE(r.fix_hint.empty());
   }
   EXPECT_EQ(lint::find_rule("no-such-rule"), nullptr);
-  EXPECT_GE(lint::all_rules().size(), 21u);
+  EXPECT_GE(lint::all_rules().size(), 19u);
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
-// scap_analyze -- dataflow-fact and static-power-profile dump.
+// scap_analyze -- dataflow-fact dump.
 //
 // Runs the lint subsystem's dataflow engine (SCOAP controllability /
-// observability, constant inference, levelization) and the static SCAP
-// screening proxy over the generated SOC, and reports the facts as JSON or
-// text: per-net cost distributions, untestable-net counts, and the static
-// per-pattern SCAP bound profile over a random pattern sample -- including
-// the screening throughput, which is what makes the two-tier cascade in
-// core/validation.h pay off.
+// observability, constant inference, levelization) over the generated SOC
+// and reports the facts as JSON or text: design size and depth, per-net cost
+// distributions and untestable-net counts. The primary inputs are held at
+// the tester constants of a domain-0 test context.
 //
 // Exit codes: 0 = ok, 2 = usage error.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,10 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "atpg/pattern.h"
-#include "core/pattern_sim.h"
+#include "atpg/context.h"
 #include "lint/dataflow.h"
-#include "lint/static_power.h"
 #include "obs/json.h"
 #include "soc/generator.h"
 #include "util/stats.h"
@@ -36,10 +31,6 @@ int usage(const char* argv0) {
                "  --soc-scale S    analyze the generated SOC at scale S "
                "(default 0.1)\n"
                "  --seed N         SOC generator seed (default 2007)\n"
-               "  --scheme NAME    loc | los | enhanced launch scheme "
-               "(default loc)\n"
-               "  --patterns N     random patterns for the static screen "
-               "profile (default 64)\n"
                "  --format FMT     text | json (default text)\n"
                "  --output FILE    write the report to FILE (default "
                "stdout)\n",
@@ -108,22 +99,11 @@ void print_cost_profile(std::string& out, const char* name,
   out += buf;
 }
 
-void print_stats_line(std::string& out, const char* name,
-                      const RunningStats& s, const char* unit) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf, "  %-18s mean %.4g  min %.4g  max %.4g %s\n",
-                name, s.count() ? s.mean() : 0.0, s.count() ? s.min() : 0.0,
-                s.count() ? s.max() : 0.0, unit);
-  out += buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   double soc_scale = 0.1;
   std::uint64_t seed = 2007;
-  std::string scheme = "loc";
-  std::size_t n_patterns = 64;
   std::string format = "text";
   std::string output_path;
 
@@ -140,10 +120,6 @@ int main(int argc, char** argv) {
       soc_scale = std::atof(value());
     } else if (arg == "--seed") {
       seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--scheme") {
-      scheme = value();
-    } else if (arg == "--patterns") {
-      n_patterns = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--format") {
       format = value();
     } else if (arg == "--output") {
@@ -163,10 +139,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: bad --format '%s'\n", argv[0], format.c_str());
     return 2;
   }
-  if (scheme != "loc" && scheme != "los" && scheme != "enhanced") {
-    std::fprintf(stderr, "%s: bad --scheme '%s'\n", argv[0], scheme.c_str());
-    return 2;
-  }
 
   SocConfig sc = SocConfig::turbo_eagle_scaled(soc_scale);
   sc.seed = seed;
@@ -174,16 +146,8 @@ int main(int argc, char** argv) {
   const SocDesign soc = build_soc(sc, lib);
   const Netlist& nl = soc.netlist;
 
-  TestContext ctx;
-  if (scheme == "los") {
-    ctx = TestContext::for_domain_los(nl, 0, soc.scan.chains);
-  } else if (scheme == "enhanced") {
-    ctx = TestContext::for_domain_enhanced(nl, 0);
-  } else {
-    ctx = TestContext::for_domain(nl, 0);
-  }
-
-  // -- dataflow facts --------------------------------------------------------
+  // The held primary-input values are the same for every launch scheme.
+  const TestContext ctx = TestContext::for_domain(nl, 0);
   lint::DataflowOptions opt;
   opt.pi_values = ctx.pi_values;
   const lint::DataflowFacts facts = lint::analyze_dataflow(nl, opt);
@@ -193,37 +157,6 @@ int main(int argc, char** argv) {
     cc1.add(facts.cc1[n]);
     co.add(facts.co[n]);
   }
-
-  // -- static screen profile over a random pattern sample --------------------
-  const PatternSet pats = random_pattern_set(n_patterns, ctx.num_vars(), seed);
-  PatternAnalyzer analyzer(soc, lib);
-  const lint::StaticScapModel& model = analyzer.static_model();  // warm build
-  RunningStats toggle_bound, stw_lb, scap_total, certain, possible;
-  std::size_t unbounded = 0;  // no certain launch: SCAP bound is +inf
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const Pattern& p : pats.patterns) {
-    const lint::StaticScapBound& b = analyzer.screen_static(ctx, p);
-    toggle_bound.add(b.toggle_bound);
-    certain.add(static_cast<double>(b.certain_launches));
-    possible.add(static_cast<double>(b.possible_launches));
-    if (b.stw_lb_ns > 0.0) {
-      stw_lb.add(b.stw_lb_ns);
-      scap_total.add(b.total_scap_mw());
-    } else if (b.total_energy_pj() > 0.0) {
-      ++unbounded;
-    }
-  }
-  const double screen_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const double pps =
-      screen_s > 0.0 ? static_cast<double>(pats.size()) / screen_s : 0.0;
-
-  // Worst case over an all-X cube: every scan cell unfilled.
-  TestCube allx;
-  allx.s1.assign(ctx.num_vars(), kBitX);
-  const lint::StaticScapBound worst =
-      model.screen_cube(ctx, allx, FillMode::kRandom);
 
   std::string out;
   if (format == "json") {
@@ -259,37 +192,7 @@ int main(int argc, char** argv) {
     append_cost_profile(out, "cc1", cc1);
     out += ",";
     append_cost_profile(out, "co", co);
-    out += "},\"static_screen\":{\"scheme\":\"" + scheme + "\",\"patterns\":";
-    obs::json::append_number(out, static_cast<double>(pats.size()));
-    out += ",\"patterns_per_sec\":";
-    obs::json::append_number(out, pps);
-    out += ",\"unbounded\":";
-    obs::json::append_number(out, static_cast<double>(unbounded));
-    out += ",\"toggle_bound\":";
-    append_stats(out, toggle_bound);
-    out += ",\"stw_lb_ns\":";
-    append_stats(out, stw_lb);
-    out += ",\"total_scap_mw\":";
-    append_stats(out, scap_total);
-    out += ",\"certain_launches\":";
-    append_stats(out, certain);
-    out += ",\"possible_launches\":";
-    append_stats(out, possible);
-    out += ",\"all_x_worst\":{\"toggle_bound\":";
-    obs::json::append_number(out, worst.toggle_bound);
-    out += ",\"stw_lb_ns\":";
-    obs::json::append_number(out, worst.stw_lb_ns);
-    out += ",\"vdd_energy_pj\":[";
-    for (std::size_t b = 0; b < worst.vdd_energy_pj.size(); ++b) {
-      if (b) out += ',';
-      obs::json::append_number(out, worst.vdd_energy_pj[b]);
-    }
-    out += "],\"vss_energy_pj\":[";
-    for (std::size_t b = 0; b < worst.vss_energy_pj.size(); ++b) {
-      if (b) out += ',';
-      obs::json::append_number(out, worst.vss_energy_pj[b]);
-    }
-    out += "]}}}";
+    out += "}}";
   } else {
     char buf[256];
     std::snprintf(buf, sizeof buf,
@@ -309,19 +212,6 @@ int main(int argc, char** argv) {
     print_cost_profile(out, "cc0", cc0);
     print_cost_profile(out, "cc1", cc1);
     print_cost_profile(out, "co", co);
-    std::snprintf(buf, sizeof buf,
-                  "static screen (%s, %zu random patterns): %.0f "
-                  "patterns/sec, %zu unbounded\n",
-                  scheme.c_str(), pats.size(), pps, unbounded);
-    out += buf;
-    print_stats_line(out, "toggle bound", toggle_bound, "");
-    print_stats_line(out, "stw lower bound", stw_lb, "ns");
-    print_stats_line(out, "scap upper bound", scap_total, "mW");
-    print_stats_line(out, "certain launches", certain, "");
-    std::snprintf(buf, sizeof buf,
-                  "all-X worst case: toggle bound %.0f, stw_lb %.3f ns\n",
-                  worst.toggle_bound, worst.stw_lb_ns);
-    out += buf;
   }
 
   if (output_path.empty()) {

@@ -18,7 +18,7 @@
 //   --clients N      concurrent submitter threads (default 8)
 //   --requests N     requests per client (default 32)
 //   --patterns N     patterns per request (default 16)
-//   --op OP          profile | static | exact | grade (default profile)
+//   --op OP          profile | exact | grade (default profile)
 //   --mode M         closed (back-to-back) | open (paced; default closed)
 //   --rate R         open-loop target requests/sec per client (default 50)
 //   --design-seed S  scenario soc_seed (default 11)
@@ -88,7 +88,7 @@ int usage(const char* argv0, int code) {
       << "usage: " << argv0
       << " (--socket PATH | --tcp PORT [--host H])\n"
          "       [--clients N] [--requests N] [--patterns N]\n"
-         "       [--op profile|static|exact|grade] [--mode closed|open]\n"
+         "       [--op profile|exact|grade] [--mode closed|open]\n"
          "       [--rate R] [--design-seed S] [--scale F] [--hot-block B]\n"
          "       [--threshold MW] [--wait-s SEC] [--label NAME]\n"
          "       [--no-baseline]\n";
@@ -206,20 +206,14 @@ void fold_server_stats(const Options& opt) {
   }
 }
 
-/// One in-process request: what a caller without the daemon pays. `setup`
-/// already holds the built design ("warm"); the "cold" variant re-pays
-/// materialization too and is measured by the caller.
+/// One in-process request: what a caller without the daemon pays, an exact
+/// SCAP analysis per pattern. `setup` already holds the built design
+/// ("warm"); the "cold" variant re-pays materialization too and is measured
+/// by the caller.
 void inproc_request(const scap::ref::ScenarioSetup& setup,
-                    std::span<const scap::Pattern> patterns,
-                    scap::serve::Op op) {
+                    std::span<const scap::Pattern> patterns) {
   const scap::PatternAnalyzer analyzer(setup.soc, setup.lib);
-  for (const scap::Pattern& p : patterns) {
-    if (op == scap::serve::Op::kScreenStatic) {
-      analyzer.screen_static(setup.ctx, p);
-    } else {
-      analyzer.analyze_scap(setup.ctx, p);
-    }
-  }
+  for (const scap::Pattern& p : patterns) analyzer.analyze_scap(setup.ctx, p);
 }
 
 }  // namespace
@@ -266,8 +260,6 @@ int main(int argc, char** argv) {
         const std::string name = v;
         if (name == "profile") {
           opt.op = scap::serve::Op::kScapProfile;
-        } else if (name == "static") {
-          opt.op = scap::serve::Op::kScreenStatic;
         } else if (name == "exact") {
           opt.op = scap::serve::Op::kScreenExact;
         } else if (name == "grade") {
@@ -458,7 +450,7 @@ int main(int argc, char** argv) {
     const Clock::time_point warm_t0 = Clock::now();
     for (std::size_t i = 0; i < warm_n; ++i) {
       const auto& pats = workload[i % opt.clients][i / opt.clients % opt.requests];
-      inproc_request(setup, pats, opt.op);
+      inproc_request(setup, pats);
     }
     const double warm_ms = ms_between(warm_t0, Clock::now());
     const double warm_pps =
@@ -473,7 +465,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < cold_n; ++i) {
       const scap::ref::ScenarioSetup fresh =
           scap::ref::materialize_scenario(recipe);
-      inproc_request(fresh, workload[0][i % opt.requests], opt.op);
+      inproc_request(fresh, workload[0][i % opt.requests]);
     }
     const double cold_ms = ms_between(cold_t0, Clock::now());
     const double cold_pps =

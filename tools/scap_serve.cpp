@@ -1,8 +1,8 @@
 // scap_serve: the long-lived SCAP screening daemon.
 //
 // Loads and finalizes designs on demand (LRU content-hash cache), keeps
-// per-design pools of warm analyzer workspaces, and serves screen_static /
-// screen_exact / scap_profile / fault_grade requests over a length-prefixed
+// per-design pools of warm analyzer workspaces, and serves screen_exact /
+// scap_profile / fault_grade requests over a length-prefixed
 // binary protocol on a Unix-domain (and optionally loopback TCP) socket,
 // micro-batching concurrent clients into single rt-pool dispatches.
 //
