@@ -23,6 +23,7 @@ struct Search {
   TestCube cube;
   std::uint64_t implications = 0;
   std::uint64_t backtracks = 0;
+  bool hit_limit = false;  ///< stopped at the backtrack limit
 };
 
 /// Run `call(podem, k)` for k in [0, n) on the pool, one Podem replica per
@@ -44,9 +45,11 @@ void speculate(rt::ThreadPool& pool, std::vector<Podem>& lanes, std::size_t n,
       Search& s = out[k];
       const std::uint64_t impl0 = podem.implications();
       const std::uint64_t bt0 = podem.backtracks();
+      const std::uint64_t lim0 = podem.limit_aborts();
       s.status = call(podem, k, s.cube);
       s.implications = podem.implications() - impl0;
       s.backtracks = podem.backtracks() - bt0;
+      s.hit_limit = podem.limit_aborts() != lim0;
       if (stop_at_hit && s.status == PodemStatus::kDetected) {
         std::size_t cur = first_hit;
         while (k < cur && !first_hit.compare_exchange_weak(cur, k)) {
@@ -115,18 +118,26 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   // (assignment, fault, seed), so searches run speculatively on any lane and
   // the engine commits them in fault-list order: patterns, statuses and the
   // committed counts below are identical at every pool size.
+  // The replicas share one set of read-only topology tables.
   const std::shared_ptr<rt::ThreadPool> pool = rt::ThreadPool::global();
+  const std::shared_ptr<const PodemTables> tables = Podem::tables(nl, *ctx_);
   std::vector<Podem> lanes;
   lanes.reserve(pool->concurrency());
   for (std::size_t l = 0; l < pool->concurrency(); ++l) {
-    lanes.emplace_back(nl, *ctx_,
-                       PodemOptions{opt.backtrack_limit, opt.seed});
+    lanes.emplace_back(tables, PodemOptions{opt.backtrack_limit, opt.seed});
   }
   std::uint64_t podem_generates = 0, podem_extends = 0;
   std::uint64_t implications = 0, backtracks = 0;
-  auto count_work = [&](const Search& s) {
+  // Committed calls that stopped at the backtrack limit, and their work.
+  std::uint64_t limit_generates = 0, limit_extends = 0;
+  std::uint64_t limit_implications = 0;
+  auto count_work = [&](const Search& s, std::uint64_t& limit_calls) {
     implications += s.implications;
     backtracks += s.backtracks;
+    if (s.hit_limit) {
+      ++limit_calls;
+      limit_implications += s.implications;
+    }
   };
 
   FaultSimulator fsim(nl, *ctx_);
@@ -258,7 +269,7 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
       if (!eligible(target)) continue;
       tried[target] = 1;
       ++podem_generates;
-      count_work(generated[w]);
+      count_work(generated[w], limit_generates);
       const PodemStatus ps = generated[w].status;
       if (ps == PodemStatus::kUntestable) {
         st[target] = FaultStatus::kUntestable;
@@ -298,7 +309,7 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
         for (std::size_t k = 0; base + k < cands.size(); ++k) {
           ++scanned;
           ++podem_extends;
-          count_work(extended[k]);
+          count_work(extended[k], limit_extends);
           if (extended[k].status != PodemStatus::kDetected) continue;
           cube = std::move(extended[k].cube);
           tried[cands[base + k]] = 1;
@@ -339,6 +350,9 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   obs::count("atpg.podem_extends", podem_extends);
   obs::count("atpg.implications", implications);
   obs::count("atpg.backtracks", backtracks);
+  obs::count("atpg.limit_generates", limit_generates);
+  obs::count("atpg.limit_extends", limit_extends);
+  obs::count("atpg.limit_implications", limit_implications);
   obs::count("atpg.patterns", result.patterns.size());
   obs::count("atpg.compaction_merges", run_merges);
   obs::count("atpg.detected_faults", run_detected);

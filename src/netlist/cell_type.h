@@ -5,8 +5,8 @@
 // inputs, a 2:1 mux, a scan D flip-flop, clock buffers and tie cells.
 // Evaluation is provided in the domains used by different engines:
 //   - scalar 0/1            (event-driven timing simulation)
-//   - 3-valued "possible set" logic (PODEM implication, dataflow
-//     X-propagation)
+//   - 3-valued "possible set" logic, one or two lanes per byte (PODEM
+//     implication, dataflow X-propagation)
 // The bit-parallel word domain (BatchSim, fault simulation) lives in
 // sim/batch_kernels.inl.
 #pragma once
@@ -182,77 +182,104 @@ struct V3 {
   friend constexpr bool operator==(V3, V3) = default;
 };
 
-constexpr V3 v3_not(V3 a) {
-  return V3{static_cast<std::uint8_t>(((a.bits & 1) << 1) | ((a.bits >> 1) & 1))};
-}
+/// The one 3-valued evaluation kernel: lanes of V3 packed into a byte, lane
+/// i in bits 2i (can be 0) and 2i+1 (can be 1). `kLo` has the low bit of
+/// every lane in use: 0b01 is a single V3 (eval_v3, dataflow), 0b0101 the
+/// two lanes PODEM keeps per frame-2 net (fault-free in lane 0, faulty in
+/// lane 1). Every operation is bitwise within a lane, so each lane of a
+/// packed evaluation equals the one-lane evaluation of that lane alone.
+template <std::uint8_t kLo>
+struct V3Lanes {
+  static constexpr std::uint8_t kHi = static_cast<std::uint8_t>(kLo << 1);
 
-/// Can be 1 iff both can be 1; can be 0 iff either can be 0.
-constexpr V3 v3_and(V3 a, V3 b) {
-  return V3{static_cast<std::uint8_t>(((a.bits & b.bits) & 0b10) |
-                                      ((a.bits | b.bits) & 0b01))};
-}
-constexpr V3 v3_or(V3 a, V3 b) { return v3_not(v3_and(v3_not(a), v3_not(b))); }
-constexpr V3 v3_xor(V3 a, V3 b) {
-  if (a.is_x() || b.is_x()) return V3::x();
-  return V3::of(a.value() ^ b.value());
-}
-constexpr V3 v3_mux(V3 s, V3 a, V3 b) {
-  if (s.is0()) return a;
-  if (s.is1()) return b;
-  if (!a.is_x() && !b.is_x() && a == b) return a;  // select-independent
-  return V3::x();
-}
+  static constexpr std::uint8_t inv(std::uint8_t a) {
+    return static_cast<std::uint8_t>(((a & kLo) << 1) | ((a >> 1) & kLo));
+  }
+  /// Can be 1 iff both can be 1; can be 0 iff either can be 0.
+  static constexpr std::uint8_t and2(std::uint8_t a, std::uint8_t b) {
+    return static_cast<std::uint8_t>(((a & b) & kHi) | ((a | b) & kLo));
+  }
+  /// Can be 0 iff both can be 0; can be 1 iff either can be 1.
+  static constexpr std::uint8_t or2(std::uint8_t a, std::uint8_t b) {
+    return static_cast<std::uint8_t>(((a & b) & kLo) | ((a | b) & kHi));
+  }
+  /// Can be 0 iff equal values are possible; can be 1 iff unequal ones are.
+  static constexpr std::uint8_t xor2(std::uint8_t a, std::uint8_t b) {
+    const unsigned a0 = a & kLo, a1 = (a >> 1) & kLo;
+    const unsigned b0 = b & kLo, b1 = (b >> 1) & kLo;
+    return static_cast<std::uint8_t>(((a0 & b0) | (a1 & b1)) |
+                                     (((a0 & b1) | (a1 & b0)) << 1));
+  }
+  /// A where S can be 0, B where S can be 1, the union where S is X.
+  static constexpr std::uint8_t mux(std::uint8_t s, std::uint8_t a,
+                                    std::uint8_t b) {
+    const unsigned s0 = s & kLo, s1 = (s >> 1) & kLo;
+    return static_cast<std::uint8_t>(((s0 | (s0 << 1)) & a) |
+                                     ((s1 | (s1 << 1)) & b));
+  }
 
-/// 3-valued cell evaluation. `in` is an operand accessor: in(k) returns
-/// input k's value, so sweeps read their fanin straight from the value
-/// table instead of copying it into a buffer first. The and/or/xor folds are
-/// associative on this encoding, so any grouping gives the same result.
+  /// Cell evaluation. `in(k)` returns input k's packed lanes, so sweeps
+  /// read their fanin straight from the value table instead of copying it
+  /// into a buffer first. The and/or/xor folds are associative on this
+  /// encoding, so any grouping gives the same result.
+  template <class In>
+    requires std::is_invocable_r_v<std::uint8_t, In, int>
+  static constexpr std::uint8_t eval(CellType t, In in) {
+    switch (t) {
+      case CellType::kTie0:
+        return kLo;
+      case CellType::kTie1:
+        return kHi;
+      case CellType::kBuf:
+      case CellType::kClkBuf:
+      case CellType::kDff:  // D passthrough (combinational view of the D pin)
+        return in(0);
+      case CellType::kInv:
+        return inv(in(0));
+      case CellType::kAnd2:
+        return and2(in(0), in(1));
+      case CellType::kAnd3:
+        return and2(and2(in(0), in(1)), in(2));
+      case CellType::kAnd4:
+        return and2(and2(in(0), in(1)), and2(in(2), in(3)));
+      case CellType::kNand2:
+        return inv(and2(in(0), in(1)));
+      case CellType::kNand3:
+        return inv(and2(and2(in(0), in(1)), in(2)));
+      case CellType::kNand4:
+        return inv(and2(and2(in(0), in(1)), and2(in(2), in(3))));
+      case CellType::kOr2:
+        return or2(in(0), in(1));
+      case CellType::kOr3:
+        return or2(or2(in(0), in(1)), in(2));
+      case CellType::kOr4:
+        return or2(or2(in(0), in(1)), or2(in(2), in(3)));
+      case CellType::kNor2:
+        return inv(or2(in(0), in(1)));
+      case CellType::kNor3:
+        return inv(or2(or2(in(0), in(1)), in(2)));
+      case CellType::kNor4:
+        return inv(or2(or2(in(0), in(1)), or2(in(2), in(3))));
+      case CellType::kXor2:
+        return xor2(in(0), in(1));
+      case CellType::kXnor2:
+        return inv(xor2(in(0), in(1)));
+      case CellType::kMux2:  // inputs [S, A, B]; output = S ? B : A
+        return mux(in(0), in(1), in(2));
+    }
+    return kLo;
+  }
+};
+
+using V3x1 = V3Lanes<0b01>;
+using V3x2 = V3Lanes<0b0101>;
+
+/// 3-valued cell evaluation: the one-lane case of V3Lanes::eval. `in` is an
+/// operand accessor, in(k) returning input k's value.
 template <class In>
   requires std::is_invocable_r_v<V3, In, int>
 constexpr V3 eval_v3(CellType t, In in) {
-  switch (t) {
-    case CellType::kTie0:
-      return V3::zero();
-    case CellType::kTie1:
-      return V3::one();
-    case CellType::kBuf:
-    case CellType::kClkBuf:
-    case CellType::kDff:  // D passthrough (combinational view of the D pin)
-      return in(0);
-    case CellType::kInv:
-      return v3_not(in(0));
-    case CellType::kAnd2:
-      return v3_and(in(0), in(1));
-    case CellType::kAnd3:
-      return v3_and(v3_and(in(0), in(1)), in(2));
-    case CellType::kAnd4:
-      return v3_and(v3_and(in(0), in(1)), v3_and(in(2), in(3)));
-    case CellType::kNand2:
-      return v3_not(v3_and(in(0), in(1)));
-    case CellType::kNand3:
-      return v3_not(v3_and(v3_and(in(0), in(1)), in(2)));
-    case CellType::kNand4:
-      return v3_not(v3_and(v3_and(in(0), in(1)), v3_and(in(2), in(3))));
-    case CellType::kOr2:
-      return v3_or(in(0), in(1));
-    case CellType::kOr3:
-      return v3_or(v3_or(in(0), in(1)), in(2));
-    case CellType::kOr4:
-      return v3_or(v3_or(in(0), in(1)), v3_or(in(2), in(3)));
-    case CellType::kNor2:
-      return v3_not(v3_or(in(0), in(1)));
-    case CellType::kNor3:
-      return v3_not(v3_or(v3_or(in(0), in(1)), in(2)));
-    case CellType::kNor4:
-      return v3_not(v3_or(v3_or(in(0), in(1)), v3_or(in(2), in(3))));
-    case CellType::kXor2:
-      return v3_xor(in(0), in(1));
-    case CellType::kXnor2:
-      return v3_not(v3_xor(in(0), in(1)));
-    case CellType::kMux2:  // inputs [S, A, B]; output = S ? B : A
-      return v3_mux(in(0), in(1), in(2));
-  }
-  return V3::zero();
+  return V3{V3x1::eval(t, [&](int k) { return V3(in(k)).bits; })};
 }
 
 inline V3 eval_v3(CellType t, std::span<const V3> ins) {

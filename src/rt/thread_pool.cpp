@@ -178,7 +178,13 @@ void ThreadPool::execute(Task* task, Worker* self) {
     (self ? self->prof : obs::caller_prof_ring())
         .record(obs::ProfKind::kTaskEnd);
   }
-  job->remaining.fetch_sub(1, std::memory_order_acq_rel);
+  // Past this count-down the submitter may return and `job` may be gone:
+  // the wake below touches pool state only. Taking drain_mu_ orders the
+  // notify after a submitter's predicate check, so the wake is not lost.
+  if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    { std::lock_guard<std::mutex> lock(drain_mu_); }
+    drain_cv_.notify_all();
+  }
 }
 
 void ThreadPool::worker_main(Worker* self) {
@@ -278,11 +284,16 @@ void ThreadPool::run_chunked(std::size_t n_chunks,
 
   // Participate until this job drains. Tasks of other concurrent jobs may be
   // picked up too -- they never block, so helping them only speeds things up.
-  // The drain tail (all tasks claimed, some still executing) spins briefly
-  // then sleeps in short slices: on an oversubscribed host an unbounded
-  // yield loop competes with the workers finishing the job.
+  // The drain tail (all tasks claimed, some still executing) spins briefly,
+  // then parks on drain_cv_: the task that finishes the job wakes it, and a
+  // 100 us timeout keeps polling for stealable work meanwhile. On an
+  // oversubscribed host an unbounded yield loop would compete with the
+  // workers finishing the job.
   int idle_sweeps = 0;
-  while (job.remaining.load(std::memory_order_acquire) != 0) {
+  auto drained = [&job] {
+    return job.remaining.load(std::memory_order_acquire) == 0;
+  };
+  while (!drained()) {
     Task* t = pop_injector();
     if (!t) t = steal_any(nullptr);
     if (t) {
@@ -291,7 +302,8 @@ void ThreadPool::run_chunked(std::size_t n_chunks,
     } else if (++idle_sweeps <= 16) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      std::unique_lock<std::mutex> lock(drain_mu_);
+      drain_cv_.wait_for(lock, std::chrono::microseconds(100), drained);
     }
   }
   active_jobs_.fetch_sub(1, std::memory_order_relaxed);

@@ -113,6 +113,13 @@ class ThreadPool {
   std::atomic<int> active_jobs_{0};
   std::atomic<bool> stop_{false};
 
+  // Drain wake: the task that finishes a job notifies drain_cv_, so a
+  // submitter parked in its drain tail wakes at once instead of at the end
+  // of its 100 us poll. Pool-owned because the Job itself may be gone the
+  // moment its last task counts down.
+  std::mutex drain_mu_;
+  std::condition_variable drain_cv_;
+
   // Cached registry entries (never invalidated; see obs/metrics.h).
   obs::Counter* jobs_ctr_ = nullptr;
   obs::Counter* chunks_ctr_ = nullptr;

@@ -1,8 +1,9 @@
 // Cross-domain consistency of the cell evaluators: scalar, 64-bit word
 // (the batch kernels' eval_cell) and 3-valued evaluation must agree on every
-// cell type and every input combination, and the 3-valued evaluator must be
+// cell type and every input combination, the 3-valued evaluator must be
 // exactly the abstraction of the scalar one (known result iff all
-// completions agree).
+// completions agree), and each lane of the packed two-lane kernel must
+// evaluate exactly as the one-lane eval_v3.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -128,6 +129,39 @@ TEST_P(CellEval, V3IsExactAbstractionOfScalar) {
   }
 }
 
+TEST_P(CellEval, TwoLaneKernelMatchesOneLanePerLane) {
+  // PODEM evaluates the frame-2 fault-free and faulty values as two lanes
+  // of one byte. For every pair of V3 input vectors (3^n x 3^n), each lane
+  // of the packed evaluation must equal eval_v3 on that lane alone.
+  const CellType t = GetParam();
+  const int n = num_inputs(t);
+  int total = 1;
+  for (int i = 0; i < n; ++i) total *= 3;
+  const V3 values[] = {V3::zero(), V3::one(), V3::x()};
+  auto vector_of = [&](int combo) {
+    std::vector<V3> v(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i, combo /= 3) {
+      v[static_cast<std::size_t>(i)] = values[combo % 3];
+    }
+    return v;
+  };
+  for (int lo = 0; lo < total; ++lo) {
+    const std::vector<V3> a = vector_of(lo);
+    const V3 want_a = eval_v3(t, a);
+    for (int hi = 0; hi < total; ++hi) {
+      const std::vector<V3> b = vector_of(hi);
+      const std::uint8_t got = V3x2::eval(t, [&](int k) {
+        const auto i = static_cast<std::size_t>(k);
+        return static_cast<std::uint8_t>(a[i].bits | (b[i].bits << 2));
+      });
+      ASSERT_EQ(V3{static_cast<std::uint8_t>(got & 0b11)}, want_a)
+          << cell_name(t) << " lanes " << lo << "/" << hi;
+      ASSERT_EQ(V3{static_cast<std::uint8_t>(got >> 2)}, eval_v3(t, b))
+          << cell_name(t) << " lanes " << lo << "/" << hi;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllCells, CellEval,
                          ::testing::ValuesIn(all_combinational_types()),
                          [](const auto& info) {
@@ -165,9 +199,9 @@ TEST(CellType, InversionFlags) {
 }
 
 TEST(CellType, V3Not) {
-  EXPECT_EQ(v3_not(V3::zero()), V3::one());
-  EXPECT_EQ(v3_not(V3::one()), V3::zero());
-  EXPECT_EQ(v3_not(V3::x()), V3::x());
+  EXPECT_EQ(V3{V3x1::inv(V3::zero().bits)}, V3::one());
+  EXPECT_EQ(V3{V3x1::inv(V3::one().bits)}, V3::zero());
+  EXPECT_EQ(V3{V3x1::inv(V3::x().bits)}, V3::x());
 }
 
 }  // namespace

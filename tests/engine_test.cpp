@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "atpg/engine.h"
 #include "atpg/fault_sim.h"
 #include "atpg/quiet_state.h"
+#include "core/power_aware.h"
 #include "obs/metrics.h"
 #include "ref/ref_models.h"
 #include "test_helpers.h"
@@ -251,6 +254,131 @@ TEST(AtpgEngine, CubesLeaveDontCareBitsToFill) {
   const std::size_t total_bits = res.patterns.size() * rig.nl.num_flops();
   EXPECT_LT(total_care, total_bits / 2) << "most scan bits should be X";
   EXPECT_GT(densest, 2 * std::max<std::size_t>(sparsest, 1));
+}
+
+/// The committed atpg.* counters a golden run pins, in a fixed order.
+constexpr std::array<const char*, 11> kGoldenCounters = {
+    "atpg.runs",
+    "atpg.podem_generates",
+    "atpg.podem_extends",
+    "atpg.implications",
+    "atpg.backtracks",
+    "atpg.patterns",
+    "atpg.compaction_merges",
+    "atpg.detected_faults",
+    "atpg.aborted_faults",
+    "atpg.untestable_faults",
+    "atpg.static_untestable",
+};
+
+/// One flow's output folded into numbers a golden can pin: a digest of the
+/// pattern set (every pattern's bits, its care bits and its first
+/// detections), the AtpgStats and the counters above.
+struct FlowDigest {
+  std::uint64_t hash = test::kFnvBasis;
+  std::size_t patterns = 0;
+  std::size_t detected = 0;
+  std::size_t untestable = 0;
+  std::size_t aborted = 0;
+  std::array<std::uint64_t, kGoldenCounters.size()> counters{};
+
+  friend bool operator==(const FlowDigest&, const FlowDigest&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const FlowDigest& d) {
+  os << "{0x" << std::hex << d.hash << std::dec << "ull, " << d.patterns
+     << ", " << d.detected << ", " << d.untestable << ", " << d.aborted
+     << ", {";
+  for (std::size_t i = 0; i < d.counters.size(); ++i) {
+    os << (i ? ", " : "") << d.counters[i];
+  }
+  return os << "}}";
+}
+
+FlowDigest digest(const PatternSet& set, const AtpgStats& stats,
+                  std::span<const std::size_t> care_bits,
+                  std::span<const std::size_t> new_detects) {
+  FlowDigest d;
+  d.hash = test::fnv1a(set.domain, d.hash);
+  for (std::size_t p = 0; p < set.size(); ++p) {
+    d.hash = test::fnv1a(set.patterns[p].s1, d.hash);
+    d.hash = test::fnv1a(care_bits[p], d.hash);
+    d.hash = test::fnv1a(new_detects[p], d.hash);
+  }
+  d.patterns = set.size();
+  d.detected = stats.detected;
+  d.untestable = stats.untestable;
+  d.aborted = stats.aborted;
+  return d;
+}
+
+TEST(AtpgEngine, GoldenPatternSetBitForBit) {
+  // Pins whole ATPG runs bit for bit: a conventional run under each launch
+  // scheme and the paper's 3-step power-aware flow. A faster implication
+  // must leave the patterns, the statistics and the committed PODEM work
+  // exactly as they were. Re-baseline only in a change that alters the
+  // search or the flow on purpose, never for a speed-up.
+  const SocDesign& soc = test::tiny_soc();
+  const Netlist& nl = soc.netlist;
+  const auto faults = collapse_faults(nl, enumerate_faults(nl));
+  AtpgOptions opt;
+  opt.seed = 2007;
+  opt.backtrack_limit = 32;
+  auto counted = [](FlowDigest d) {
+    for (const auto& [name, value] :
+         obs::Registry::global().snapshot_and_reset().counters) {
+      for (std::size_t i = 0; i < kGoldenCounters.size(); ++i) {
+        if (name == kGoldenCounters[i]) d.counters[i] = value;
+      }
+    }
+    return d;
+  };
+  auto expect_golden = [](const FlowDigest& got, FlowDigest expected,
+                          const char* name) {
+    if (!obs::metrics_enabled()) expected.counters = {};  // nothing counted
+    EXPECT_EQ(got, expected) << name;
+  };
+  struct Case {
+    const char* name;
+    TestContext ctx;
+    FlowDigest expected;
+  };
+  const Case conventional[] = {
+      {"loc",
+       TestContext::for_domain(nl, 0),
+       {0x736b72a35b57d161ull, 204, 2895, 1874, 921,
+        {1, 1974, 9792, 335986, 97410, 204, 499, 2895, 948, 1874, 1052}}},
+      {"los",
+       TestContext::for_domain_los(nl, 0, soc.scan.chains),
+       {0xdf06046ec9144f80ull, 164, 3783, 1643, 264,
+        {1, 1023, 7777, 152880, 46142, 164, 870, 3783, 268, 1643, 1052}}},
+      {"enhanced",
+       TestContext::for_domain_enhanced(nl, 0),
+       {0x7e61f8819c996080ull, 151, 3900, 1510, 280,
+        {1, 890, 7138, 170382, 50766, 151, 955, 3900, 281, 1510, 1052}}},
+  };
+  for (const Case& c : conventional) {
+    obs::Registry::global().snapshot_and_reset();
+    const AtpgResult r = AtpgEngine(nl, c.ctx).run(faults, opt);
+    const FlowDigest got =
+        counted(digest(r.patterns, r.stats, r.care_bits_per_pattern,
+                       r.new_detects_per_pattern));
+    expect_golden(got, c.expected, c.name);
+  }
+
+  const TestContext ctx = TestContext::for_domain(nl, 0);
+  AtpgOptions quiet = opt;
+  quiet.fill = FillMode::kQuiet;
+  obs::Registry::global().snapshot_and_reset();
+  const FlowResult flow = run_power_aware_atpg(
+      nl, ctx, faults, StepPlan::paper_default(nl.block_count()), quiet);
+  const FlowDigest got =
+      counted(digest(flow.patterns, flow.stats, flow.care_bits_per_pattern,
+                     flow.new_detects_per_pattern));
+  const FlowDigest expected{
+      0x6b19b2696399f6f3ull, 436, 2889, 1870, 336,
+      {3, 2229, 8168, 259077, 73257, 436, 538, 2889, 975, 1870, 1052}};
+  expect_golden(got, expected, "power-aware");
 }
 
 /// Active flops whose captured D differs from `s1`, recounted with the

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "atpg/fault_sim.h"
@@ -301,15 +304,16 @@ CallResult observe(Podem& podem, const TdfFault& f, bool extend) {
   return r;
 }
 
-TEST(Podem, CallsArePureInAssignmentAndFault) {
-  // The engine searches speculatively on replicas, so a call must depend on
-  // nothing but the assignment it starts from, the fault and the options:
-  // not on the calls a Podem ran before.
-  PodemRig rig;
+/// A call must depend on nothing but the assignment it starts from, the
+/// fault and the options -- not on the calls a Podem ran before -- under
+/// `ctx`. Replicas synced by adopt() and a busy Podem whose generate()
+/// restores the all-X planes must match a fresh one call for call.
+void expect_calls_pure(const Netlist& nl, const TestContext& ctx,
+                       const std::vector<TdfFault>& faults) {
   const PodemOptions opt{16, /*seed=*/7};
-  Podem busy(rig.nl, rig.ctx, opt);
+  Podem busy(nl, ctx, opt);
   Rng rng(81);
-  auto random_fault = [&] { return rig.faults[rng.below(rig.faults.size())]; };
+  auto random_fault = [&] { return faults[rng.below(faults.size())]; };
   int backtracking_calls = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const TdfFault f = random_fault();
@@ -319,19 +323,18 @@ TEST(Podem, CallsArePureInAssignmentAndFault) {
       busy.generate(random_fault(), scratch);
       busy.extend(random_fault(), scratch);
     }
-    Podem fresh(rig.nl, rig.ctx, opt);
+    Podem fresh(nl, ctx, opt);
     const CallResult a = observe(fresh, f, /*extend=*/false);
-    ASSERT_EQ(a, observe(busy, f, /*extend=*/false))
-        << describe_fault(rig.nl, f);
+    ASSERT_EQ(a, observe(busy, f, /*extend=*/false)) << describe_fault(nl, f);
     backtracking_calls += a.backtracks > 0;
     if (a.status != PodemStatus::kDetected) continue;
 
-    // extend() on a replica that adopted the cube -- by incremental sync
-    // from a subset, or by plane rebuild from an unrelated cube -- matches
-    // extend() on the Podem that built it.
+    // extend() on a replica that adopted the cube -- growing from a subset,
+    // or moving from an unrelated cube -- matches extend() on the Podem that
+    // built it.
     TestCube cube;
     cube.s1 = a.cube;
-    Podem from_empty(rig.nl, rig.ctx, opt);
+    Podem from_empty(nl, ctx, opt);
     from_empty.adopt(cube);
     TestCube other;
     while (busy.generate(random_fault(), other) != PodemStatus::kDetected) {
@@ -343,13 +346,123 @@ TEST(Podem, CallsArePureInAssignmentAndFault) {
       const TdfFault g = random_fault();
       const CallResult built = observe(fresh, g, /*extend=*/true);
       ASSERT_EQ(built, observe(from_empty, g, /*extend=*/true))
-          << describe_fault(rig.nl, g);
+          << describe_fault(nl, g);
       ASSERT_EQ(built, observe(busy, g, /*extend=*/true))
-          << describe_fault(rig.nl, g);
+          << describe_fault(nl, g);
       backtracking_calls += built.backtracks > 0;
     }
   }
   EXPECT_GT(backtracking_calls, 0) << "the salt only matters on backtracks";
+}
+
+TEST(Podem, CallsArePureInAssignmentAndFault) {
+  // The engine searches speculatively on replicas; the launch schemes differ
+  // in how S2 is implied (captured, shifted, or held variables).
+  PodemRig rig;
+  const TestContext contexts[] = {
+      rig.ctx,
+      TestContext::for_domain_los(rig.nl, 0, test::tiny_soc().scan.chains),
+      TestContext::for_domain_enhanced(rig.nl, 0)};
+  for (const TestContext& ctx : contexts) {
+    SCOPED_TRACE(static_cast<int>(ctx.scheme));
+    expect_calls_pure(rig.nl, ctx, rig.faults);
+  }
+}
+
+/// A sequence of PODEM calls folded into one digest: each call's status,
+/// its cube when detected, its implications and backtracks, and the
+/// assignment it leaves behind, in call order.
+struct SearchDigest {
+  std::uint64_t hash = test::kFnvBasis;
+  std::uint64_t implications = 0;
+  std::uint64_t backtracks = 0;
+  std::uint64_t detected = 0;
+  std::uint64_t aborted = 0;
+  std::uint64_t untestable = 0;
+
+  /// Run one call, fold it in, and return its status.
+  PodemStatus add(Podem& podem, const TdfFault& f, bool extend) {
+    const CallResult r = observe(podem, f, extend);
+    hash = test::fnv1a(static_cast<std::uint64_t>(r.status), hash);
+    hash = test::fnv1a(r.cube, hash);
+    hash = test::fnv1a(r.implications, hash);
+    hash = test::fnv1a(r.backtracks, hash);
+    hash = test::fnv1a(podem.cube().s1, hash);
+    implications += r.implications;
+    backtracks += r.backtracks;
+    detected += r.status == PodemStatus::kDetected;
+    aborted += r.status == PodemStatus::kAborted;
+    untestable += r.status == PodemStatus::kUntestable;
+    return r.status;
+  }
+
+  friend bool operator==(const SearchDigest&, const SearchDigest&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SearchDigest& d) {
+  return os << "{0x" << std::hex << d.hash << std::dec << "ull, "
+            << d.implications << ", " << d.backtracks << ", " << d.detected
+            << ", " << d.aborted << ", " << d.untestable << "}";
+}
+
+TEST(Podem, GoldenSearchesBitForBit) {
+  // Pins every search of a fixed fault sample bit for bit: a faster
+  // implication must leave each generate() and extend() call's status, cube,
+  // implications and backtracks -- and the assignment it leaves behind --
+  // exactly as they were. Re-baseline only in a change that alters the
+  // search on purpose (a new heuristic), never for a speed-up.
+  const SocDesign& soc = test::small_soc();
+  const Netlist& nl = soc.netlist;
+  const std::vector<TdfFault> all = collapse_faults(nl, enumerate_faults(nl));
+  // Every k-th fault of each site kind, kept in fault-list order.
+  std::vector<TdfFault> sample;
+  const std::pair<FaultSite, std::size_t> quota[] = {
+      {FaultSite::kStem, 16}, {FaultSite::kGateBranch, 16},
+      {FaultSite::kFlopBranch, 8}};
+  std::vector<std::size_t> picked;
+  for (const auto& [site, want] : quota) {
+    std::vector<std::size_t> of_site;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      if (all[i].site == site) of_site.push_back(i);
+    }
+    ASSERT_GE(of_site.size(), want);
+    const std::size_t stride = of_site.size() / want;
+    for (std::size_t k = 0; k < want; ++k) picked.push_back(of_site[k * stride]);
+  }
+  std::sort(picked.begin(), picked.end());
+  for (std::size_t i : picked) sample.push_back(all[i]);
+
+  struct Case {
+    const char* name;
+    TestContext ctx;
+    SearchDigest expected;
+  };
+  const Case cases[] = {
+      {"loc",
+       TestContext::for_domain(nl, 0),
+       {0xa3df13e3a0227f85ull, 4714, 1072, 50, 56, 14}},
+      {"los",
+       TestContext::for_domain_los(nl, 0, soc.scan.chains),
+       {0x5318b59ecb837936ull, 3531, 856, 77, 54, 13}},
+      {"enhanced",
+       TestContext::for_domain_enhanced(nl, 0),
+       {0xcc1372ca0864120aull, 4016, 941, 85, 51, 12}},
+  };
+  for (const Case& c : cases) {
+    Podem podem(nl, c.ctx, PodemOptions{32, /*seed=*/2007});
+    SearchDigest got;
+    for (std::size_t i = 0; i < sample.size(); ++i) {
+      if (got.add(podem, sample[i], /*extend=*/false) !=
+          PodemStatus::kDetected) {
+        continue;
+      }
+      // A chain of merges onto the cube, as dynamic compaction runs them.
+      for (std::size_t j = 1; j <= 4; ++j) {
+        got.add(podem, sample[(i + 7 * j) % sample.size()], /*extend=*/true);
+      }
+    }
+    EXPECT_EQ(got, c.expected) << c.name;
+  }
 }
 
 TEST(Podem, ProbeRejectsMissizedAssignment) {

@@ -49,7 +49,8 @@ auto at_threads(std::size_t threads, Fn&& fn) {
 /// Run `fn` like at_threads, between two registry snapshots, and return its
 /// output with the atpg.* counters it recorded: the committed PODEM work
 /// (podem_generates, podem_extends, compaction_merges, implications,
-/// backtracks) and the engine's per-run outcomes (*_faults). Speculative
+/// backtracks, and the limit_* split of calls that stopped at the backtrack
+/// limit) and the engine's per-run outcomes (*_faults). Speculative
 /// searches that were discarded must not show up in them.
 template <typename Fn>
 auto counted_at_threads(std::size_t threads, Fn&& fn) {
@@ -120,6 +121,13 @@ TEST(RtDeterminism, Fig2ConventionalPipeline) {
   EXPECT_EQ(at1.first.coverage_curve(), at4.first.coverage_curve());
   expect_stats_identical(at1.first.stats, at4.first.stats);
   EXPECT_EQ(counts1, counts4);
+  if (obs::metrics_enabled()) {
+    // Calls stopped at the backtrack limit are compared like the rest.
+    for (const char* name : {"atpg.limit_generates", "atpg.limit_extends",
+                             "atpg.limit_implications"}) {
+      EXPECT_TRUE(counts1.contains(name)) << name << " never counted";
+    }
+  }
   expect_reports_identical(at1.second, at4.second);
 }
 

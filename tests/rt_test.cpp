@@ -162,6 +162,26 @@ TEST(ThreadPool, RethrowsBodyExceptionAfterDrain) {
   }
 }
 
+TEST(ThreadPool, BackToBackUnevenTwoChunkJobsDrain) {
+  // Stress for the drain wake: many back-to-back 2-chunk jobs whose chunks
+  // differ in length, alternating which one is long, so the last task ends
+  // on the submitter or on a worker, the submitter often parks in its drain
+  // tail first, and a worker may still be inside its drain notify when the
+  // next job is submitted. Every job must drain with both chunks run.
+  rt::ThreadPool pool(4);
+  std::vector<std::uint64_t> ran(2, 0);
+  for (std::uint64_t round = 1; round <= 2000; ++round) {
+    const std::size_t slow = round % 2;
+    const auto pause = std::chrono::microseconds(round % 4 * 25);
+    pool.run_chunked(2, [&](std::size_t c) {
+      if (c == slow) std::this_thread::sleep_for(pause);
+      ran[c] = round;
+    });
+    ASSERT_EQ(ran[0], round);
+    ASSERT_EQ(ran[1], round);
+  }
+}
+
 TEST(ParallelFor, CoversRangeWithArbitraryGrain) {
   rt::ThreadPool::set_global_concurrency(4);
   for (std::size_t n : {1u, 2u, 7u, 64u, 1000u}) {

@@ -60,6 +60,24 @@ inline const SocDesign& small_soc() {
   return soc;
 }
 
+/// FNV-1a 64 over `bytes`, continuing from `h`: the digest the golden tests
+/// pin search and pattern-set outputs with.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                           std::uint64_t h = kFnvBasis) {
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+/// One integer folded in as its eight little-endian bytes.
+inline std::uint64_t fnv1a(std::uint64_t v, std::uint64_t h) {
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return fnv1a(bytes, h);
+}
+
 /// Per-pattern detection masks from the production grader: bit i of
 /// result[k] is set when patterns[i] alone detects faults[k] (at most 64
 /// patterns; one FaultSimulator::grade call per pattern).
