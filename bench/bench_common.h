@@ -1,16 +1,9 @@
-// Shared infrastructure for the benchmark binaries.
-//
-// Every bench regenerates one table or figure of the paper on the scaled
-// synthetic SOC, printing our measured values next to the paper's published
-// ones (shape comparison -- the substrate is a simulator, not the authors'
-// 180 nm testbed), and then runs google-benchmark micro-kernels for the
-// computation at that bench's core.
+// Shared infrastructure for the bench binaries: bench_paper (every table and
+// figure of the paper), bench_kernels and bench_ref_models (micro-benchmarks).
 //
 // SCAPGEN_BENCH_SCALE overrides the SOC scale (default 0.04 => ~900 flops;
 // the paper's Turbo-Eagle would be scale 1.0).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
@@ -35,63 +28,11 @@ inline double bench_scale() {
   return 0.04;
 }
 
-/// The canonical experiment, built once per process.
+/// The canonical experiment of the micro-benchmarks, built once per process.
 inline const Experiment& experiment() {
   static const Experiment* exp =
       new Experiment(Experiment::standard(bench_scale(), /*seed=*/2007));
   return *exp;
-}
-
-/// ATPG options used by all pattern-generation benches (deterministic).
-inline AtpgOptions bench_atpg_options() {
-  AtpgOptions opt;
-  opt.seed = 2007;
-  opt.backtrack_limit = 32;
-  opt.chains = &experiment().soc.scan.chains;
-  return opt;
-}
-
-/// Conventional random-fill flow (the paper's baseline), built once.
-inline const FlowResult& conventional_flow() {
-  static const FlowResult* flow = [] {
-    const Experiment& exp = experiment();
-    AtpgOptions opt = bench_atpg_options();
-    opt.fill = FillMode::kRandom;
-    return new FlowResult(
-        run_conventional_atpg(exp.soc.netlist, exp.ctx, exp.faults, opt));
-  }();
-  return *flow;
-}
-
-/// The paper's stepwise power-aware flow (quiet fill), built once.
-inline const FlowResult& power_aware_flow() {
-  static const FlowResult* flow = [] {
-    const Experiment& exp = experiment();
-    AtpgOptions opt = bench_atpg_options();
-    opt.fill = FillMode::kQuiet;
-    return new FlowResult(run_power_aware_atpg(
-        exp.soc.netlist, exp.ctx, exp.faults,
-        StepPlan::paper_default(exp.soc.netlist.block_count()), opt));
-  }();
-  return *flow;
-}
-
-inline const std::vector<ScapReport>& conventional_scap() {
-  static const auto* prof = [] {
-    const Experiment& exp = experiment();
-    return new std::vector<ScapReport>(scap_profile(
-        exp.soc, *exp.lib, exp.ctx, conventional_flow().patterns));
-  }();
-  return *prof;
-}
-
-inline const std::vector<ScapReport>& power_aware_scap() {
-  static const auto* prof = [] {
-    const Experiment& exp = experiment();
-    return new std::vector<ScapReport>(scap_profile(
-        exp.soc, *exp.lib, exp.ctx, power_aware_flow().patterns));
-  }();
-  return *prof;
 }
 
 inline void print_header(const char* experiment_id, const char* what) {
@@ -102,20 +43,20 @@ inline void print_header(const char* experiment_id, const char* what) {
   std::printf("=============================================================\n");
 }
 
-/// Per-process run wrapper for a bench binary: prints the usual header and,
-/// on destruction, writes the machine-readable `BENCH_<slug>.json` metrics
-/// artifact (schema in README.md "Observability") -- phase wall times, every
-/// obs counter/gauge and per-span timer accumulated during the run. Phases
-/// are marked with phase(); everything before the first mark is "setup".
-/// Each phase boundary captures the registry with snapshot_and_reset, so the
-/// artifact reports both per-phase metric windows (under each phase's
-/// "metrics" key) and their merged cumulative totals at top level -- a
-/// multi-phase bench's rt.* values no longer bleed across phases.
+/// Per-process run wrapper for a bench binary: on destruction, writes the
+/// machine-readable `BENCH_<slug>.json` metrics artifact (schema in README.md
+/// "Observability") -- phase wall times, every obs counter/gauge and
+/// per-span timer accumulated during the run -- and names it on stderr, so
+/// stdout carries only what the bench prints. Phases are marked with
+/// phase(); everything before the first mark is "setup". Each phase boundary
+/// captures the registry with snapshot_and_reset, so the artifact reports
+/// both per-phase metric windows (under each phase's "metrics" key) and
+/// their merged cumulative totals at top level -- a multi-phase bench's rt.*
+/// values do not bleed across phases.
 class BenchRun {
  public:
-  BenchRun(const char* slug, const char* experiment_id, const char* what) {
+  BenchRun(const char* slug, const char* experiment_id) {
     report_.name = slug;
-    print_header(experiment_id, what);
     char scale[32];
     std::snprintf(scale, sizeof scale, "%.3f", bench_scale());
     report_.info.emplace_back("experiment", experiment_id);
@@ -137,9 +78,9 @@ class BenchRun {
     const std::string path = obs::bench_artifact_path(report_.name);
     const std::string body = obs::to_json(report_);
     if (obs::write_file(path, body)) {
-      std::printf("\nmetrics: wrote %s\n", path.c_str());
+      std::fprintf(stderr, "metrics: wrote %s\n", path.c_str());
     } else {
-      std::fprintf(stderr, "\nmetrics: FAILED to write %s\n", path.c_str());
+      std::fprintf(stderr, "metrics: FAILED to write %s\n", path.c_str());
     }
   }
 
@@ -164,17 +105,5 @@ class BenchRun {
   std::string phase_name_;
   Clock::time_point phase_start_;
 };
-
-/// Down-sampled series printer for figure-style data.
-template <typename Fn>
-void print_series(const char* name, std::size_t n, Fn&& value,
-                  std::size_t max_points = 40) {
-  std::printf("%s (%zu points, down-sampled):\n  index:", name, n);
-  const std::size_t step = n <= max_points ? 1 : n / max_points;
-  for (std::size_t i = 0; i < n; i += step) std::printf(" %zu", i);
-  std::printf("\n  value:");
-  for (std::size_t i = 0; i < n; i += step) std::printf(" %.2f", value(i));
-  std::printf("\n");
-}
 
 }  // namespace scap::bench

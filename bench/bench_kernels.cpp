@@ -2,6 +2,8 @@
 // thread-scaling sweep of the rt-parallelized kernels.
 #include "bench_common.h"
 
+#include <benchmark/benchmark.h>
+
 #include <chrono>
 #include <functional>
 #include <iterator>
@@ -99,6 +101,114 @@ void BM_ClockTreeSynthesis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClockTreeSynthesis)->Unit(benchmark::kMillisecond);
+
+void BM_BuildSoc(benchmark::State& state) {
+  for (auto _ : state) {
+    SocConfig cfg = SocConfig::turbo_eagle_scaled(0.01);
+    SocDesign soc = build_soc(cfg);
+    benchmark::DoNotOptimize(soc.netlist.num_gates());
+  }
+}
+BENCHMARK(BM_BuildSoc)->Unit(benchmark::kMillisecond);
+
+void BM_ScanStitch(benchmark::State& state) {
+  const Experiment& exp = bench::experiment();
+  for (auto _ : state) {
+    auto sc = ScanChains::build(exp.soc.netlist, exp.soc.placement,
+                                exp.soc.config.scan_chains);
+    benchmark::DoNotOptimize(sc.max_chain_length());
+  }
+}
+BENCHMARK(BM_ScanStitch)->Unit(benchmark::kMillisecond);
+
+void BM_FaultEnumeration(benchmark::State& state) {
+  const Experiment& exp = bench::experiment();
+  for (auto _ : state) {
+    auto faults = enumerate_faults(exp.soc.netlist);
+    benchmark::DoNotOptimize(faults);
+  }
+}
+BENCHMARK(BM_FaultEnumeration);
+
+void BM_FaultCollapsing(benchmark::State& state) {
+  const Experiment& exp = bench::experiment();
+  for (auto _ : state) {
+    auto collapsed = collapse_faults(exp.soc.netlist, exp.all_faults);
+    benchmark::DoNotOptimize(collapsed);
+  }
+}
+BENCHMARK(BM_FaultCollapsing);
+
+void BM_StatisticalAnalysis(benchmark::State& state) {
+  const Experiment& exp = bench::experiment();
+  StatisticalOptions opt;
+  opt.window_fraction = 0.5;
+  for (auto _ : state) {
+    auto rep = analyze_statistical(exp.soc.netlist, exp.soc.placement,
+                                   exp.soc.parasitics, *exp.lib,
+                                   exp.soc.floorplan, exp.grid,
+                                   exp.soc.config.domain_freq_mhz,
+                                   &exp.soc.clock_tree, opt);
+    benchmark::DoNotOptimize(rep.chip_worst_vdd_v);
+  }
+}
+BENCHMARK(BM_StatisticalAnalysis)->Unit(benchmark::kMillisecond);
+
+void BM_PodemOneFault(benchmark::State& state) {
+  const Experiment& exp = bench::experiment();
+  Podem podem(exp.soc.netlist, exp.ctx, PodemOptions{32});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    TestCube cube;
+    auto st = podem.generate(exp.faults[i++ % exp.faults.size()], cube);
+    benchmark::DoNotOptimize(st);
+  }
+}
+BENCHMARK(BM_PodemOneFault);
+
+void BM_FaultSimBatch(benchmark::State& state) {
+  // One ATPG fault-dropping step: grade a 64-pattern batch against 256
+  // faults (the engine's flush, good-frame settle included).
+  const Experiment& exp = bench::experiment();
+  FaultSimulator fsim(exp.soc.netlist, exp.ctx);
+  fsim.set_batch_words(1);
+  const PatternSet pats = random_pattern_set(64, exp.ctx.num_vars(), 2007);
+  const std::span<const TdfFault> faults(
+      exp.faults.data(), std::min<std::size_t>(256, exp.faults.size()));
+  for (auto _ : state) {
+    const auto first = fsim.grade(pats.patterns, faults);
+    benchmark::DoNotOptimize(first.data());
+  }
+}
+BENCHMARK(BM_FaultSimBatch)->Unit(benchmark::kMillisecond);
+
+void BM_QuietStateSearch(benchmark::State& state) {
+  const Experiment& exp = bench::experiment();
+  for (auto _ : state) {
+    auto qs = compute_quiet_state(exp.soc.netlist, exp.ctx);
+    benchmark::DoNotOptimize(qs.residual_launches);
+  }
+}
+BENCHMARK(BM_QuietStateSearch)->Unit(benchmark::kMillisecond);
+
+void BM_EndpointDelayExtraction(benchmark::State& state) {
+  const Experiment& exp = bench::experiment();
+  PatternAnalyzer analyzer(exp.soc, *exp.lib);
+  SettleTimeTracker settle;
+  analyzer.analyze_into(
+      exp.ctx, random_pattern_set(1, exp.ctx.num_vars(), 2007).patterns[0],
+      settle);
+  std::vector<double> arrivals(exp.soc.netlist.num_flops());
+  for (FlopId f = 0; f < exp.soc.netlist.num_flops(); ++f) {
+    arrivals[f] = exp.soc.clock_tree.nominal_arrival_ns(f);
+  }
+  for (auto _ : state) {
+    auto delays =
+        analyzer.endpoint_delays_from_settle(settle.settle(), arrivals);
+    benchmark::DoNotOptimize(delays.data());
+  }
+}
+BENCHMARK(BM_EndpointDelayExtraction)->Unit(benchmark::kMicrosecond);
 
 double wall_ms(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -355,7 +465,8 @@ void run_streaming_throughput() {
 }  // namespace scap
 
 int main(int argc, char** argv) {
-  scap::bench::BenchRun run("kernels", "Kernels", "micro-benchmarks of the core engines");
+  scap::bench::BenchRun run("kernels", "Kernels");
+  scap::bench::print_header("Kernels", "micro-benchmarks of the core engines");
   run.phase("thread_scaling");
   scap::run_thread_scaling_sweep();
   run.phase("grid_solver_comparison");

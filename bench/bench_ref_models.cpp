@@ -6,6 +6,8 @@
 // an eye on that gap staying affordable for CI smoke runs.
 #include "bench_common.h"
 
+#include <benchmark/benchmark.h>
+
 #include <vector>
 
 #include "atpg/fault_sim.h"
@@ -203,7 +205,8 @@ BENCHMARK(BM_FuzzScenarioEndToEnd)->Unit(benchmark::kMillisecond);
 }  // namespace scap
 
 int main(int argc, char** argv) {
-  scap::bench::BenchRun run("ref_models", "RefModels",
+  scap::bench::BenchRun run("ref_models", "RefModels");
+  scap::bench::print_header("RefModels",
                             "optimized kernels vs differential-oracle "
                             "reference models");
   run.phase("microbench");
