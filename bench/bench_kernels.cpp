@@ -4,10 +4,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cctype>
 #include <chrono>
 #include <functional>
 #include <iterator>
 #include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "atpg/fault_sim.h"
@@ -464,7 +467,45 @@ void run_streaming_throughput() {
 }  // namespace
 }  // namespace scap
 
+namespace {
+
+/// Whether the command line sets --benchmark_list_tests (bare or with a true
+/// value; the last occurrence wins). Read before Initialize, which consumes
+/// the flags it knows.
+bool list_tests_requested(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_list_tests";
+  bool on = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, kFlag.size()) != kFlag) continue;
+    const std::string_view rest = arg.substr(kFlag.size());
+    if (rest.empty()) {
+      on = true;
+    } else if (rest[0] == '=') {
+      std::string v(rest.substr(1));
+      for (char& c : v) {
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      }
+      on = !(v.empty() || v == "0" || v == "f" || v == "n" || v == "false" ||
+             v == "no" || v == "off");
+    }
+  }
+  return on;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  // Flags first: a typo fails at once instead of after the phases, and a
+  // listing runs none of them.
+  const bool list_only = list_tests_requested(argc, argv);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (list_only) {
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  }
   scap::bench::BenchRun run("kernels", "Kernels");
   scap::bench::print_header("Kernels", "micro-benchmarks of the core engines");
   run.phase("thread_scaling");
@@ -474,7 +515,7 @@ int main(int argc, char** argv) {
   run.phase("streaming_throughput");
   scap::run_streaming_throughput();
   run.phase("microbench");
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   return 0;
 }

@@ -761,10 +761,19 @@ SchemeRow run_scheme(const Experiment& exp, std::string name,
   opt.fill = FillMode::kRandom;
   const AtpgResult res = engine.run(exp.faults, opt);
   SchemeRow out{std::move(name), res.patterns.size(), res.stats, {}, 0, 0.0};
-  PatternAnalyzer analyzer(exp.soc, *exp.lib);
-  for (const Pattern& pat : res.patterns.patterns) {
-    const PatternAnalysis pa = analyzer.analyze(ctx, pat);
-    out.add(exp, pa.scap, pa.launched_flops);
+  // LOS and enhanced scan take S2 from the launch predecessor's S1 bit, so
+  // a flop launches where s1[los_pred[f]] != s1[f]; the pool profiles the
+  // set and the rows accumulate in pattern order.
+  const std::vector<Pattern>& pats = res.patterns.patterns;
+  const std::vector<ScapReport> scap =
+      scap_profile_patterns(exp.soc, *exp.lib, ctx, pats);
+  for (std::size_t i = 0; i < pats.size(); ++i) {
+    const std::vector<std::uint8_t>& s1 = pats[i].s1;
+    std::size_t launched = 0;
+    for (std::size_t f = 0; f < ctx.num_flops(); ++f) {
+      launched += s1[ctx.los_pred[f]] != s1[f] ? 1 : 0;
+    }
+    out.add(exp, scap[i], launched);
   }
   return out;
 }

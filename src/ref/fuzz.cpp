@@ -128,6 +128,7 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
     if (sc.check_sim || sc.check_scap) {
       PatternAnalyzer pa(soc, lib);
       const EventSimRef rsim(nl, dm);
+      const EventSimRef rsim_nominal(nl, pa.nominal_delays());
       // One production pass feeds both the recorded trace and the SCAP
       // accounting under test.
       TraceRecorder recorder;
@@ -135,7 +136,8 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
                                soc.config.tester_period_ns);
       FanoutSink sinks{&recorder, &scap_acc};
       for (std::size_t i = 0; i < patterns.size(); ++i) {
-        pa.analyze_into(ctx, patterns[i], sinks, &dm);
+        const bool nominal = sc.droop_alternate && i % 2 == 1;
+        pa.analyze_into(ctx, patterns[i], sinks, nominal ? nullptr : &dm);
         SimTrace trace = recorder.take();
         ScapReport scap = scap_acc.report();
         if (inject == InjectedBug::kDropLastToggle && !trace.toggles.empty()) {
@@ -144,7 +146,8 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
         if (inject == InjectedBug::kStwWindowOffByOne) {
           scap.stw_ns += 0.05;  // ~one generic180 gate delay
         }
-        const SimTrace rt = rsim.run(pa.frame1(), pa.stimuli());
+        const SimTrace rt =
+            (nominal ? rsim_nominal : rsim).run(pa.frame1(), pa.stimuli());
         std::string why;
         if (sc.check_sim && !compare_traces(trace, rt, &why)) {
           res.divergences.push_back({"eventsim", why, i});
@@ -312,6 +315,9 @@ ShrinkResult shrink_scenario(const Scenario& start, InjectedBug inject) {
       });
     }
     if (cur.droop) push([](Scenario& c) { c.droop = false; });
+    if (cur.droop_alternate) {
+      push([](Scenario& c) { c.droop_alternate = false; });
+    }
     if (cur.flops_scale > 0.3) {
       push([](Scenario& c) { c.flops_scale /= 2.0; });
     }

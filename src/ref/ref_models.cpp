@@ -72,8 +72,8 @@ SimTrace EventSimRef::run(std::span<const std::uint8_t> initial_net_values,
 
   // Global commit order: (time, stamp) -> net. Per net, the live pending
   // output events sorted by time. Cancellation erases from both, so -- unlike
-  // the optimized engine's stale-heap-entry scheme -- every queue entry is
-  // live when popped.
+  // the optimized engine's stale-queue-entry scheme -- every queue entry is
+  // live when popped, no-ops included.
   struct PendingValue {
     std::uint64_t stamp;
     std::uint8_t value;
@@ -141,9 +141,10 @@ SimTrace EventSimRef::run(std::span<const std::uint8_t> initial_net_values,
     }
   }
 
-  // The optimized engine pops every scheduled heap entry (stale ones count as
-  // processed and cancelled); here every schedule is either popped live or
-  // erased by cancellation, so the totals match by construction.
+  // The optimized engine counts every schedule as processed and every
+  // pending event a later reschedule removes as cancelled, queued or not;
+  // here every schedule is either popped live or erased by cancellation, so
+  // the totals match by construction.
   trace.num_events_processed = live_pops + cancelled;
   trace.num_events_cancelled = cancelled;
   return trace;

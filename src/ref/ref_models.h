@@ -40,8 +40,9 @@ std::uint8_t ref_eval_cell(CellType t, std::span<const std::uint8_t> ins);
 /// Reference event-driven timing simulator: same transport-delay semantics
 /// as EventSim (cancel-on-reschedule, (time, stamp) commit order) expressed
 /// with flat ordered std::map queues -- no workspace, no pending pools, no
-/// heap. Produces a trace that must match a TraceRecorder recording of
-/// EventSim bit-for-bit, event statistics included.
+/// calendar, no no-op elision. Produces a trace that must match a
+/// TraceRecorder recording of EventSim bit-for-bit, event statistics
+/// included.
 class EventSimRef {
  public:
   EventSimRef(const Netlist& nl, const DelayModel& dm) : nl_(&nl), dm_(&dm) {}

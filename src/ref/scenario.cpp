@@ -42,6 +42,7 @@ Scenario Scenario::random(std::uint64_t seed) {
   sc.grid_voids = r.below(4);
   sc.grid_jitter = r.chance(0.5) ? 0.0 : r.uniform(0.05, 0.5);
   sc.grid_solver = r.below(3);
+  sc.droop_alternate = r.chance(0.5);
   return sc;
 }
 
@@ -65,6 +66,7 @@ Scenario Scenario::parse(const std::string& text) {
   sc.droop = doc.get_bool("droop", sc.droop);
   sc.droop_seed = doc.get_u64("droop_seed", sc.droop_seed);
   sc.droop_max_v = doc.get_f64("droop_max_v", sc.droop_max_v);
+  sc.droop_alternate = doc.get_bool("droop_alternate", sc.droop_alternate);
   sc.grid_nx = doc.get_u64("grid_nx", sc.grid_nx);
   sc.grid_ny = doc.get_u64("grid_ny", sc.grid_ny);
   sc.grid_sources = doc.get_u64("grid_sources", sc.grid_sources);
@@ -102,6 +104,7 @@ std::string Scenario::serialize() const {
   doc.set_bool("droop", droop);
   doc.set_u64("droop_seed", droop_seed);
   doc.set_f64("droop_max_v", droop_max_v);
+  doc.set_bool("droop_alternate", droop_alternate);
   doc.set_u64("grid_nx", grid_nx);
   doc.set_u64("grid_ny", grid_ny);
   doc.set_u64("grid_sources", grid_sources);

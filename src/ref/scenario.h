@@ -46,6 +46,9 @@ struct Scenario {
   bool droop = false;
   std::uint64_t droop_seed = 1;
   double droop_max_v = 0.2;  ///< per-gate droop uniform in [0, max]
+  /// With `droop`, every other pattern runs the nominal model instead, on
+  /// the same analyzer and workspace (validate_pattern_ir's two passes).
+  bool droop_alternate = false;
 
   // --- power grid ----------------------------------------------------------
   std::uint64_t grid_nx = 12;

@@ -30,7 +30,7 @@ namespace scap {
 /// pass completes. Toggle-window times are the exact doubles of the commit
 /// loop.
 struct SimStats {
-  std::size_t num_events_processed = 0;  ///< queue pops, stale ones included
+  std::size_t num_events_processed = 0;  ///< events scheduled, all of them
   std::size_t num_events_cancelled = 0;  ///< superseded by a later evaluation
   std::size_t num_toggles = 0;
   double first_toggle_ns = 0.0;
