@@ -4,9 +4,10 @@
 //   bench_paper [--only <id>[,<id>...]]
 //
 // The experiment is built once. The conventional random-fill flow, the
-// paper's 3-step quiet-fill flow and their SCAP profiles are computed at most
-// once each, and only when a selected section needs them; a flow that only
-// an ablation uses lives inside that section. Sections print in the order of
+// paper's 3-step quiet-fill flow, the one-step quiet-fill flow two ablations
+// share and their SCAP profiles are computed at most once each, and only
+// when a selected section needs them; a flow that only one ablation uses
+// lives inside that section. Sections print in the order of
 // kSections whatever the order of --only; stdout carries nothing but the
 // sections, so a full run diffs byte for byte against
 // bench/history/paper_golden.txt. BENCH_paper.json gets one phase per shared
@@ -45,6 +46,8 @@ struct Paper {
   std::optional<std::vector<ScapReport>> conv_scap;  ///< its SCAP profile
   std::optional<FlowResult> pa;                      ///< 3-step quiet fill
   std::optional<std::vector<ScapReport>> pa_scap;    ///< its SCAP profile
+  std::optional<FlowResult> quiet;  ///< one-step quiet fill, every block
+  std::optional<std::vector<ScapReport>> quiet_scap;  ///< its SCAP profile
 };
 
 /// Shared stages a section reads; a profile implies its flow.
@@ -53,6 +56,7 @@ enum Stage : unsigned {
   kConvScap = 1u << 1,
   kPaFlow = 1u << 2,
   kPaScap = 1u << 3,
+  kQuietScap = 1u << 4,
 };
 
 /// ATPG options of every pattern-generation section (deterministic).
@@ -89,6 +93,18 @@ void prepare(Paper& p, unsigned needs, bench::BenchRun& run) {
   if ((needs & kPaScap) && !p.pa_scap) {
     run.phase("power_aware_profile");
     p.pa_scap = scap_profile(exp.soc, *exp.lib, exp.ctx, p.pa->patterns);
+  }
+  // The fill ablation's fill-quiet row and the steps ablation's one-step row.
+  // A one-step plan whose mask holds every block targets every fault (a
+  // fault's block is always below block_count()) at the base seed and care
+  // fraction, so it is this flow pattern for pattern.
+  if ((needs & kQuietScap) && !p.quiet) {
+    run.phase("quiet_flow");
+    AtpgOptions opt = bench_atpg_options(exp);
+    opt.fill = FillMode::kQuiet;
+    p.quiet = run_conventional_atpg(exp.soc.netlist, exp.ctx, exp.faults, opt);
+    run.phase("quiet_profile");
+    p.quiet_scap = scap_profile(exp.soc, *exp.lib, exp.ctx, p.quiet->patterns);
   }
 }
 
@@ -621,7 +637,8 @@ void print_fig7(const Paper& p) {
 // state). This section regenerates the comparison on the synthetic SOC and
 // adds the library's two extensions: fill-quiet (near-fixed-point idle
 // state) and per-block fill (the "more ideal scenario" of Section 3.1). The
-// random-fill row is the conventional flow.
+// random-fill row is the conventional flow, the fill-quiet row the shared
+// one-step quiet-fill flow.
 void print_ablation_fill(const Paper& p) {
   const Experiment& exp = p.exp;
   std::vector<FlowRow> rows{flow_row(exp, fill_mode_name(FillMode::kRandom),
@@ -631,12 +648,14 @@ void print_ablation_fill(const Paper& p) {
         exp, std::move(name),
         run_conventional_atpg(exp.soc.netlist, exp.ctx, exp.faults, opt)));
   };
-  for (FillMode mode : {FillMode::kFill0, FillMode::kFill1,
-                        FillMode::kAdjacent, FillMode::kQuiet}) {
+  for (FillMode mode :
+       {FillMode::kFill0, FillMode::kFill1, FillMode::kAdjacent}) {
     AtpgOptions opt = bench_atpg_options(exp);
     opt.fill = mode;
     run_fill(fill_mode_name(mode), opt);
   }
+  rows.push_back(flow_row(exp, fill_mode_name(FillMode::kQuiet), *p.quiet,
+                          *p.quiet_scap));
   // Per-block extension: quiet everywhere except random in the well-fed
   // corner blocks (keeps their fortuitous coverage without waking B5).
   {
@@ -678,12 +697,14 @@ void print_ablation_fill(const Paper& p) {
 // quiet). Handing the tool one block subset at a time leaves the other
 // blocks fully X, which the quiet fill then silences. This section compares
 // one-step quiet fill against the paper's 3-step plan, plus a per-block-step
-// granularity sweep. The budgeted 3-step row is the power-aware flow.
+// granularity sweep. The one-step row is the shared one-step quiet-fill
+// flow, the budgeted 3-step row the power-aware flow.
 void print_ablation_steps(const Paper& p) {
   const Experiment& exp = p.exp;
   const std::size_t nb = exp.soc.netlist.block_count();
 
-  std::vector<FlowRow> rows;
+  std::vector<FlowRow> rows{flow_row(exp, "1 step (all blocks at once)",
+                                     *p.quiet, *p.quiet_scap)};
   auto run_plan = [&](std::string name, const StepPlan& plan) {
     AtpgOptions opt = bench_atpg_options(exp);
     opt.fill = FillMode::kQuiet;
@@ -692,12 +713,6 @@ void print_ablation_steps(const Paper& p) {
         run_power_aware_atpg(exp.soc.netlist, exp.ctx, exp.faults, plan,
                              opt)));
   };
-  {
-    StepPlan one;
-    one.steps.push_back(
-        StepPlan::Step{std::vector<std::uint8_t>(nb, 1), 1.0});
-    run_plan("1 step (all blocks at once)", one);
-  }
   run_plan("3 steps, unthrottled B5 step", StepPlan::paper_default(nb, 1.0));
   rows.push_back(flow_row(exp, "3 steps + B5 care budget (paper wishlist)",
                           *p.pa, *p.pa_scap));
@@ -1113,9 +1128,9 @@ constexpr Section kSections[] = {
     {"fig7", "Figure 7",
      "endpoint path delays: nominal vs IR-drop-scaled delays", kPaScap,
      print_fig7},
-    {"fill", "Ablation", "don't-care fill policies", kConvScap,
+    {"fill", "Ablation", "don't-care fill policies", kConvScap | kQuietScap,
      print_ablation_fill},
-    {"steps", "Ablation", "step-plan granularity", kPaScap,
+    {"steps", "Ablation", "step-plan granularity", kPaScap | kQuietScap,
      print_ablation_steps},
     {"los", "Ablation", "LOC vs LOS launch schemes", kConvScap,
      print_ablation_los},

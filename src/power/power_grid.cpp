@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,31 +15,141 @@
 
 namespace scap {
 
-// The SOR stencil on a (nx+2) x (ny+2) lattice: the mesh inside a ring of
-// nodes that have no edges and zero drop. Every mesh node then has four
-// neighbours, an absent edge is a zero conductance, and a sweep tests no
-// edges. Each drop is finite, so an absent edge adds exactly 0.0 to the
-// inflow and the sums equal the edge-tested ones bit for bit.
+namespace {
+
+/// One colour pass of one SOR solve: the colour's coefficient, current and
+/// drop planes (each (ny + 2) * width slots, slot 0 of row 0 first) and the
+/// other colour's drop plane.
+struct SorPass {
+  const double* g_left = nullptr;
+  const double* g_right = nullptr;
+  const double* g_up = nullptr;
+  const double* g_down = nullptr;
+  const double* gsum = nullptr;  ///< the rail's diagonal: pad + four edges
+  const double* b = nullptr;     ///< node currents [A]
+  double* d = nullptr;           ///< this colour's drops [V], updated
+  const double* other = nullptr;  ///< the other colour's drops [V], read
+  std::size_t width = 0;          ///< slots per row, nx / 2 + 2
+  std::uint32_t nx = 0;
+  std::uint32_t colour = 0;  ///< 0: nodes with (ix + iy) even
+  double omega = 1.0;
+};
+
+// The row kernel works two nodes at a time in GCC vector types: GCC does
+// not vectorize the max reduction of a plain loop on its own.
+constexpr std::size_t kLanes = 2;
+using Vec [[gnu::vector_size(kLanes * sizeof(double))]] = double;
+using Bits [[gnu::vector_size(kLanes * sizeof(double))]] = std::uint64_t;
+
+Vec load(const double* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store(double* p, Vec v) { std::memcpy(p, &v, sizeof v); }
+
+/// |x| lane by lane: the sign bit cleared, as fabs does.
+Vec vabs(Vec x) {
+  return reinterpret_cast<Vec>(reinterpret_cast<Bits>(x) &
+                               (~std::uint64_t{0} >> 1));
+}
+
+/// Relax every node of the pass's colour in mesh rows [y0, y1); returns the
+/// largest |update| [V] (0 when nothing moved).
+///
+/// Node q of row iy (column s + 2q with s = (iy + colour) & 1) sits at slot
+/// (iy + 1) * W + 1 + q; its left and right neighbours are slots q + s - 1
+/// and q + s of the other colour's row (counted from that row's first
+/// node), its up and down neighbours slot q of the other colour's rows
+/// iy - 1 and iy + 1. Per node the arithmetic is the edge-tested scalar
+/// kernel's, in its order: f = b, then + left, + right, + up, + down (each
+/// g * d), next = f / gsum, d + omega * (next - d). This TU is built with
+/// -ffp-contract=off, so no product is fused into an add and every lane
+/// rounds as scalar code does; the max is a compare-select with std::max's
+/// operand order, so it is exact in any lane grouping.
+double sweep_rows(const SorPass& p, std::uint32_t y0, std::uint32_t y1) {
+  const std::size_t w = p.width;
+  const Vec omega = Vec{} + p.omega;
+  Vec vmax = {};
+  double smax = 0.0;
+  for (std::uint32_t iy = y0; iy < y1; ++iy) {
+    const std::uint32_t s = (iy + p.colour) & 1u;
+    const std::size_t n = (p.nx + 1 - s) / 2;  // the colour's nodes in row iy
+    const std::size_t row = (iy + 1) * w + 1;
+    const double* gl = p.g_left + row;
+    const double* gr = p.g_right + row;
+    const double* gu = p.g_up + row;
+    const double* gd = p.g_down + row;
+    const double* gs = p.gsum + row;
+    const double* b = p.b + row;
+    double* d = p.d + row;
+    const double* left = p.other + row + s - 1;
+    const double* right = p.other + row + s;
+    const double* up = p.other + row - w;
+    const double* down = p.other + row + w;
+    std::size_t q = 0;
+    for (; q + kLanes <= n; q += kLanes) {
+      Vec f = load(b + q);
+      f += load(gl + q) * load(left + q);
+      f += load(gr + q) * load(right + q);
+      f += load(gu + q) * load(up + q);
+      f += load(gd + q) * load(down + q);
+      const Vec next = f / load(gs + q);
+      const Vec old = load(d + q);
+      const Vec relaxed = old + omega * (next - old);
+      const Vec delta = vabs(relaxed - old);
+      vmax = vmax < delta ? delta : vmax;
+      store(d + q, relaxed);
+    }
+    for (; q < n; ++q) {
+      double f = b[q];
+      f += gl[q] * left[q];
+      f += gr[q] * right[q];
+      f += gu[q] * up[q];
+      f += gd[q] * down[q];
+      const double next = f / gs[q];
+      const double relaxed = d[q] + p.omega * (next - d[q]);
+      smax = std::max(smax, std::abs(relaxed - d[q]));
+      d[q] = relaxed;
+    }
+  }
+  for (std::size_t k = 0; k < kLanes; ++k) smax = std::max(smax, vmax[k]);
+  return smax;
+}
+
+}  // namespace
+
+// The SOR operator in the split-colour layout the row kernel sweeps (see
+// power_grid.h and sweep_rows above): node (ix, iy) has colour
+// (ix + iy) & 1 and sits at slot (iy + 1) * width + ix / 2 + 1 of its
+// colour's plane; every slot outside the mesh is zero. Absent edges couple
+// with g = 0, and an inactive node has no couplings, gsum = 1 and b = 0, so
+// its drop stays exactly +0.0. Each drop is finite, so a zero coupling adds
+// exactly 0.0 to the inflow and the sums equal the edge-tested ones bit for
+// bit.
 struct PowerGrid::SorOperator {
   std::uint32_t nx = 0, ny = 0;  ///< the mesh, without the ring
-  std::size_t px = 0;            ///< padded row length, nx + 2
+  std::size_t width = 0;         ///< slots per row, nx / 2 + 2
+  std::size_t plane = 0;         ///< slots per colour, (ny + 2) * width
+  /// Both colours' planes, colour 0 first.
   std::vector<double> g_left, g_right, g_up, g_down;
   /// Per rail: pad + left + right + up + down, summed in that order.
   std::vector<double> gsum_vdd, gsum_vss;
-  std::vector<std::uint8_t> active;  ///< 0 on the ring and in voids
 
   explicit SorOperator(const PdnTopology& t)
-      : nx(t.nx), ny(t.ny), px(t.nx + 2) {
-    const std::size_t n = px * (ny + 2);
+      : nx(t.nx), ny(t.ny), width(t.nx / 2 + 2), plane((t.ny + 2) * width) {
     for (auto* v : {&g_left, &g_right, &g_up, &g_down, &gsum_vdd, &gsum_vss}) {
-      v->assign(n, 0.0);
+      v->assign(2 * plane, 0.0);
     }
-    active.assign(n, 0);
     for (std::uint32_t iy = 0; iy < ny; ++iy) {
       for (std::uint32_t ix = 0; ix < nx; ++ix) {
         const std::size_t p = at(ix, iy);
         const std::uint32_t i = t.node(ix, iy);
-        active[p] = t.active[i];
+        if (!t.active[i]) {
+          gsum_vdd[p] = gsum_vss[p] = 1.0;
+          continue;
+        }
         if (ix > 0) g_left[p] = t.edge_h(ix - 1, iy);
         if (ix + 1 < nx) g_right[p] = t.edge_h(ix, iy);
         if (iy > 0) g_up[p] = t.edge_v(ix, iy - 1);
@@ -49,37 +163,69 @@ struct PowerGrid::SorOperator {
   }
 
   std::size_t at(std::uint32_t ix, std::uint32_t iy) const {
-    return (iy + 1) * px + ix + 1;
+    return ((ix + iy) & 1u) * plane + (iy + 1) * width + ix / 2 + 1;
   }
 
-  /// b + the four neighbours' g * d, added left, right, up, down.
-  double flow(std::size_t p, double b, const double* d) const {
-    double f = b;
-    f += g_left[p] * d[p - 1];
-    f += g_right[p] * d[p + 1];
-    f += g_up[p] * d[p - px];
-    f += g_down[p] * d[p + px];
-    return f;
-  }
-
-  /// A row-major nx * ny map in the padded layout (0 on the ring).
-  std::vector<double> pad(std::span<const double> v) const {
-    std::vector<double> out(active.size(), 0.0);
+  /// A row-major nx * ny map in the split layout, 0 on the ring and on
+  /// the nodes `active` marks 0.
+  std::vector<double> split(std::span<const double> v,
+                            const std::vector<std::uint8_t>& active) const {
+    std::vector<double> out(2 * plane, 0.0);
     for (std::uint32_t iy = 0; iy < ny; ++iy) {
-      std::copy_n(v.begin() + static_cast<std::ptrdiff_t>(iy) * nx, nx,
-                  out.begin() + static_cast<std::ptrdiff_t>(at(0, iy)));
+      for (std::uint32_t ix = 0; ix < nx; ++ix) {
+        const std::size_t i = static_cast<std::size_t>(iy) * nx + ix;
+        if (active[i]) out[at(ix, iy)] = v[i];
+      }
     }
     return out;
   }
 
-  /// The inverse of pad: the mesh nodes of `padded`, row-major.
-  std::vector<double> unpad(const std::vector<double>& padded) const {
+  /// The inverse of split: the mesh nodes, row-major.
+  std::vector<double> unsplit(const std::vector<double>& s) const {
     std::vector<double> out(static_cast<std::size_t>(nx) * ny);
     for (std::uint32_t iy = 0; iy < ny; ++iy) {
-      std::copy_n(padded.begin() + static_cast<std::ptrdiff_t>(at(0, iy)), nx,
-                  out.begin() + static_cast<std::ptrdiff_t>(iy) * nx);
+      for (std::uint32_t ix = 0; ix < nx; ++ix) {
+        out[static_cast<std::size_t>(iy) * nx + ix] = s[at(ix, iy)];
+      }
     }
     return out;
+  }
+
+  /// One colour's pass over split currents `b` and drops `d`.
+  SorPass pass(std::uint32_t colour, bool vdd_rail, const double* b,
+               double* d, double omega) const {
+    const std::size_t own = colour * plane;
+    const std::size_t other = (1 - colour) * plane;
+    SorPass p;
+    p.g_left = g_left.data() + own;
+    p.g_right = g_right.data() + own;
+    p.g_up = g_up.data() + own;
+    p.g_down = g_down.data() + own;
+    p.gsum = (vdd_rail ? gsum_vdd : gsum_vss).data() + own;
+    p.b = b + own;
+    p.d = d + own;
+    p.other = d + other;
+    p.width = width;
+    p.nx = nx;
+    p.colour = colour;
+    p.omega = omega;
+    return p;
+  }
+
+  /// b + the four neighbours' g * d at node (ix, iy), added left, right,
+  /// up, down: the kernel's stencil, one node at a time.
+  double flow(std::uint32_t ix, std::uint32_t iy, double b,
+              const double* d) const {
+    const std::size_t p = at(ix, iy);
+    // Row iy of the other colour; column x of it sits at slot x / 2 + 1,
+    // and column -1 (left of the mesh) at ring slot 0.
+    const std::size_t o = ((ix + iy + 1) & 1u) * plane + (iy + 1) * width;
+    double f = b;
+    f += g_left[p] * d[o + (ix + 1) / 2];
+    f += g_right[p] * d[o + (ix + 1) / 2 + 1];
+    f += g_up[p] * d[o - width + ix / 2 + 1];
+    f += g_down[p] * d[o + width + ix / 2 + 1];
+    return f;
   }
 };
 
@@ -181,9 +327,24 @@ std::uint32_t PowerGrid::nearest_node(Point p) const {
 
 std::vector<double> PowerGrid::gather_currents(
     std::span<const Point> where, std::span<const double> amps) const {
+  if (amps.size() != where.size()) {
+    throw std::invalid_argument(
+        "PowerGrid: " + std::to_string(where.size()) + " load sites but " +
+        std::to_string(amps.size()) + " currents");
+  }
   const std::size_t n = static_cast<std::size_t>(opt_.nx) * opt_.ny;
   std::vector<double> current(n, 0.0);
   for (std::size_t i = 0; i < where.size(); ++i) {
+    if (!std::isfinite(amps[i])) {
+      throw std::invalid_argument("PowerGrid: load " + std::to_string(i) +
+                                  " has a non-finite current");
+    }
+    // std::lround of a NaN or infinite coordinate is unspecified; in
+    // practice it clamped the load silently onto node (0, 0).
+    if (!std::isfinite(where[i].x) || !std::isfinite(where[i].y)) {
+      throw std::invalid_argument("PowerGrid: load " + std::to_string(i) +
+                                  " has a non-finite position");
+    }
     // Loads that land inside a void snap to the nearest surviving node
     // (identity on uniform meshes).
     current[topo_.snap[nearest_node(where[i])]] += amps[i];
@@ -215,10 +376,7 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
                                   bool vdd_rail) const {
   const SorOperator& op = *sor_;
   const std::uint32_t nx = opt_.nx, ny = opt_.ny;
-  const std::vector<double>& gsum = vdd_rail ? op.gsum_vdd : op.gsum_vss;
-  const std::vector<std::uint8_t>& act = op.active;
-  const double omega = opt_.sor_omega;
-  const std::vector<double> b = op.pad(current);
+  const std::vector<double> b = op.split(current, topo_.active);
 
   GridSolution sol;
   sol.nx = nx;
@@ -231,38 +389,30 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
   // colour: within a colour pass the node updates are order-independent,
   // which makes the sweep safe to run on the rt pool AND bit-identical at
   // any thread count (max-of-|delta| is an exact reduction). Large meshes
-  // split the pass into row bands; small ones stay inline -- both paths
-  // produce the same values by construction.
-  std::vector<double> d(b.size(), 0.0);  // padded drops; the ring stays 0
+  // split the pass into row bands, each running the kernel over its rows;
+  // small ones run it over all rows inline -- both paths produce the same
+  // values by construction.
+  std::vector<double> d(b.size(), 0.0);  // split drops; the ring stays 0
+  const SorPass passes[2] = {
+      op.pass(0, vdd_rail, b.data(), d.data(), opt_.sor_omega),
+      op.pass(1, vdd_rail, b.data(), d.data(), opt_.sor_omega)};
   const bool parallel = static_cast<std::size_t>(nx) * ny >= 8192 &&
                         rt::concurrency() > 1 &&
                         !rt::ThreadPool::on_worker_thread();
   for (std::uint32_t it = 0; it < opt_.max_iterations; ++it) {
     double max_delta = 0.0;
-    for (std::uint32_t color = 0; color < 2; ++color) {
-      auto sweep_rows = [&](std::size_t y0, std::size_t y1) {
-        double local = 0.0;
-        for (std::uint32_t iy = static_cast<std::uint32_t>(y0);
-             iy < static_cast<std::uint32_t>(y1); ++iy) {
-          const std::size_t row = op.at(0, iy);
-          for (std::uint32_t ix = (iy + color) & 1u; ix < nx; ix += 2) {
-            const std::size_t p = row + ix;
-            if (!act[p]) continue;
-            const double next = op.flow(p, b[p], d.data()) / gsum[p];
-            const double relaxed = d[p] + omega * (next - d[p]);
-            local = std::max(local, std::abs(relaxed - d[p]));
-            d[p] = relaxed;
-          }
-        }
-        return local;
-      };
+    for (const SorPass& pass : passes) {
       double color_delta;
       if (parallel) {
         color_delta = rt::parallel_transform_reduce(
-            ny, /*grain=*/16, 0.0, sweep_rows,
+            ny, /*grain=*/16, 0.0,
+            [&](std::size_t y0, std::size_t y1) {
+              return sweep_rows(pass, static_cast<std::uint32_t>(y0),
+                                static_cast<std::uint32_t>(y1));
+            },
             [](double a, double c) { return std::max(a, c); });
       } else {
-        color_delta = sweep_rows(0, ny);
+        color_delta = sweep_rows(pass, 0, ny);
       }
       max_delta = std::max(max_delta, color_delta);
     }
@@ -273,7 +423,7 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
       break;
     }
   }
-  sol.drop_v = op.unpad(d);
+  sol.drop_v = op.unsplit(d);
   return sol;
 }
 
@@ -298,15 +448,20 @@ double PowerGrid::residual_inf(const GridSolution& sol,
                                std::span<const double> amps,
                                bool vdd_rail) const {
   const SorOperator& op = *sor_;
+  if (sol.nx != opt_.nx || sol.ny != opt_.ny ||
+      sol.drop_v.size() != static_cast<std::size_t>(opt_.nx) * opt_.ny) {
+    throw std::invalid_argument(
+        "PowerGrid::residual_inf: the drop map is not this grid's");
+  }
   const std::vector<double> b = gather_currents(where, amps);
   const std::vector<double>& gsum = vdd_rail ? op.gsum_vdd : op.gsum_vss;
-  const std::vector<double> d = op.pad(sol.drop_v);
+  const std::vector<double> d = op.split(sol.drop_v, topo_.active);
   double worst = 0.0;
   for (std::uint32_t iy = 0; iy < opt_.ny; ++iy) {
     for (std::uint32_t ix = 0; ix < opt_.nx; ++ix) {
+      if (!topo_.active[node_index(ix, iy)]) continue;
       const std::size_t p = op.at(ix, iy);
-      if (!op.active[p]) continue;
-      const double flow = op.flow(p, 0.0, d.data());
+      const double flow = op.flow(ix, iy, 0.0, d.data());
       worst = std::max(worst, std::abs(b[node_index(ix, iy)] -
                                        (gsum[p] * d[p] - flow)));
     }

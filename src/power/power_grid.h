@@ -17,9 +17,7 @@
 // Two solvers sit behind solve():
 //  - red-black SOR: the original solver, O(n^1.5)-ish sweeps to converge;
 //    retained as the small-mesh default and as an in-tree oracle for the
-//    multigrid path. It sweeps a padded operator built once per grid (the
-//    mesh inside a ring of edgeless nodes, so no node needs edge tests),
-//    which residual_inf() evaluates too;
+//    multigrid path;
 //  - geometric multigrid (power/multigrid.h): mesh-independent convergence,
 //    the default at >= 64x64 where SOR's iteration count explodes.
 // Both run their sweeps on the rt pool under the bit-identical-at-any-
@@ -27,6 +25,33 @@
 // `iterations` and `final_delta_v` on the solution, plus the
 // "power.grid_solve_nonconverged" obs counter and a stderr warning when the
 // budget runs out.
+//
+// SOR layout. The operator is built once per grid in a split-colour layout:
+// each colour of the red-black mesh (node (ix, iy) has colour (ix + iy) & 1)
+// has its own planes of ny + 2 rows by W = nx/2 + 2 slots, and node (ix, iy)
+// sits at slot (iy + 1) * W + ix / 2 + 1 of its colour's plane. Every other
+// slot -- rows 0 and ny + 1, slot 0 of each row, the slots past a row's
+// last node -- is zero, so no node needs an edge test, and a colour pass
+// reads only the other colour's plane, with unit stride. Per node the
+// planes hold the four neighbour conductances (0 for an absent edge) and
+// each rail's diagonal; a void node has no couplings, diagonal 1 and no
+// current, so its drop stays exactly 0 with no mask. residual_inf()
+// evaluates the same stencil on the same planes.
+//
+// SOR kernel. One row kernel sweeps a colour pass two nodes at a time (GCC
+// vector types, baseline flags). It keeps the scalar arithmetic and its
+// order per node, with no fused multiply-add, and takes an exact max of the
+// updates, so drops, iteration counts and final_delta_v are bit-identical
+// to the edge-tested scalar kernel and across thread counts. A second,
+// -mavx2 build solved a rail pair faster but left the end-to-end sign-off
+// time within noise, so there is one build.
+//
+// Input contract. solve() and residual_inf() take one current per load
+// site and throw std::invalid_argument, before any sweep, when the spans
+// differ in length or a current or a load position is NaN or infinite. A
+// non-finite current would otherwise yield a non-finite map that the
+// sweep's max-|update| test could report as converged, and a non-finite
+// position would land on node (0, 0).
 //
 // This is the library's stand-in for the rail analysis the paper runs in
 // Cadence SOC Encounter; both the statistical (vector-less) and the dynamic
@@ -112,13 +137,17 @@ class PowerGrid {
   /// options' (pads and edges come from the topology, not the floorplan).
   PowerGrid(const Rect& die, PowerGridOptions opt, PdnTopology topo);
 
-  /// Solve one rail for the given point current injections [A].
-  /// vdd_rail selects which pad set anchors the mesh.
+  /// Solve one rail for the given point current injections [A]: amps[i]
+  /// flows at where[i]. vdd_rail selects which pad set anchors the mesh.
+  /// Throws std::invalid_argument when the spans differ in length or a
+  /// current or a position is not finite.
   GridSolution solve(std::span<const Point> where, std::span<const double> amps,
                      bool vdd_rail) const;
 
   /// Max over active nodes of |I_i - (A d)_i| [A] -- the true equation
   /// residual of a solution, independent of the solver's own stop metric.
+  /// Throws std::invalid_argument on bad loads, as solve() does, and on a
+  /// drop map of another mesh size.
   double residual_inf(const GridSolution& sol, std::span<const Point> where,
                       std::span<const double> amps, bool vdd_rail) const;
 

@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "layout/floorplan.h"
 #include "obs/metrics.h"
 #include "power/pdn_topology.h"
 #include "power/power_grid.h"
+#include "rt/thread_pool.h"
 #include "util/rng.h"
 
 namespace scap {
@@ -217,11 +222,33 @@ void fixed_loads(const Rect& die, std::vector<Point>& where,
   }
 }
 
+/// An inclusive rectangle of mesh nodes.
+struct NodeRect {
+  std::uint32_t x0, y0, x1, y1;
+};
+
+/// A PDN topology with the floorplan's pads, `voids` punched out and every
+/// edge jittered by up to 30%.
+PdnTopology irregular_topology(const Floorplan& fp, const PowerGridOptions& opt,
+                               std::initializer_list<NodeRect> voids,
+                               std::uint64_t jitter_seed) {
+  PdnTopology topo =
+      PdnTopology::uniform(opt.nx, opt.ny, 1.0 / opt.segment_res_ohm);
+  for (const NodeRect& v : voids) topo.punch_void(v.x0, v.y0, v.x1, v.y1);
+  topo.jitter_edges(0.3, jitter_seed);
+  for (const PowerPad& pad : fp.pads()) {
+    topo.add_pad_at(fp.die(), pad.pos, pad.is_vdd, 1.0 / opt.pad_res_ohm);
+  }
+  topo.finalize();
+  return topo;
+}
+
 TEST(PowerGrid, SorGoldenBitForBit) {
   // Recorded from the edge-tested SOR kernel before it became a sweep over
-  // a padded operator: the iteration count, the final update and every bit
-  // of both rails' drop maps must stay exactly as they were. Never
-  // re-baseline these to make a kernel change pass.
+  // a padded operator, and (case d) from the padded operator before the
+  // split-colour layout: the iteration count, the final update and every
+  // bit of the drop maps must stay exactly as they were, at 1 and 4
+  // threads. Never re-baseline these to make a kernel change pass.
   const Floorplan fp = Floorplan::turbo_eagle_like(1000.0, 8);
   std::vector<Point> where;
   std::vector<double> amps;
@@ -230,12 +257,6 @@ TEST(PowerGrid, SorGoldenBitForBit) {
   // (a) The default 48x48 uniform mesh, the one every validation solves.
   const PowerGrid uniform(fp);
   ASSERT_EQ(uniform.resolved_solver(), GridSolver::kSor);
-  expect_sor_golden(uniform.solve(where, amps, /*vdd_rail=*/true),
-                    {370, 0x3e7ab60f42d80000ull, 0x7f20c68520f28659ull},
-                    "uniform vdd");
-  expect_sor_golden(uniform.solve(where, amps, /*vdd_rail=*/false),
-                    {307, 0x3e7a63e51aa00000ull, 0x867af9ce5b1030b6ull},
-                    "uniform vss");
 
   // (b) An irregular mesh: a punched-out void, jittered edges and the
   // floorplan's pads, so absent and zero-conductance edges both occur.
@@ -243,26 +264,9 @@ TEST(PowerGrid, SorGoldenBitForBit) {
   opt.nx = 24;
   opt.ny = 24;
   opt.solver = GridSolver::kSor;
-  PdnTopology topo = PdnTopology::uniform(24, 24, 1.0 / opt.segment_res_ohm);
-  topo.punch_void(9, 8, 13, 12);
-  topo.jitter_edges(0.3, 11);
-  for (const PowerPad& pad : fp.pads()) {
-    topo.add_pad_at(fp.die(), pad.pos, pad.is_vdd, 1.0 / opt.pad_res_ohm);
-  }
-  topo.finalize();
+  const PdnTopology topo = irregular_topology(fp, opt, {{9, 8, 13, 12}}, 11);
   ASSERT_LT(topo.active_nodes, std::size_t{24 * 24});
   const PowerGrid voided(fp.die(), opt, topo);
-  const GridSolution void_vdd = voided.solve(where, amps, /*vdd_rail=*/true);
-  expect_sor_golden(void_vdd,
-                    {103, 0x3e736f54ca700000ull, 0x8ce4deec52ad33efull},
-                    "void vdd");
-  // residual_inf evaluates the same stencil.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                voided.residual_inf(void_vdd, where, amps, /*vdd_rail=*/true)),
-            0x3e98f067c4b00000ull);
-  expect_sor_golden(voided.solve(where, amps, /*vdd_rail=*/false),
-                    {109, 0x3e776d6a00200000ull, 0x7a229b172827eecdull},
-                    "void vss");
 
   // (c) A 96x96 mesh, large enough for the row-band parallel sweep.
   PowerGridOptions big;
@@ -270,9 +274,110 @@ TEST(PowerGrid, SorGoldenBitForBit) {
   big.ny = 96;
   big.solver = GridSolver::kSor;
   const PowerGrid banded(fp, big);
-  expect_sor_golden(banded.solve(where, amps, /*vdd_rail=*/true),
-                    {1648, 0x3e7ac870b9580000ull, 0x06feb736375da845ull},
-                    "banded vdd");
+
+  // (d) An odd-width irregular mesh: a colour's rows alternate between 24
+  // and 23 nodes, so the kernel runs its scalar tail, and a void reaches
+  // the last column.
+  PowerGridOptions odd;
+  odd.nx = 47;
+  odd.ny = 33;
+  odd.solver = GridSolver::kSor;
+  const PdnTopology odd_topo = irregular_topology(
+      fp, odd, {{17, 11, 26, 19}, {40, 5, 46, 9}}, 47);
+  ASSERT_EQ(odd_topo.active_nodes, std::size_t{47 * 33 - 90 - 35});
+  const PowerGrid odd_grid(fp.die(), odd, odd_topo);
+
+  struct Case {
+    const char* what;
+    const PowerGrid* grid;
+    bool vdd_rail;
+    SorGolden golden;
+    std::uint64_t residual_bits;  ///< residual_inf's bits; 0: not pinned
+  };
+  const Case cases[] = {
+      {"uniform vdd", &uniform, true,
+       {370, 0x3e7ab60f42d80000ull, 0x7f20c68520f28659ull}, 0},
+      {"uniform vss", &uniform, false,
+       {307, 0x3e7a63e51aa00000ull, 0x867af9ce5b1030b6ull}, 0},
+      {"void vdd", &voided, true,
+       {103, 0x3e736f54ca700000ull, 0x8ce4deec52ad33efull},
+       0x3e98f067c4b00000ull},
+      {"void vss", &voided, false,
+       {109, 0x3e776d6a00200000ull, 0x7a229b172827eecdull}, 0},
+      {"banded vdd", &banded, true,
+       {1648, 0x3e7ac870b9580000ull, 0x06feb736375da845ull}, 0},
+      {"odd vdd", &odd_grid, true,
+       {212, 0x3e7ac59955780000ull, 0x34c8a68bc7faa1b8ull},
+       0x3ea593c0e1700000ull},
+      {"odd vss", &odd_grid, false,
+       {206, 0x3e7a5b737be80000ull, 0x271433123a31ac66ull},
+       0x3ea4c6073b300000ull},
+  };
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    rt::ThreadPool::set_global_concurrency(threads);
+    for (const Case& c : cases) {
+      const std::string what =
+          std::string(c.what) + ", threads " + std::to_string(threads);
+      const GridSolution sol = c.grid->solve(where, amps, c.vdd_rail);
+      expect_sor_golden(sol, c.golden, what.c_str());
+      // residual_inf evaluates the same stencil.
+      if (c.residual_bits != 0) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      c.grid->residual_inf(sol, where, amps, c.vdd_rail)),
+                  c.residual_bits)
+            << what;
+      }
+    }
+  }
+  rt::ThreadPool::set_global_concurrency(0);
+}
+
+TEST(PowerGrid, RejectsNonFiniteOrMismatchedCurrents) {
+  // Each bad input throws before any sweep. Before the checks a NaN or +Inf
+  // current came back as a "converged" map of non-finite drops whose
+  // worst() read 0, a short amps span was read past its end, and a load at
+  // a non-finite position was injected at node (0, 0).
+  GridRig rig;
+  const PowerGrid grid(rig.fp, rig.opt);
+  PowerGridOptions mg_opt;
+  mg_opt.nx = 64;
+  mg_opt.ny = 64;
+  const PowerGrid mg_grid(rig.fp, mg_opt);
+  ASSERT_EQ(mg_grid.resolved_solver(), GridSolver::kMultigrid);
+
+  const std::vector<Point> where = {{300.0, 600.0}, {700.0, 200.0}};
+  const std::vector<double> good = {0.05, 0.08};
+  const std::vector<double> nan = {
+      0.05, std::numeric_limits<double>::quiet_NaN()};
+  const std::vector<double> inf = {std::numeric_limits<double>::infinity(),
+                                   0.08};
+  const std::vector<double> short_amps = {0.05};
+  // A load at a NaN or infinite position used to land silently on node
+  // (0, 0) and come back converged.
+  const std::vector<Point> nan_where = {
+      {300.0, 600.0}, {std::numeric_limits<double>::quiet_NaN(), 200.0}};
+  const std::vector<Point> inf_where = {
+      {300.0, -std::numeric_limits<double>::infinity()}, {700.0, 200.0}};
+  for (const bool vdd : {true, false}) {
+    const GridSolution sol = grid.solve(where, good, vdd);
+    for (const std::vector<double>* bad : {&nan, &inf, &short_amps}) {
+      EXPECT_THROW(grid.solve(where, *bad, vdd), std::invalid_argument);
+      EXPECT_THROW(mg_grid.solve(where, *bad, vdd), std::invalid_argument);
+      EXPECT_THROW(grid.residual_inf(sol, where, *bad, vdd),
+                   std::invalid_argument);
+    }
+    for (const std::vector<Point>* bad : {&nan_where, &inf_where}) {
+      EXPECT_THROW(grid.solve(*bad, good, vdd), std::invalid_argument);
+      EXPECT_THROW(mg_grid.solve(*bad, good, vdd), std::invalid_argument);
+      EXPECT_THROW(grid.residual_inf(sol, *bad, good, vdd),
+                   std::invalid_argument);
+    }
+    EXPECT_NO_THROW(grid.residual_inf(sol, where, good, vdd));
+    // A drop map of another mesh size is not this grid's solution.
+    EXPECT_THROW(mg_grid.residual_inf(sol, where, good, vdd),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
