@@ -149,7 +149,7 @@ PatternSet random_pattern_set(std::size_t n, std::size_t num_vars,
   PatternSet set;
   set.patterns.resize(n);
   rt::parallel_for(
-      n,
+      n, kBlock,
       [&](std::size_t begin, std::size_t end) {
         Rng rng = Rng::stream(seed, begin / kBlock);
         for (std::size_t p = begin; p < end; ++p) {
@@ -159,8 +159,7 @@ PatternSet random_pattern_set(std::size_t n, std::size_t num_vars,
             bit = static_cast<std::uint8_t>(rng() & 1);
           }
         }
-      },
-      rt::ForOptions{.grain = kBlock, .min_items = 1});
+      });
   return set;
 }
 

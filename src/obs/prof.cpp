@@ -163,12 +163,6 @@ LaneProfile aggregate_lane(const LaneEvents& le, PoolProfile& pool) {
           task_begin = -1.0;
         }
         break;
-      case ProfKind::kStealAttempt:
-        lp.steal_attempts += e.value;
-        break;
-      case ProfKind::kStealSuccess:
-        ++lp.steals;
-        break;
       case ProfKind::kPark:
         park_begin = e.ts_us;
         break;
@@ -212,11 +206,6 @@ void inject_lane_trace(const LaneEvents& le, std::vector<TraceEvent>& out) {
           out.push_back(TraceEvent{"rt.task", e.ts_us, tid, 'E'});
           task_begin = -1.0;
         }
-        break;
-      case ProfKind::kStealAttempt:
-        // Zero-duration marker: the flame view shows steal churn density.
-        out.push_back(TraceEvent{"rt.steal", e.ts_us, tid, 'B'});
-        out.push_back(TraceEvent{"rt.steal", e.ts_us, tid, 'E'});
         break;
       case ProfKind::kPark:
         park_begin = e.ts_us;
@@ -335,11 +324,9 @@ void export_pool_profile(const PoolProfile& p, Registry& reg,
   }
   if (p.grain.count()) gauge("grain").observe_stats(p.grain);
   if (p.task_us.count()) gauge("task_us").observe_stats(p.task_us);
-  std::uint64_t tasks = 0, steals = 0, attempts = 0, parks = 0;
+  std::uint64_t tasks = 0, parks = 0;
   for (const LaneProfile& lp : p.lanes) {
     tasks += lp.tasks;
-    steals += lp.steals;
-    attempts += lp.steal_attempts;
     parks += lp.parks;
     // One observation per lane: the gauge's min/mean/max summarize the
     // spread across workers, which is the load-balance picture.
@@ -349,11 +336,8 @@ void export_pool_profile(const PoolProfile& p, Registry& reg,
     // Per-lane detail for the BENCH artifact.
     gauge(lp.label + ".busy_frac").observe(lp.busy_frac);
     gauge(lp.label + ".tasks").observe(static_cast<double>(lp.tasks));
-    gauge(lp.label + ".steals").observe(static_cast<double>(lp.steals));
   }
   reg.counter(pre + ".tasks").add(tasks);
-  reg.counter(pre + ".tasks_stolen").add(steals);
-  reg.counter(pre + ".steal_attempts").add(attempts);
   reg.counter(pre + ".parks").add(parks);
 }
 
@@ -377,11 +361,10 @@ std::string format_pool_report(const PoolProfile& p) {
                   p.grain.mean(), p.task_us.mean(), p.task_us.max());
     out += line;
   }
-  TextTable t({"lane", "tasks", "stolen", "steal att", "parks", "busy ms",
-               "busy %", "park %", "sched %", "task us"});
+  TextTable t({"lane", "tasks", "parks", "busy ms", "busy %", "park %",
+               "sched %", "task us"});
   for (const LaneProfile& lp : p.lanes) {
-    t.add_row({lp.label, std::to_string(lp.tasks), std::to_string(lp.steals),
-               std::to_string(lp.steal_attempts), std::to_string(lp.parks),
+    t.add_row({lp.label, std::to_string(lp.tasks), std::to_string(lp.parks),
                TextTable::num(lp.busy_ms, 2),
                TextTable::num(100.0 * lp.busy_frac, 1),
                TextTable::num(100.0 * lp.park_frac, 1),

@@ -1,4 +1,4 @@
-// Scheduler-level profiler for the work-stealing runtime (src/rt/).
+// Scheduler-level profiler for the thread pool runtime (src/rt/).
 //
 // Each scheduler participant (pool worker or submitting caller thread) owns a
 // ProfRing: a fixed-capacity ring of 64-bit packed events (kind + value +
@@ -11,7 +11,7 @@
 // At pool quiesce (no parallel region in flight -- the same caveat as
 // ThreadPool::set_global_concurrency) collect_pool_profile() aggregates every
 // ring into a PoolProfile: per-lane busy/park/scheduler-overhead utilization,
-// task and steal counts, task-duration / chunks-per-job / grain
+// task and park counts, task-duration / chunks-per-job / grain
 // distributions, and an imbalance metric. The profile exports three ways:
 //  - export_pool_profile(): `rt.prof.*` counters/gauges into the metrics
 //    registry, so BENCH_*.json artifacts carry the scheduler breakdown;
@@ -40,15 +40,13 @@ namespace scap::obs {
 class Registry;
 
 enum class ProfKind : std::uint8_t {
-  kTaskBegin = 0,     ///< execute() entry; value = task range size in chunks
-  kTaskEnd = 1,       ///< execute() exit (one body ran)
-  kStealAttempt = 2,  ///< one steal sweep; value = victims probed
-  kStealSuccess = 3,  ///< the sweep yielded a task
-  kPark = 4,          ///< worker blocks on the pool condvar
-  kUnpark = 5,        ///< worker woke up
-  kJobBegin = 6,      ///< run_chunked dispatch; value = chunk count
-  kJobEnd = 7,        ///< submitting thread drained the job
-  kGrain = 8,         ///< chunking decision; value = elements per chunk
+  kTaskBegin,  ///< a claimed chunk starts
+  kTaskEnd,    ///< the chunk's body returned
+  kPark,       ///< worker blocks on the pool condvar
+  kUnpark,     ///< worker woke up
+  kJobBegin,   ///< run_chunked dispatch; value = chunk count
+  kJobEnd,     ///< submitting thread drained the job
+  kGrain,      ///< chunking decision; value = elements per chunk
 };
 
 /// Unpacked event. Timestamps are microseconds on the trace epoch (now_us).
@@ -63,11 +61,13 @@ struct ProfEvent {
 /// race-free; a snapshot taken while the owner is mid-wrap can see a handful
 /// of reordered events, which the aggregation tolerates). Capacity is rounded
 /// up to a power of two; slot storage is allocated lazily on the first
-/// recorded event, so idle rings cost a few pointers.
+/// recorded event, so idle rings cost a few pointers. The default 2^18
+/// events (2 MiB) hold every event of a 4-lane conventional ATPG run at
+/// scale 0.32 (about 100K per lane).
 class ProfRing {
  public:
   enum class Owner : std::uint8_t { kWorker, kCaller };
-  static constexpr std::size_t kDefaultCapacity = 1u << 16;
+  static constexpr std::size_t kDefaultCapacity = 1u << 18;
 
   explicit ProfRing(Owner owner, std::size_t capacity = kDefaultCapacity);
   ~ProfRing();
@@ -115,15 +115,13 @@ ProfRing& caller_prof_ring();
 struct LaneProfile {
   std::string label;           ///< "w<i>" for pool workers, "c<i>" for callers
   bool is_worker = false;
-  std::uint64_t tasks = 0;     ///< bodies executed
-  std::uint64_t steals = 0;    ///< successful steal sweeps
-  std::uint64_t steal_attempts = 0;  ///< victims probed across sweeps
+  std::uint64_t tasks = 0;     ///< chunks executed
   std::uint64_t parks = 0;
-  double busy_ms = 0.0;        ///< sum of task (split + body) durations
+  double busy_ms = 0.0;        ///< sum of task durations
   double park_ms = 0.0;        ///< time blocked on the pool condvar
   RunningStats task_us;        ///< per-task duration distribution
   // Fractions of the profile window (busy + park + sched <= ~1; sched is the
-  // remainder: steal sweeps, spinning, queue traffic).
+  // remainder: claiming, spinning, waiting on the drain).
   double busy_frac = 0.0;
   double park_frac = 0.0;
   double sched_frac = 0.0;
@@ -147,7 +145,7 @@ struct PoolProfile {
 };
 
 /// Aggregate every live and retired ring. When tracing is enabled the
-/// collected task/steal/park events are also injected into the trace stream
+/// collected task/park/job events are also injected into the trace stream
 /// as per-lane Chrome lanes (tid = kProfLaneBase + lane). Call at pool
 /// quiesce only.
 PoolProfile collect_pool_profile();

@@ -14,6 +14,13 @@ namespace {
 constexpr std::size_t kParallelNodeThreshold = 8192;
 constexpr std::size_t kRowGrain = 16;
 
+/// Red-black Gauss-Seidel sweeps before and after each coarse-grid
+/// correction, and the active-node count at which coarsening stops and the
+/// dense direct solve takes over.
+constexpr std::uint32_t kPreSweeps = 2;
+constexpr std::uint32_t kPostSweeps = 2;
+constexpr std::size_t kCoarsestNodes = 64;
+
 /// Restriction / prolongation stencil weight along one axis: 1 on the
 /// coarse point itself, 1/2 one fine step away.
 constexpr double kW[2] = {1.0, 0.5};
@@ -127,9 +134,9 @@ Level coarsen(const Level& f) {
 
 }  // namespace
 
-Hierarchy::Hierarchy(const PdnTopology& topo, std::uint32_t coarsest_nodes) {
+Hierarchy::Hierarchy(const PdnTopology& topo) {
   levels_.push_back(make_fine_level(topo));
-  while (count_active(levels_.back()) > coarsest_nodes &&
+  while (count_active(levels_.back()) > kCoarsestNodes &&
          levels_.back().nx >= 3 && levels_.back().ny >= 3) {
     Level c = coarsen(levels_.back());
     if (count_active(c) == 0) break;
@@ -250,7 +257,7 @@ void Hierarchy::smooth(std::size_t li, bool vdd_rail, std::span<const double> b,
         }
       };
       if (par) {
-        rt::parallel_for(ny, body, {.grain = kRowGrain});
+        rt::parallel_for(ny, kRowGrain, body);
       } else {
         body(0, ny);
       }
@@ -283,7 +290,7 @@ void Hierarchy::residual(std::size_t li, bool vdd_rail,
     }
   };
   if (par) {
-    rt::parallel_for(ny, body, {.grain = kRowGrain});
+    rt::parallel_for(ny, kRowGrain, body);
   } else {
     body(0, ny);
   }
@@ -318,7 +325,7 @@ void Hierarchy::restrict_to(std::size_t lc, std::span<const double> fine_r,
     }
   };
   if (par) {
-    rt::parallel_for(c.ny, body, {.grain = kRowGrain});
+    rt::parallel_for(c.ny, kRowGrain, body);
   } else {
     body(0, c.ny);
   }
@@ -358,7 +365,7 @@ void Hierarchy::prolong_add(std::size_t lf, std::span<const double> coarse_x,
     }
   };
   if (par) {
-    rt::parallel_for(f.ny, body, {.grain = kRowGrain});
+    rt::parallel_for(f.ny, kRowGrain, body);
   } else {
     body(0, f.ny);
   }
@@ -366,8 +373,6 @@ void Hierarchy::prolong_add(std::size_t lf, std::span<const double> coarse_x,
 
 SolveResult Hierarchy::solve(std::span<const double> b, bool vdd_rail,
                              double tol_v, std::uint32_t max_cycles,
-                             std::uint32_t pre_sweeps,
-                             std::uint32_t post_sweeps,
                              std::vector<double>& x) const {
   const std::size_t depth = levels_.size();
   const DenseSolve& ds = vdd_rail ? dense_vdd_ : dense_vss_;
@@ -392,7 +397,7 @@ SolveResult Hierarchy::solve(std::span<const double> b, bool vdd_rail,
       solve_coarsest(ds, bs[l], xs[l]);
       return;
     }
-    smooth(l, vdd_rail, bs[l], xs[l], pre_sweeps, par[l]);
+    smooth(l, vdd_rail, bs[l], xs[l], kPreSweeps, par[l]);
     residual(l, vdd_rail, bs[l], xs[l], rs[l], par[l]);
     restrict_to(l + 1, rs[l], bs[l + 1], par[l + 1]);
     std::fill(xs[l + 1].begin(), xs[l + 1].end(), 0.0);
@@ -405,7 +410,7 @@ SolveResult Hierarchy::solve(std::span<const double> b, bool vdd_rail,
     // fine-level smoothing pass in total.
     if (l + 2 < depth) self(self, l + 1);
     prolong_add(l, xs[l + 1], xs[l], par[l]);
-    smooth(l, vdd_rail, bs[l], xs[l], post_sweeps, par[l]);
+    smooth(l, vdd_rail, bs[l], xs[l], kPostSweeps, par[l]);
   };
 
   SolveResult res;

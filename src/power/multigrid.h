@@ -57,16 +57,16 @@ struct SolveResult {
 
 class Hierarchy {
  public:
-  /// `topo` must be finalized. coarsest_nodes bounds the dense direct solve
-  /// (coarsening also stops when the mesh cannot halve any further).
-  Hierarchy(const PdnTopology& topo, std::uint32_t coarsest_nodes);
+  /// `topo` must be finalized. Coarsening stops at 64 active nodes, where
+  /// the dense direct solve takes over, or when the mesh cannot halve any
+  /// further.
+  explicit Hierarchy(const PdnTopology& topo);
 
   /// W-cycle iteration to max-update tolerance `tol_v` on the finest level.
   /// b is the per-node injected current [A] (finest lattice, row-major);
   /// x is resized and overwritten with the node drops [V]. Re-entrant.
   SolveResult solve(std::span<const double> b, bool vdd_rail, double tol_v,
-                    std::uint32_t max_cycles, std::uint32_t pre_sweeps,
-                    std::uint32_t post_sweeps, std::vector<double>& x) const;
+                    std::uint32_t max_cycles, std::vector<double>& x) const;
 
   std::size_t num_levels() const { return levels_.size(); }
   const Level& level(std::size_t l) const { return levels_[l]; }

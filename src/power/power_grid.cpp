@@ -17,6 +17,9 @@ namespace scap {
 
 namespace {
 
+/// SOR over-relaxation factor.
+constexpr double kSorOmega = 1.9;
+
 /// One colour pass of one SOR solve: the colour's coefficient, current and
 /// drop planes (each (ny + 2) * width slots, slot 0 of row 0 first) and the
 /// other colour's drop plane.
@@ -32,7 +35,6 @@ struct SorPass {
   std::size_t width = 0;          ///< slots per row, nx / 2 + 2
   std::uint32_t nx = 0;
   std::uint32_t colour = 0;  ///< 0: nodes with (ix + iy) even
-  double omega = 1.0;
 };
 
 // The row kernel works two nodes at a time in GCC vector types: GCC does
@@ -70,7 +72,7 @@ Vec vabs(Vec x) {
 /// operand order, so it is exact in any lane grouping.
 double sweep_rows(const SorPass& p, std::uint32_t y0, std::uint32_t y1) {
   const std::size_t w = p.width;
-  const Vec omega = Vec{} + p.omega;
+  const Vec omega = Vec{} + kSorOmega;
   Vec vmax = {};
   double smax = 0.0;
   for (std::uint32_t iy = y0; iy < y1; ++iy) {
@@ -109,7 +111,7 @@ double sweep_rows(const SorPass& p, std::uint32_t y0, std::uint32_t y1) {
       f += gu[q] * up[q];
       f += gd[q] * down[q];
       const double next = f / gs[q];
-      const double relaxed = d[q] + p.omega * (next - d[q]);
+      const double relaxed = d[q] + kSorOmega * (next - d[q]);
       smax = std::max(smax, std::abs(relaxed - d[q]));
       d[q] = relaxed;
     }
@@ -193,7 +195,7 @@ struct PowerGrid::SorOperator {
 
   /// One colour's pass over split currents `b` and drops `d`.
   SorPass pass(std::uint32_t colour, bool vdd_rail, const double* b,
-               double* d, double omega) const {
+               double* d) const {
     const std::size_t own = colour * plane;
     const std::size_t other = (1 - colour) * plane;
     SorPass p;
@@ -208,7 +210,6 @@ struct PowerGrid::SorOperator {
     p.width = width;
     p.nx = nx;
     p.colour = colour;
-    p.omega = omega;
     return p;
   }
 
@@ -310,8 +311,7 @@ void PowerGrid::init_solver() {
                                                  : GridSolver::kSor;
   }
   if (resolved_ == GridSolver::kMultigrid) {
-    mg_ = std::make_shared<mg::Hierarchy>(topo_,
-                                          std::max(1u, opt_.mg_coarsest_nodes));
+    mg_ = std::make_shared<mg::Hierarchy>(topo_);
   }
 }
 
@@ -394,8 +394,8 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
   // values by construction.
   std::vector<double> d(b.size(), 0.0);  // split drops; the ring stays 0
   const SorPass passes[2] = {
-      op.pass(0, vdd_rail, b.data(), d.data(), opt_.sor_omega),
-      op.pass(1, vdd_rail, b.data(), d.data(), opt_.sor_omega)};
+      op.pass(0, vdd_rail, b.data(), d.data()),
+      op.pass(1, vdd_rail, b.data(), d.data())};
   const bool parallel = static_cast<std::size_t>(nx) * ny >= 8192 &&
                         rt::concurrency() > 1 &&
                         !rt::ThreadPool::on_worker_thread();
@@ -436,7 +436,7 @@ GridSolution PowerGrid::solve_multigrid(std::span<const double> current,
   sol.solver = GridSolver::kMultigrid;
   const mg::SolveResult r =
       mg_->solve(current, vdd_rail, opt_.tolerance_v, opt_.max_iterations,
-                 opt_.mg_pre_sweeps, opt_.mg_post_sweeps, sol.drop_v);
+                 sol.drop_v);
   sol.iterations = r.cycles;
   sol.final_delta_v = r.final_delta_v;
   sol.converged = r.converged;

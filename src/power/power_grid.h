@@ -89,17 +89,10 @@ struct PowerGridOptions {
   double segment_res_ohm = 0.35;
   /// Pad contact resistance [ohm].
   double pad_res_ohm = 0.08;
-  double sor_omega = 1.9;
   double tolerance_v = 1e-7;
   /// SOR: sweep budget. Multigrid: W-cycle budget (converges in ~10).
   std::uint32_t max_iterations = 20000;
   GridSolver solver = GridSolver::kAuto;
-  /// Multigrid tuning: red-black GS sweeps before/after each coarse-grid
-  /// correction, and the active-node count at which coarsening stops and a
-  /// dense direct solve takes over.
-  std::uint32_t mg_pre_sweeps = 2;
-  std::uint32_t mg_post_sweeps = 2;
-  std::uint32_t mg_coarsest_nodes = 64;
 };
 
 struct GridSolution {

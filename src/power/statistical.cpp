@@ -76,15 +76,14 @@ StatisticalReport analyze_statistical(
   rep.block_worst_vdd_v.resize(nl.block_count());
   rep.block_worst_vss_v.resize(nl.block_count());
   rt::parallel_for(
-      nl.block_count(),
+      nl.block_count(), /*grain=*/1,
       [&](std::size_t b0, std::size_t b1) {
         for (std::size_t b = b0; b < b1; ++b) {
           const Rect r = b < fp.block_count() ? fp.block(b).rect : fp.die();
           rep.block_worst_vdd_v[b] = rep.vdd_solution.worst_in(r);
           rep.block_worst_vss_v[b] = rep.vss_solution.worst_in(r);
         }
-      },
-      rt::ForOptions{.grain = 1, .min_items = 2});
+      });
   rep.chip_worst_vdd_v = rep.vdd_solution.worst();
   rep.chip_worst_vss_v = rep.vss_solution.worst();
   obs::count("power.statistical_runs");

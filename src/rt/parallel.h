@@ -1,17 +1,13 @@
-// Parallel loop and reduction primitives over the global work-stealing pool.
+// Parallel loop and reduction primitives over the global pool.
 //
-// Two chunking regimes:
-//  - parallel_for with grain=0 ("static"): the index range is split into a
-//    few chunks per thread. The chunk layout depends on the pool size, so it
-//    is only for bodies whose writes are element-indexed (chunk boundaries
-//    cannot influence the result).
-//  - explicit grain ("dynamic"): fixed chunks of `grain` elements feed the
-//    stealing scheduler for load balancing. parallel_transform_reduce always
-//    uses this regime: its chunk layout is a pure function of (n, grain),
-//    never of the thread count, and partial results are combined in chunk
-//    index order -- so floating-point reductions associate identically at
-//    every SCAP_THREADS value, including 1. That is the library-wide
-//    determinism contract (README "Parallel runtime").
+// One chunking regime: the index range is cut into fixed chunks of `grain`
+// elements, chunk k covering [k * grain, min(n, (k + 1) * grain)). The chunk
+// layout is a pure function of (n, grain), never of the thread count, and it
+// is the same on the parallel, serial and nested paths.
+// parallel_transform_reduce combines its per-chunk partials in chunk index
+// order, so floating-point reductions associate identically at every
+// SCAP_THREADS value, including 1. That is the library-wide determinism
+// contract (README "Parallel runtime").
 #pragma once
 
 #include <algorithm>
@@ -24,46 +20,34 @@
 
 namespace scap::rt {
 
-struct ForOptions {
-  /// Elements per chunk; 0 = static split by pool concurrency.
-  std::size_t grain = 0;
-  /// Below this many elements the loop runs serially inline (parallel
-  /// dispatch overhead would dominate).
-  std::size_t min_items = 2;
-};
+namespace detail {
 
-/// Run body(begin, end) over disjoint subranges covering [0, n). Subranges
-/// execute on arbitrary threads; bodies must only write element-indexed
-/// state. With an explicit grain the subrange boundaries are the same fixed
-/// chunks of `grain` elements on EVERY path -- parallel, serial fallback,
-/// and nested -- so bodies whose behaviour depends on chunk boundaries
-/// (e.g. one RNG stream per chunk) stay thread-count invariant.
-inline void parallel_for(std::size_t n,
-                         const std::function<void(std::size_t, std::size_t)>& body,
-                         ForOptions opt = {}) {
-  if (n == 0) return;
-  auto pool = ThreadPool::global();
-  const std::size_t threads = pool->concurrency();
-  if (n < opt.min_items || threads <= 1 || ThreadPool::on_worker_thread()) {
-    if (opt.grain == 0) {
-      body(0, n);
-    } else {
-      for (std::size_t b = 0; b < n; b += opt.grain) {
-        body(b, std::min(n, b + opt.grain));
-      }
-    }
-    return;
-  }
-  // Static: ~4 chunks per thread so one slow chunk can still be balanced.
-  const std::size_t grain =
-      opt.grain ? opt.grain : std::max<std::size_t>(1, (n + threads * 4 - 1) / (threads * 4));
-  const std::size_t n_chunks = (n + grain - 1) / grain;
-  if (obs::prof_enabled() && n_chunks >= 2) {
+/// Profiler note of a chunking decision (a nested region runs inline and is
+/// not a decision of its own).
+inline void note_grain(std::size_t grain, std::size_t n_chunks) {
+  if (obs::prof_enabled() && n_chunks >= 2 &&
+      !ThreadPool::on_worker_thread()) {
     obs::caller_prof_ring().record(
         obs::ProfKind::kGrain,
         static_cast<std::uint32_t>(std::min<std::size_t>(grain, 0xFFFFu)));
   }
-  pool->run_chunked(n_chunks, [&](std::size_t c) {
+}
+
+}  // namespace detail
+
+/// Run body(begin, end) once per fixed chunk of `grain` elements (0 counts
+/// as 1) covering [0, n). Chunks execute on arbitrary threads; bodies must
+/// only write element-indexed state. A body whose behaviour depends on the
+/// chunk boundaries (e.g. one RNG stream per chunk) stays thread-count
+/// invariant, because the boundaries never depend on the pool.
+inline void parallel_for(
+    std::size_t n, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (n == 0) return;
+  grain = std::max<std::size_t>(1, grain);
+  const std::size_t n_chunks = (n + grain - 1) / grain;
+  detail::note_grain(grain, n_chunks);
+  ThreadPool::global()->run_chunked(n_chunks, [&](std::size_t c) {
     const std::size_t b = c * grain;
     body(b, std::min(n, b + grain));
   });
@@ -79,12 +63,7 @@ T parallel_transform_reduce(std::size_t n, std::size_t grain, T init,
   if (n == 0) return init;
   grain = std::max<std::size_t>(1, grain);
   const std::size_t n_chunks = (n + grain - 1) / grain;
-  if (obs::prof_enabled() && n_chunks >= 2 &&
-      !ThreadPool::on_worker_thread()) {
-    obs::caller_prof_ring().record(
-        obs::ProfKind::kGrain,
-        static_cast<std::uint32_t>(std::min<std::size_t>(grain, 0xFFFFu)));
-  }
+  detail::note_grain(grain, n_chunks);
   std::vector<T> partials(n_chunks, init);
   const std::function<void(std::size_t)> chunk_body = [&](std::size_t c) {
     const std::size_t b = c * grain;

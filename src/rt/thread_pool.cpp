@@ -1,10 +1,9 @@
 #include "rt/thread_pool.h"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -39,32 +38,27 @@ std::shared_ptr<ThreadPool> g_global;  // guarded by g_global_mu
 
 }  // namespace
 
-// One parallel region. Lives on the submitting thread's stack: every task
-// pointer anywhere in the pool represents unexecuted chunks, so once
-// `remaining` hits zero no reference to the job can exist and the submitter
-// may safely return.
+// One parallel region. Shared by the submitter, the open-job list and every
+// worker claiming from it, so a thread that reads `next` after the last
+// chunk ran still reads live memory. `body` is the submitter's and dangles
+// once the job drains; by then every chunk is claimed and nobody calls it.
 struct ThreadPool::Job {
-  const std::function<void(std::size_t)>* body = nullptr;
-  std::atomic<std::size_t> remaining{0};
+  Job(const std::function<void(std::size_t)>& b, std::size_t n)
+      : body(&b), n_chunks(n), remaining(n) {}
+
+  bool fully_claimed() const {
+    return next.load(std::memory_order_relaxed) >= n_chunks;
+  }
+
+  const std::function<void(std::size_t)>* body;
+  const std::size_t n_chunks;
+  std::atomic<std::size_t> next{0};  ///< next chunk to claim
+  std::atomic<std::size_t> remaining;  ///< chunks not yet finished
   // The first exception a chunk threw. Written once, by the thread that wins
   // `failed`, before its chunk counts down; the submitter reads it only
   // after `remaining` hits zero.
   std::atomic<bool> failed{false};
   std::exception_ptr error;
-  // Task arena: a binary split tree over n chunks has at most 2n-1 nodes.
-  // Bump-allocated so task creation is lock-free and addresses are stable.
-  std::vector<Task> arena;
-  std::atomic<std::size_t> arena_next{0};
-
-  Task* alloc(Job* self, std::uint32_t begin, std::uint32_t end) {
-    const std::size_t i = arena_next.fetch_add(1, std::memory_order_relaxed);
-    assert(i < arena.size());
-    Task& t = arena[i];
-    t.job = self;
-    t.begin = begin;
-    t.end = end;
-    return &t;
-  }
 };
 
 ThreadPool::ThreadPool(std::size_t concurrency)
@@ -72,12 +66,8 @@ ThreadPool::ThreadPool(std::size_t concurrency)
   obs::Registry& reg = obs::Registry::global();
   jobs_ctr_ = &reg.counter("rt.jobs");
   chunks_ctr_ = &reg.counter("rt.chunks");
-  tasks_ctr_ = &reg.counter("rt.tasks");
-  steals_ctr_ = &reg.counter("rt.steals");
-  steal_attempts_ctr_ = &reg.counter("rt.steal_attempts");
   for (std::size_t i = 0; i + 1 < concurrency_; ++i) {
     auto w = std::make_unique<Worker>();
-    w->index = i;
     w->prof.set_lane(static_cast<std::uint32_t>(i));
     workers_.push_back(std::move(w));
   }
@@ -89,7 +79,7 @@ ThreadPool::ThreadPool(std::size_t concurrency)
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_release);
+    stop_ = true;
   }
   cv_.notify_all();
   for (auto& w : workers_) {
@@ -99,142 +89,64 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::on_worker_thread() noexcept { return tl_on_worker; }
 
-void ThreadPool::inject(Task* task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    injector_.push_back(task);
-  }
-  cv_.notify_all();
-}
-
-ThreadPool::Task* ThreadPool::pop_injector() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (injector_.empty()) return nullptr;
-  Task* t = injector_.back();
-  injector_.pop_back();
-  return t;
-}
-
-ThreadPool::Task* ThreadPool::steal_any(Worker* self) {
-  const std::size_t n = workers_.size();
-  if (n == 0) return nullptr;
-  const std::size_t start = self ? self->index + 1 : 0;
-  std::size_t attempts = 0;
-  Task* t = nullptr;
-  for (std::size_t k = 0; k < n && t == nullptr; ++k) {
-    Worker* victim = workers_[(start + k) % n].get();
-    if (victim == self) continue;
-    ++attempts;
-    t = victim->deque.steal();
-  }
-  if (obs::metrics_enabled() && attempts) {
-    steal_attempts_ctr_->add(attempts);
-    if (t) steals_ctr_->add(1);
-  }
-  if (obs::prof_enabled() && attempts) {
-    obs::ProfRing& ring = self ? self->prof : obs::caller_prof_ring();
-    ring.record(obs::ProfKind::kStealAttempt,
-                static_cast<std::uint32_t>(attempts));
-    if (t) ring.record(obs::ProfKind::kStealSuccess, 1);
-  }
-  return t;
-}
-
-void ThreadPool::execute(Task* task, Worker* self) {
-  Job* job = task->job;
-  std::uint32_t begin = task->begin;
-  std::uint32_t end = task->end;
-  const bool prof_on = obs::prof_enabled();
-  if (prof_on) {
-    (self ? self->prof : obs::caller_prof_ring())
-        .record(obs::ProfKind::kTaskBegin, end - begin);
-  }
-  // Split in half until a single chunk remains; spare halves go to the own
-  // deque (stealable, oldest-first == coarsest-first) or, from the
-  // submitting thread, to the shared injector.
-  while (end - begin > 1) {
-    const std::uint32_t mid = begin + (end - begin) / 2;
-    Task* spare = job->alloc(job, mid, end);
-    if (self) {
-      self->deque.push(spare);
-    } else {
-      inject(spare);
+void ThreadPool::run_chunks(Job& job, obs::ProfRing& ring) {
+  for (;;) {
+    const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job.n_chunks) return;
+    ring.record(obs::ProfKind::kTaskBegin);
+    // A throwing chunk still counts down, so the job drains and the
+    // submitter -- never a worker -- rethrows.
+    try {
+      (*job.body)(c);
+    } catch (...) {
+      if (!job.failed.exchange(true, std::memory_order_relaxed)) {
+        job.error = std::current_exception();
+      }
     }
-    end = mid;
-  }
-  // A throwing chunk still counts down, so the job drains and the
-  // submitter -- never a worker -- rethrows.
-  try {
-    (*job->body)(begin);
-  } catch (...) {
-    if (!job->failed.exchange(true, std::memory_order_relaxed)) {
-      job->error = std::current_exception();
+    // TaskEnd lands before the count-down: once `remaining` hits zero the
+    // submitter may collect a profile, which must already see this task.
+    ring.record(obs::ProfKind::kTaskEnd);
+    // Taking drain_mu_ orders the notify after a submitter's predicate
+    // check, so the wake is not lost.
+    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      { std::lock_guard<std::mutex> lock(drain_mu_); }
+      drain_cv_.notify_all();
     }
-  }
-  if (obs::metrics_enabled()) tasks_ctr_->add(1);
-  // TaskEnd lands before the drain counter drops: once `remaining` hits zero
-  // the submitter may collect a profile, which must already see this task.
-  if (prof_on) {
-    (self ? self->prof : obs::caller_prof_ring())
-        .record(obs::ProfKind::kTaskEnd);
-  }
-  // Past this count-down the submitter may return and `job` may be gone:
-  // the wake below touches pool state only. Taking drain_mu_ orders the
-  // notify after a submitter's predicate check, so the wake is not lost.
-  if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    { std::lock_guard<std::mutex> lock(drain_mu_); }
-    drain_cv_.notify_all();
   }
 }
 
 void ThreadPool::worker_main(Worker* self) {
   tl_on_worker = true;
   int idle_sweeps = 0;
-  int napped_us = 100;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Task* t = self->deque.pop();
-    if (!t) t = steal_any(self);
-    if (!t) t = pop_injector();
-    if (t) {
-      execute(t, self);
-      idle_sweeps = 0;
-      napped_us = 100;
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (active_jobs_.load(std::memory_order_acquire) > 0) {
-      // A job is in flight but nothing was stealable this sweep. Stay hot
-      // briefly -- split tasks appear without notification while a region is
-      // active -- but bound the spin: when workers outnumber hardware
-      // threads, unbounded yielding steals the very timeslices the running
-      // tasks need. Past the budget, park with a timeout (backing off while
-      // fruitless) so late-appearing tasks are still picked up; a new job's
-      // notify_all wakes parked workers immediately.
-      if (++idle_sweeps <= 16) {
-        std::this_thread::yield();
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      self->prof.record(obs::ProfKind::kPark);
-      cv_.wait_for(lock, std::chrono::microseconds(napped_us), [&] {
-        return stop_.load(std::memory_order_relaxed) || !injector_.empty();
-      });
-      self->prof.record(obs::ProfKind::kUnpark);
-      napped_us = std::min(napped_us * 2, 4000);
-      idle_sweeps = 0;
-      continue;
-    }
-    idle_sweeps = 0;
-    napped_us = 100;
-    std::unique_lock<std::mutex> lock(mu_);
-    self->prof.record(obs::ProfKind::kPark);
-    cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_relaxed) ||
-             active_jobs_.load(std::memory_order_relaxed) > 0 ||
-             !injector_.empty();
+    std::erase_if(open_, [](const std::shared_ptr<Job>& j) {
+      return j->fully_claimed();
     });
-    self->prof.record(obs::ProfKind::kUnpark);
-    if (stop_.load(std::memory_order_relaxed)) break;
+    if (stop_) break;
+    if (!open_.empty()) {
+      const std::shared_ptr<Job> job = open_.front();
+      lock.unlock();
+      run_chunks(*job, self->prof);
+      idle_sweeps = 0;
+      lock.lock();
+    } else if (active_jobs_.load(std::memory_order_relaxed) > 0 &&
+               ++idle_sweeps <= 16) {
+      // A job is in flight but fully claimed, and its submitter often sends
+      // the next one as soon as it drains: stay hot briefly. The spin is
+      // bounded because, when workers outnumber hardware threads, unbounded
+      // yielding takes the very timeslices the running chunks need.
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+    } else {
+      // Every claimable chunk arrives with a notify (run_chunked), so the
+      // park needs no timeout.
+      idle_sweeps = 0;
+      self->prof.record(obs::ProfKind::kPark);
+      cv_.wait(lock, [this] { return stop_ || !open_.empty(); });
+      self->prof.record(obs::ProfKind::kUnpark);
+    }
   }
   tl_on_worker = false;
 }
@@ -250,65 +162,47 @@ void ThreadPool::run_chunked(std::size_t n_chunks,
     return;
   }
   SCAP_TRACE_SCOPE("rt.job");
-  const bool prof_on = obs::prof_enabled();
-  if (prof_on) {
-    obs::caller_prof_ring().record(obs::ProfKind::kJobBegin,
-                                   static_cast<std::uint32_t>(std::min<
-                                       std::size_t>(n_chunks, 0xFFFFu)));
-  }
+  obs::ProfRing& ring = obs::caller_prof_ring();
+  ring.record(obs::ProfKind::kJobBegin,
+              static_cast<std::uint32_t>(
+                  std::min<std::size_t>(n_chunks, 0xFFFFu)));
   if (obs::metrics_enabled()) {
     jobs_ctr_->add(1);
     chunks_ctr_->add(n_chunks);
   }
 
-  Job job;
-  job.body = &body;
-  job.remaining.store(n_chunks, std::memory_order_relaxed);
-  job.arena.resize(2 * n_chunks);
-  Task* root = job.alloc(&job, 0, static_cast<std::uint32_t>(n_chunks));
-
+  const auto job = std::make_shared<Job>(body, n_chunks);
   {
     std::lock_guard<std::mutex> lock(mu_);
     active_jobs_.fetch_add(1, std::memory_order_relaxed);
-    injector_.push_back(root);
+    open_.push_back(job);
   }
-  // The submitter participates too, so a job with few chunks needs few
-  // workers; waking the whole pool for a 2-chunk job just adds scheduling
-  // pressure (worst on hosts with fewer cores than workers).
-  const std::size_t to_wake = std::min(workers_.size(), n_chunks - 1);
-  if (to_wake >= workers_.size()) {
-    cv_.notify_all();
-  } else {
-    for (std::size_t i = 0; i < to_wake; ++i) cv_.notify_one();
-  }
+  cv_.notify_all();
 
-  // Participate until this job drains. Tasks of other concurrent jobs may be
-  // picked up too -- they never block, so helping them only speeds things up.
-  // The drain tail (all tasks claimed, some still executing) spins briefly,
-  // then parks on drain_cv_: the task that finishes the job wakes it, and a
-  // 100 us timeout keeps polling for stealable work meanwhile. On an
-  // oversubscribed host an unbounded yield loop would compete with the
-  // workers finishing the job.
-  int idle_sweeps = 0;
+  // Claim chunks alongside the workers, then wait for the ones still
+  // running elsewhere: spin briefly, then park until the chunk that
+  // finishes last wakes this thread.
+  run_chunks(*job, ring);
   auto drained = [&job] {
-    return job.remaining.load(std::memory_order_acquire) == 0;
+    return job->remaining.load(std::memory_order_acquire) == 0;
   };
-  while (!drained()) {
-    Task* t = pop_injector();
-    if (!t) t = steal_any(nullptr);
-    if (t) {
-      execute(t, nullptr);
-      idle_sweeps = 0;
-    } else if (++idle_sweeps <= 16) {
+  for (int idle_sweeps = 0; !drained();) {
+    if (++idle_sweeps <= 16) {
       std::this_thread::yield();
     } else {
       std::unique_lock<std::mutex> lock(drain_mu_);
-      drain_cv_.wait_for(lock, std::chrono::microseconds(100), drained);
+      drain_cv_.wait(lock, drained);
     }
   }
   active_jobs_.fetch_sub(1, std::memory_order_relaxed);
-  if (prof_on) obs::caller_prof_ring().record(obs::ProfKind::kJobEnd);
-  if (job.error) std::rethrow_exception(job.error);
+  ring.record(obs::ProfKind::kJobEnd);
+  // Move the exception out: a worker may drop the last reference to the job,
+  // and the exception must end its life on this thread, which catches it.
+  // Its reference count lives in the C++ runtime, where ThreadSanitizer does
+  // not see the ordering between threads.
+  if (std::exception_ptr error = std::move(job->error)) {
+    std::rethrow_exception(error);
+  }
 }
 
 std::shared_ptr<ThreadPool> ThreadPool::global() {

@@ -1,12 +1,17 @@
-// Work-stealing thread pool shared by every parallel kernel in the library.
+// Thread pool shared by every parallel kernel in the library.
 //
-// Workers each own a Chase-Lev deque (rt/deque.h); a submitted job is one
-// root task covering chunk-index range [0, n) that executors split in half
-// recursively, pushing the upper half for idle threads to steal. The
-// submitting thread participates until its job drains, so `SCAP_THREADS=N`
-// means N-way concurrency total (N-1 pool workers plus the caller) and
-// `SCAP_THREADS=1` (or a single-core host) means strictly serial inline
-// execution with no threads, no queues and no atomics on the hot path.
+// A submitted job is one shared record: the body, the chunk count, an atomic
+// next-chunk counter, the count of chunks still running and the first
+// exception. run_chunked appends it to the pool's open-job list and wakes the
+// workers once; the submitter and the workers then claim chunks with one
+// fetch_add each until none are left, and the chunk that finishes last wakes
+// the submitter. Callers size their jobs (a few chunks per lane, or one
+// index counter of their own), so the pool does no load balancing beyond
+// that claim counter. The submitting thread participates until its job
+// drains, so `SCAP_THREADS=N` means N-way concurrency total (N-1 pool
+// workers plus the caller) and `SCAP_THREADS=1` (or a single-core host)
+// means strictly serial inline execution with no threads, no queues and no
+// atomics on the hot path.
 //
 // Determinism contract: the pool assigns chunks to threads arbitrarily, so
 // callers must make results a pure function of the chunk index (write to
@@ -18,18 +23,15 @@
 //   SCAP_THREADS=N   total concurrency (default: hardware threads); read
 //                    once at startup and cached for the process lifetime
 //
-// Observability: counters rt.jobs / rt.chunks / rt.tasks / rt.steals /
-// rt.steal_attempts, span timer "rt.job" around every parallel region.
-// (A queue-depth gauge sampled at submit time used to live here; it read 0
-// on every sample -- the injector has not been split into worker deques yet
-// at that point -- so it was dropped.) Under SCAP_PROF=1 every worker and
-// submitting caller additionally records task/steal/park/job events into a
-// per-lane ring (obs/prof.h) for the scheduler-level profile.
+// Observability: counters rt.jobs / rt.chunks, span timer "rt.job" around
+// every parallel region. Under SCAP_PROF=1 every worker and submitting
+// caller additionally records task/park/job events into a per-lane ring
+// (obs/prof.h) for the scheduler-level profile.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "obs/prof.h"
-#include "rt/deque.h"
 
 namespace scap::obs {
 class Counter;
@@ -61,10 +62,10 @@ class ThreadPool {
   /// chunk->thread placement is arbitrary (see the determinism contract
   /// above). Executes inline when the pool is serial, n_chunks < 2, or the
   /// calling thread is itself a pool worker (nested regions are serialized
-  /// rather than risking deadlock). If a chunk throws, the other chunks
-  /// still run and the first exception thrown is rethrown here once the
-  /// job has drained (inline execution stops at the throwing chunk); the
-  /// pool stays usable.
+  /// rather than risking deadlock). Any thread may submit, and several may
+  /// at once. If a chunk throws, the other chunks still run and the first
+  /// exception thrown is rethrown here once the job has drained (inline
+  /// execution stops at the throwing chunk); the pool stays usable.
   void run_chunked(std::size_t n_chunks,
                    const std::function<void(std::size_t)>& body);
 
@@ -86,46 +87,34 @@ class ThreadPool {
 
  private:
   struct Job;
-  struct Task {
-    Job* job = nullptr;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
   struct Worker {
-    WorkStealingDeque<Task*> deque;
-    std::size_t index = 0;
     std::thread thread;
     obs::ProfRing prof{obs::ProfRing::Owner::kWorker};
   };
 
   void worker_main(Worker* self);
-  void execute(Task* task, Worker* self);
-  Task* steal_any(Worker* self);
-  Task* pop_injector();
-  void inject(Task* task);
+  void run_chunks(Job& job, obs::ProfRing& ring);
 
   std::size_t concurrency_ = 1;
   std::vector<std::unique_ptr<Worker>> workers_;
 
+  // Jobs with unclaimed chunks, oldest first. A worker holds its own
+  // reference while it claims, so a job outlives every thread that can still
+  // read its counter; fully claimed jobs are dropped from the list.
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Task*> injector_;  // guarded by mu_
-  std::atomic<int> active_jobs_{0};
-  std::atomic<bool> stop_{false};
+  std::vector<std::shared_ptr<Job>> open_;  // guarded by mu_
+  bool stop_ = false;                       // guarded by mu_
+  std::atomic<int> active_jobs_{0};         // submitted and not yet drained
 
-  // Drain wake: the task that finishes a job notifies drain_cv_, so a
-  // submitter parked in its drain tail wakes at once instead of at the end
-  // of its 100 us poll. Pool-owned because the Job itself may be gone the
-  // moment its last task counts down.
+  // Drain wake: the chunk that finishes a job notifies drain_cv_, so a
+  // submitter parked in its drain tail wakes at once.
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
   // Cached registry entries (never invalidated; see obs/metrics.h).
   obs::Counter* jobs_ctr_ = nullptr;
   obs::Counter* chunks_ctr_ = nullptr;
-  obs::Counter* tasks_ctr_ = nullptr;
-  obs::Counter* steals_ctr_ = nullptr;
-  obs::Counter* steal_attempts_ctr_ = nullptr;
 };
 
 /// Concurrency of the global pool (>= 1).

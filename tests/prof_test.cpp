@@ -43,18 +43,15 @@ class ProfTest : public ::testing::Test {
     configure(cfg);
   }
 
-  /// A workload that touches every scheduler path: split tasks, steals,
-  /// caller participation.
+  /// A workload that touches every scheduler path: chunk claims on the
+  /// workers, caller participation, the drain.
   static std::uint64_t run_workload(std::size_t n, std::size_t grain) {
     std::atomic<std::uint64_t> sum{0};
-    rt::parallel_for(
-        n,
-        [&](std::size_t b, std::size_t e) {
-          std::uint64_t local = 0;
-          for (std::size_t i = b; i < e; ++i) local += i;
-          sum.fetch_add(local, std::memory_order_relaxed);
-        },
-        rt::ForOptions{grain, 2});
+    rt::parallel_for(n, grain, [&](std::size_t b, std::size_t e) {
+      std::uint64_t local = 0;
+      for (std::size_t i = b; i < e; ++i) local += i;
+      sum.fetch_add(local, std::memory_order_relaxed);
+    });
     return sum.load();
   }
 };

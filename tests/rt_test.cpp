@@ -1,5 +1,6 @@
-// Unit tests for the parallel execution runtime: Chase-Lev deque invariants,
-// pool scheduling, and the deterministic parallel primitives.
+// Unit tests for the parallel execution runtime: pool scheduling (every
+// chunk once, drains, exceptions, concurrent submitters) and the
+// deterministic parallel primitives.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,73 +13,11 @@
 #include <vector>
 
 #include "atpg/pattern.h"
-#include "rt/deque.h"
 #include "rt/parallel.h"
 #include "rt/thread_pool.h"
 
 namespace scap {
 namespace {
-
-TEST(Deque, OwnerLifoStealFifo) {
-  int items[4] = {0, 1, 2, 3};
-  rt::WorkStealingDeque<int*> dq;
-  for (int& i : items) dq.push(&i);
-  // Owner pops newest first.
-  EXPECT_EQ(dq.pop(), &items[3]);
-  // Stealers take oldest first.
-  EXPECT_EQ(dq.steal(), &items[0]);
-  EXPECT_EQ(dq.steal(), &items[1]);
-  EXPECT_EQ(dq.pop(), &items[2]);
-  EXPECT_EQ(dq.pop(), nullptr);
-  EXPECT_EQ(dq.steal(), nullptr);
-}
-
-TEST(Deque, GrowsPastInitialCapacity) {
-  rt::WorkStealingDeque<int*> dq(/*capacity=*/4);
-  std::vector<int> items(1000);
-  for (int& i : items) dq.push(&i);
-  std::size_t popped = 0;
-  while (dq.pop() != nullptr) ++popped;
-  EXPECT_EQ(popped, items.size());
-}
-
-TEST(Deque, ConcurrentStealersConsumeEachItemOnce) {
-  // The owner pushes and pops while 3 stealers race; every item must be
-  // consumed exactly once in total.
-  constexpr int kItems = 20000;
-  std::vector<int> items(kItems);
-  std::vector<std::atomic<int>> seen(kItems);
-  for (auto& s : seen) s.store(0);
-  rt::WorkStealingDeque<int*> dq;
-
-  std::atomic<bool> done{false};
-  auto consume = [&](int* p) {
-    seen[static_cast<std::size_t>(p - items.data())].fetch_add(1);
-  };
-  std::vector<std::thread> stealers;
-  for (int s = 0; s < 3; ++s) {
-    stealers.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        if (int* p = dq.steal()) consume(p);
-      }
-      while (int* p = dq.steal()) consume(p);
-    });
-  }
-  for (int i = 0; i < kItems; ++i) {
-    dq.push(&items[static_cast<std::size_t>(i)]);
-    if ((i & 7) == 0) {
-      if (int* p = dq.pop()) consume(p);
-    }
-  }
-  while (int* p = dq.pop()) consume(p);
-  done.store(true, std::memory_order_release);
-  for (auto& t : stealers) t.join();
-  while (int* p = dq.steal()) consume(p);
-
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
-  }
-}
 
 TEST(ThreadPool, RunsEveryChunkExactlyOnce) {
   rt::ThreadPool pool(4);
@@ -107,19 +46,14 @@ TEST(ThreadPool, SerialPoolRunsInline) {
 TEST(ThreadPool, NestedRegionsSerializeWithoutDeadlock) {
   rt::ThreadPool::set_global_concurrency(4);
   std::atomic<int> total{0};
-  rt::parallel_for(
-      8,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          // Nested region: must run inline on whichever thread got here.
-          rt::parallel_for(
-              4, [&](std::size_t ib, std::size_t ie) {
-                total.fetch_add(static_cast<int>(ie - ib));
-              },
-              rt::ForOptions{.grain = 1, .min_items = 1});
-        }
-      },
-      rt::ForOptions{.grain = 1, .min_items = 1});
+  rt::parallel_for(8, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      // Nested region: must run inline on whichever thread got here.
+      rt::parallel_for(4, 1, [&](std::size_t ib, std::size_t ie) {
+        total.fetch_add(static_cast<int>(ie - ib));
+      });
+    }
+  });
   EXPECT_EQ(total.load(), 8 * 4);
   rt::ThreadPool::set_global_concurrency(0);
 }
@@ -182,18 +116,67 @@ TEST(ThreadPool, BackToBackUnevenTwoChunkJobsDrain) {
   }
 }
 
+TEST(ThreadPool, ConcurrentSubmittersDrainTheirOwnJobs) {
+  // Three threads share one pool. Every chunk of every job runs exactly once
+  // and before its submitter returns, and an exception reaches only the
+  // submitter whose chunk threw it. Every third chunk sleeps before it
+  // counts, so a submitter that returned early would see it uncounted.
+  rt::ThreadPool pool(4);
+  constexpr std::size_t kSubmitters = 3;
+  constexpr std::size_t kJobs = 500;
+  constexpr std::size_t kThrower = 1;
+  struct Tally {
+    std::size_t miscounted = 0;  // chunks that did not run exactly once
+    std::size_t caught = 0;      // exceptions this submitter received
+    std::size_t foreign = 0;     // ... that another job threw
+  };
+  std::vector<Tally> tally(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      Tally& my = tally[t];
+      std::vector<std::atomic<int>> hits(16);
+      for (std::size_t j = 0; j < kJobs; ++j) {
+        const std::size_t n = 2 + (j * 7 + t * 5) % 15;  // 2..16 chunks
+        const std::size_t bad = t == kThrower && j % 10 == 3 ? j % n : n;
+        const std::string tag = std::to_string(t) + "/" + std::to_string(j);
+        for (auto& h : hits) h.store(0);
+        try {
+          pool.run_chunked(n, [&](std::size_t c) {
+            if ((c + j) % 3 == 0) {
+              std::this_thread::sleep_for(std::chrono::microseconds(20));
+            }
+            hits[c].fetch_add(1);
+            if (c == bad) throw std::runtime_error(tag);
+          });
+        } catch (const std::runtime_error& e) {
+          ++my.caught;
+          my.foreign += std::string(e.what()) != tag;
+        }
+        for (std::size_t c = 0; c < hits.size(); ++c) {
+          my.miscounted += hits[c].load() != (c < n ? 1 : 0);
+        }
+      }
+    });
+  }
+  for (auto& s : submitters) s.join();
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    EXPECT_EQ(tally[t].miscounted, 0u) << "submitter " << t;
+    EXPECT_EQ(tally[t].caught, t == kThrower ? kJobs / 10 : 0u)
+        << "submitter " << t;
+    EXPECT_EQ(tally[t].foreign, 0u) << "submitter " << t;
+  }
+}
+
 TEST(ParallelFor, CoversRangeWithArbitraryGrain) {
   rt::ThreadPool::set_global_concurrency(4);
   for (std::size_t n : {1u, 2u, 7u, 64u, 1000u}) {
-    for (std::size_t grain : {0u, 1u, 3u, 16u}) {
+    for (std::size_t grain : {1u, 3u, 16u}) {
       std::vector<std::atomic<int>> hit(n);
       for (auto& h : hit) h.store(0);
-      rt::parallel_for(
-          n,
-          [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) hit[i].fetch_add(1);
-          },
-          rt::ForOptions{.grain = grain, .min_items = 1});
+      rt::parallel_for(n, grain, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) hit[i].fetch_add(1);
+      });
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(hit[i].load(), 1) << "n=" << n << " grain=" << grain;
       }

@@ -1,8 +1,9 @@
-// scap_prof: scheduler-profiler driver for the work-stealing runtime.
+// scap_prof: the rt thread pool's scheduler profiler, run on one kernel.
 //
 // Runs one rt-parallelized kernel (the same bodies the bench_kernels
 // thread-scaling sweep times) with the profiler forced on, prints the
-// per-lane pool report (obs/prof.h), and writes the rt.prof.* metrics as a
+// per-lane pool report (obs/prof.h: tasks, parks, busy/park/sched shares,
+// and the events the rings dropped), and writes the rt.prof.* metrics as a
 // JSON artifact. With --overhead it instead times the kernel with the
 // profiler off vs on and reports the relative cost, which is the number the
 // "<2% prof-off overhead" acceptance check quotes.
@@ -13,7 +14,9 @@
 //
 // `--kernel atpg` runs conventional random-fill ATPG at backtrack limit 32,
 // the body of the sweep's atpg_conventional kernel (which uses --scale
-// 0.012).
+// 0.012). One such run submits thousands of 2-4 chunk jobs; at 4 threads
+// and --repeat 1 the rings hold all of its events up to --scale 0.32
+// ("dropped 0", a window equal to the run's wall time).
 //
 // Artifacts (scap_prof_metrics.json, and scap_prof_trace.json when
 // SCAP_TRACE is on) land next to the executable by default, or under --out
