@@ -255,17 +255,6 @@ void run_thread_scaling_sweep() {
     }
   }
 
-  PowerGridOptions gopt;
-  gopt.nx = 512;
-  gopt.ny = 512;  // kAuto resolves to the multigrid solver at this size
-  const PowerGrid big_grid(exp.soc.floorplan, gopt);
-  std::vector<Point> where;
-  std::vector<double> amps;
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
-    where.push_back(exp.soc.placement.gate_pos(g));
-    amps.push_back(2e-6 * static_cast<double>(1 + g % 5));
-  }
-
   // Conventional ATPG runs on its own scale-0.012 fixture, so one serial
   // run takes about a second.
   const Experiment small = Experiment::standard(0.012, 2007);
@@ -285,11 +274,6 @@ void run_thread_scaling_sweep() {
          FaultSimulator fsim(nl, exp.ctx);
          auto first = fsim.grade(pats.patterns, exp.faults);
          benchmark::DoNotOptimize(first.data());
-       }},
-      {"grid_solve_512x512",
-       [&] {
-         benchmark::DoNotOptimize(
-             big_grid.solve(where, amps, /*vdd_rail=*/true).iterations);
        }},
       {"scap_fanout",
        [&] {
@@ -365,63 +349,6 @@ void run_thread_scaling_sweep() {
   }
   rt::ThreadPool::set_global_concurrency(0);  // back to the env default
   std::printf("%s\n", table.render().c_str());
-}
-
-/// Head-to-head 512x512 PDN solve at one pool thread: multigrid to full
-/// tolerance against SOR on the same mesh and load set. SOR's asymptotic
-/// sweep count at this size is ~20k (spectral radius ~1 - O(1/n^2)), so the
-/// SOR side runs under a sweep cap and its time -- and therefore the
-/// recorded speedup -- is a LOWER BOUND on the true gap. The roadmap floor
-/// is >= 3x; the gauge feeds bench_diff's warn-only trend gate.
-void run_grid_solver_comparison() {
-  const Experiment& exp = bench::experiment();
-  const Netlist& nl = exp.soc.netlist;
-  std::vector<Point> where;
-  std::vector<double> amps;
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
-    where.push_back(exp.soc.placement.gate_pos(g));
-    amps.push_back(2e-6 * static_cast<double>(1 + g % 5));
-  }
-
-  constexpr std::uint32_t kSorSweepCap = 1500;
-  PowerGridOptions mg_opt;
-  mg_opt.nx = 512;
-  mg_opt.ny = 512;
-  mg_opt.solver = GridSolver::kMultigrid;
-  PowerGridOptions sor_opt = mg_opt;
-  sor_opt.solver = GridSolver::kSor;
-  sor_opt.max_iterations = kSorSweepCap;
-
-  rt::ThreadPool::set_global_concurrency(1);
-  const PowerGrid mg_grid(exp.soc.floorplan, mg_opt);
-  const PowerGrid sor_grid(exp.soc.floorplan, sor_opt);
-  GridSolution mg_sol, sor_sol;
-  double mg_ms = 1e300, sor_ms = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    mg_ms = std::min(mg_ms, wall_ms([&] {
-                       mg_sol = mg_grid.solve(where, amps, /*vdd_rail=*/true);
-                     }));
-  }
-  for (int rep = 0; rep < 2; ++rep) {
-    sor_ms = std::min(sor_ms, wall_ms([&] {
-                        sor_sol =
-                            sor_grid.solve(where, amps, /*vdd_rail=*/true);
-                      }));
-  }
-  rt::ThreadPool::set_global_concurrency(0);
-
-  const double speedup = mg_ms > 0.0 ? sor_ms / mg_ms : 0.0;
-  obs::observe("grid.mg_512x512.t1_ms", mg_ms);
-  obs::observe("grid.mg_512x512.cycles", mg_sol.iterations);
-  obs::observe("grid.sor_512x512.capped_t1_ms", sor_ms);
-  obs::observe("grid.mg_vs_sor_512x512.t1_speedup", speedup);
-  std::printf(
-      "\n512x512 PDN solve at t=1: multigrid %.1f ms (%u W-cycles, "
-      "converged=%d, residual %.2e V) vs SOR %.1f ms (capped at %u sweeps, "
-      "converged=%d) -> >= %.1fx\n",
-      mg_ms, mg_sol.iterations, mg_sol.converged ? 1 : 0,
-      mg_sol.final_delta_v, sor_ms, kSorSweepCap, sor_sol.converged ? 1 : 0,
-      speedup);
 }
 
 /// Per-pattern streaming analysis throughput on one warm PatternAnalyzer.
@@ -510,8 +437,6 @@ int main(int argc, char** argv) {
   scap::bench::print_header("Kernels", "micro-benchmarks of the core engines");
   run.phase("thread_scaling");
   scap::run_thread_scaling_sweep();
-  run.phase("grid_solver_comparison");
-  scap::run_grid_solver_comparison();
   run.phase("streaming_throughput");
   scap::run_streaming_throughput();
   run.phase("microbench");

@@ -154,7 +154,7 @@ void BM_FaultGradeReference(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultGradeReference)->Unit(benchmark::kMillisecond);
 
-void BM_GridSolveOptimized(benchmark::State& state) {
+void BM_GridOptimized(benchmark::State& state) {
   const Experiment& exp = bench::experiment();
   PowerGridOptions opt;
   opt.nx = 16;
@@ -170,9 +170,9 @@ void BM_GridSolveOptimized(benchmark::State& state) {
     benchmark::DoNotOptimize(sol.worst());
   }
 }
-BENCHMARK(BM_GridSolveOptimized)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GridOptimized)->Unit(benchmark::kMillisecond);
 
-void BM_GridSolveReference(benchmark::State& state) {
+void BM_GridReference(benchmark::State& state) {
   const Experiment& exp = bench::experiment();
   PowerGridOptions opt;
   opt.nx = 16;  // 256 nodes: the dense-matrix reference path
@@ -187,7 +187,7 @@ void BM_GridSolveReference(benchmark::State& state) {
     benchmark::DoNotOptimize(sol.worst());
   }
 }
-BENCHMARK(BM_GridSolveReference)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GridReference)->Unit(benchmark::kMillisecond);
 
 void BM_FuzzScenarioEndToEnd(benchmark::State& state) {
   // One full fuzz iteration on its own tiny SOC (generate, simulate, grade,

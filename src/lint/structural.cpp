@@ -81,17 +81,6 @@ struct Readers {
   }
 };
 
-/// One driver of a net, for multi-driven messages.
-std::string driver_desc(const Netlist& nl, DriverKind kind, std::uint32_t id) {
-  switch (kind) {
-    case DriverKind::kInput: return "primary input";
-    case DriverKind::kGate: return "gate " + gate_name(nl, id);
-    case DriverKind::kFlop: return "flop " + flop_name(nl, id);
-    case DriverKind::kNone: break;
-  }
-  return "?";
-}
-
 void check_drivers(const Netlist& nl, const Readers& rd, Diagnostics& diag) {
   // Recount drivers from the raw tables; Net::driver only remembers the
   // first one (permissive construction) or throws earlier (strict).

@@ -14,10 +14,10 @@
 //  - a deterministic nearest-active snap map used to land point injections
 //    that fall inside a void onto the surviving mesh.
 //
-// Every solver (production SOR, production multigrid, the src/ref oracles)
-// consumes the same finalized topology, so the solvers stay independent
-// while agreeing on what problem they are solving. finalize() establishes
-// the invariants the solvers rely on:
+// The production SOR solver and the src/ref oracle consume the same
+// finalized topology, so the two stay independent while agreeing on what
+// problem they are solving. finalize() establishes the invariants both rely
+// on:
 //
 //  - edges incident to an inactive node carry g == 0;
 //  - every active node belongs to a component (over g > 0 edges) that is

@@ -10,8 +10,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "power/multigrid.h"
-#include "rt/parallel.h"
 
 namespace scap {
 
@@ -34,6 +32,7 @@ struct SorPass {
   const double* other = nullptr;  ///< the other colour's drops [V], read
   std::size_t width = 0;          ///< slots per row, nx / 2 + 2
   std::uint32_t nx = 0;
+  std::uint32_t ny = 0;
   std::uint32_t colour = 0;  ///< 0: nodes with (ix + iy) even
 };
 
@@ -57,8 +56,8 @@ Vec vabs(Vec x) {
                                (~std::uint64_t{0} >> 1));
 }
 
-/// Relax every node of the pass's colour in mesh rows [y0, y1); returns the
-/// largest |update| [V] (0 when nothing moved).
+/// Relax every node of the pass's colour; returns the largest |update| [V]
+/// (0 when nothing moved).
 ///
 /// Node q of row iy (column s + 2q with s = (iy + colour) & 1) sits at slot
 /// (iy + 1) * W + 1 + q; its left and right neighbours are slots q + s - 1
@@ -70,12 +69,12 @@ Vec vabs(Vec x) {
 /// -ffp-contract=off, so no product is fused into an add and every lane
 /// rounds as scalar code does; the max is a compare-select with std::max's
 /// operand order, so it is exact in any lane grouping.
-double sweep_rows(const SorPass& p, std::uint32_t y0, std::uint32_t y1) {
+double sweep_rows(const SorPass& p) {
   const std::size_t w = p.width;
   const Vec omega = Vec{} + kSorOmega;
   Vec vmax = {};
   double smax = 0.0;
-  for (std::uint32_t iy = y0; iy < y1; ++iy) {
+  for (std::uint32_t iy = 0; iy < p.ny; ++iy) {
     const std::uint32_t s = (iy + p.colour) & 1u;
     const std::size_t n = (p.nx + 1 - s) / 2;  // the colour's nodes in row iy
     const std::size_t row = (iy + 1) * w + 1;
@@ -209,6 +208,7 @@ struct PowerGrid::SorOperator {
     p.other = d + other;
     p.width = width;
     p.nx = nx;
+    p.ny = ny;
     p.colour = colour;
     return p;
   }
@@ -290,29 +290,14 @@ PowerGrid::PowerGrid(const Floorplan& fp, PowerGridOptions opt)
     topo_.add_pad_at(die_, pad.pos, pad.is_vdd, gpad);
   }
   topo_.finalize();
-  init_solver();
+  sor_ = std::make_shared<const SorOperator>(topo_);
 }
 
 PowerGrid::PowerGrid(const Rect& die, PowerGridOptions opt, PdnTopology topo)
     : opt_(opt), die_(die), topo_(std::move(topo)) {
   opt_.nx = topo_.nx;
   opt_.ny = topo_.ny;
-  init_solver();
-}
-
-void PowerGrid::init_solver() {
   sor_ = std::make_shared<const SorOperator>(topo_);
-  resolved_ = opt_.solver;
-  if (resolved_ == GridSolver::kAuto) {
-    // SOR converges comfortably on small meshes and keeps its decade of
-    // bit-identical history there; multigrid takes over where SOR's
-    // iteration count (and wall clock) explodes.
-    resolved_ = std::min(opt_.nx, opt_.ny) >= 64 ? GridSolver::kMultigrid
-                                                 : GridSolver::kSor;
-  }
-  if (resolved_ == GridSolver::kMultigrid) {
-    mg_ = std::make_shared<mg::Hierarchy>(topo_);
-  }
 }
 
 std::uint32_t PowerGrid::nearest_node(Point p) const {
@@ -356,65 +341,26 @@ GridSolution PowerGrid::solve(std::span<const Point> where,
                               std::span<const double> amps,
                               bool vdd_rail) const {
   SCAP_TRACE_SCOPE("power.grid_solve");
-  const std::vector<double> current = gather_currents(where, amps);
-  GridSolution sol = resolved_ == GridSolver::kMultigrid
-                         ? solve_multigrid(current, vdd_rail)
-                         : solve_sor(current, vdd_rail);
-  obs::count("power.grid_solves_total");
-  if (!sol.converged) {
-    obs::count("power.grid_solve_nonconverged");
-    std::fprintf(stderr,
-                 "scapgen: warning: power-grid solve stopped non-converged "
-                 "after %u iterations (residual %.3e V > tol %.3e V); the IR "
-                 "map may understate drops\n",
-                 sol.iterations, sol.final_delta_v, opt_.tolerance_v);
-  }
-  return sol;
-}
-
-GridSolution PowerGrid::solve_sor(std::span<const double> current,
-                                  bool vdd_rail) const {
   const SorOperator& op = *sor_;
-  const std::uint32_t nx = opt_.nx, ny = opt_.ny;
-  const std::vector<double> b = op.split(current, topo_.active);
+  const std::vector<double> b =
+      op.split(gather_currents(where, amps), topo_.active);
 
   GridSolution sol;
-  sol.nx = nx;
-  sol.ny = ny;
+  sol.nx = opt_.nx;
+  sol.ny = opt_.ny;
   sol.die = die_;
-  sol.solver = GridSolver::kSor;
 
   // Red-black SOR sweeps. The 4-neighbour mesh is bipartite under
   // (ix + iy) parity, so every update of one colour reads only the other
-  // colour: within a colour pass the node updates are order-independent,
-  // which makes the sweep safe to run on the rt pool AND bit-identical at
-  // any thread count (max-of-|delta| is an exact reduction). Large meshes
-  // split the pass into row bands, each running the kernel over its rows;
-  // small ones run it over all rows inline -- both paths produce the same
-  // values by construction.
+  // colour's drops.
   std::vector<double> d(b.size(), 0.0);  // split drops; the ring stays 0
   const SorPass passes[2] = {
       op.pass(0, vdd_rail, b.data(), d.data()),
       op.pass(1, vdd_rail, b.data(), d.data())};
-  const bool parallel = static_cast<std::size_t>(nx) * ny >= 8192 &&
-                        rt::concurrency() > 1 &&
-                        !rt::ThreadPool::on_worker_thread();
   for (std::uint32_t it = 0; it < opt_.max_iterations; ++it) {
     double max_delta = 0.0;
     for (const SorPass& pass : passes) {
-      double color_delta;
-      if (parallel) {
-        color_delta = rt::parallel_transform_reduce(
-            ny, /*grain=*/16, 0.0,
-            [&](std::size_t y0, std::size_t y1) {
-              return sweep_rows(pass, static_cast<std::uint32_t>(y0),
-                                static_cast<std::uint32_t>(y1));
-            },
-            [](double a, double c) { return std::max(a, c); });
-      } else {
-        color_delta = sweep_rows(pass, 0, ny);
-      }
-      max_delta = std::max(max_delta, color_delta);
+      max_delta = std::max(max_delta, sweep_rows(pass));
     }
     sol.iterations = it + 1;
     sol.final_delta_v = max_delta;
@@ -424,22 +370,16 @@ GridSolution PowerGrid::solve_sor(std::span<const double> current,
     }
   }
   sol.drop_v = op.unsplit(d);
-  return sol;
-}
 
-GridSolution PowerGrid::solve_multigrid(std::span<const double> current,
-                                        bool vdd_rail) const {
-  GridSolution sol;
-  sol.nx = opt_.nx;
-  sol.ny = opt_.ny;
-  sol.die = die_;
-  sol.solver = GridSolver::kMultigrid;
-  const mg::SolveResult r =
-      mg_->solve(current, vdd_rail, opt_.tolerance_v, opt_.max_iterations,
-                 sol.drop_v);
-  sol.iterations = r.cycles;
-  sol.final_delta_v = r.final_delta_v;
-  sol.converged = r.converged;
+  obs::count("power.grid_solves_total");
+  if (!sol.converged) {
+    obs::count("power.grid_solve_nonconverged");
+    std::fprintf(stderr,
+                 "scapgen: warning: power-grid solve stopped non-converged "
+                 "after %u iterations (residual %.3e V > tol %.3e V); the IR "
+                 "map may understate drops\n",
+                 sol.iterations, sol.final_delta_v, opt_.tolerance_v);
+  }
   return sol;
 }
 

@@ -3,10 +3,10 @@
 // Each rail (VDD and VSS) is a 2-D resistive mesh spanning the die -- by
 // default uniform with ideal periphery pads (the Turbo-Eagle floorplan has
 // 37 pads per rail), but any irregular PdnTopology (per-edge conductances,
-// punched-out void regions, explicit pad sites; see power/pdn_topology.h
-// and the power/pdn_spec.h import format) can back the grid. Instance
-// switching currents are injected at the nearest active mesh node and the
-// resulting node voltages are obtained from the linear system
+// punched-out void regions, explicit pad sites; see power/pdn_topology.h)
+// can back the grid. Instance switching currents are injected at the
+// nearest active mesh node and the resulting node voltages are obtained
+// from the linear system
 //
 //     sum_j g_ij (d_i - d_j) + g_pad,i * d_i = I_i
 //
@@ -14,17 +14,24 @@
 // the VSS rail -- the same equations apply to both because the floorplan
 // places the two pad sets symmetrically.
 //
-// Two solvers sit behind solve():
-//  - red-black SOR: the original solver, O(n^1.5)-ish sweeps to converge;
-//    retained as the small-mesh default and as an in-tree oracle for the
-//    multigrid path;
-//  - geometric multigrid (power/multigrid.h): mesh-independent convergence,
-//    the default at >= 64x64 where SOR's iteration count explodes.
-// Both run their sweeps on the rt pool under the bit-identical-at-any-
-// SCAP_THREADS contract, and both report honest convergence: `converged`,
-// `iterations` and `final_delta_v` on the solution, plus the
-// "power.grid_solve_nonconverged" obs counter and a stderr warning when the
-// budget runs out.
+// One solver sits behind solve(): red-black SOR, run serially on the
+// calling thread. Every flow solves Experiment::standard's 48x48 mesh
+// (2,304 nodes; the scale changes the segment resistance, not the node
+// count). Two alternatives were measured on a 4-vCPU host (gate-current
+// loads, median of 9) and removed:
+//  - geometric W-cycles over a coarsened mesh hierarchy, which used to take
+//    over at >= 64x64: SOR solved a 64x64 mesh in 1.8 ms against their
+//    3.1 ms, so the switch picked the slower solver at its threshold;
+//  - splitting each colour pass into row bands on the rt pool, from 8,192
+//    nodes: 4 threads against 1 was a wash at 96x96 (5.8-6.1 against
+//    5.5-6.1 ms) and at 128x128 (15.3-16.7 against 15.8-15.9 ms), and paid
+//    only from about 200x200 (256x256: 156-158 against 318-388 ms), a size
+//    no flow builds.
+// The rail pair is the grid's parallelism: the statistical analysis and
+// analyze_pattern_ir solve VDD and VSS concurrently. A solve reports honest
+// convergence: `converged`, `iterations` and `final_delta_v` on the
+// solution, plus the "power.grid_solve_nonconverged" obs counter and a
+// stderr warning when the budget runs out.
 //
 // SOR layout. The operator is built once per grid in a split-colour layout:
 // each colour of the red-black mesh (node (ix, iy) has colour (ix + iy) & 1)
@@ -42,9 +49,9 @@
 // vector types, baseline flags). It keeps the scalar arithmetic and its
 // order per node, with no fused multiply-add, and takes an exact max of the
 // updates, so drops, iteration counts and final_delta_v are bit-identical
-// to the edge-tested scalar kernel and across thread counts. A second,
-// -mavx2 build solved a rail pair faster but left the end-to-end sign-off
-// time within noise, so there is one build.
+// to the edge-tested scalar kernel. A second, -mavx2 build solved a rail
+// pair faster but left the end-to-end sign-off time within noise, so there
+// is one build.
 //
 // Input contract. solve() and residual_inf() take one current per load
 // site and throw std::invalid_argument, before any sweep, when the spans
@@ -70,16 +77,6 @@
 
 namespace scap {
 
-namespace mg {
-class Hierarchy;
-}
-
-enum class GridSolver : std::uint8_t {
-  kAuto = 0,       ///< multigrid at >= 64x64, SOR below
-  kSor = 1,        ///< red-black successive over-relaxation
-  kMultigrid = 2,  ///< geometric multigrid W-cycles
-};
-
 struct PowerGridOptions {
   std::uint32_t nx = 48;
   std::uint32_t ny = 48;
@@ -90,9 +87,8 @@ struct PowerGridOptions {
   /// Pad contact resistance [ohm].
   double pad_res_ohm = 0.08;
   double tolerance_v = 1e-7;
-  /// SOR: sweep budget. Multigrid: W-cycle budget (converges in ~10).
+  /// SOR sweep budget.
   std::uint32_t max_iterations = 20000;
-  GridSolver solver = GridSolver::kAuto;
 };
 
 struct GridSolution {
@@ -108,9 +104,6 @@ struct GridSolution {
   bool converged = false;
   /// Largest node update of the final sweep [V] (the convergence residual).
   double final_delta_v = 0.0;
-  /// Which solver actually produced this map (kAuto resolves at grid
-  /// construction, so this is never kAuto).
-  GridSolver solver = GridSolver::kSor;
 
   double node(std::uint32_t ix, std::uint32_t iy) const {
     return drop_v[iy * nx + ix];
@@ -152,31 +145,22 @@ class PowerGrid {
   const PowerGridOptions& options() const { return opt_; }
   const Rect& die() const { return die_; }
   const PdnTopology& topology() const { return topo_; }
-  /// The solver solve() will use (kAuto resolved against the mesh size).
-  GridSolver resolved_solver() const { return resolved_; }
 
  private:
   std::uint32_t node_index(std::uint32_t ix, std::uint32_t iy) const {
     return iy * opt_.nx + ix;
   }
   std::uint32_t nearest_node(Point p) const;
-  void init_solver();
   std::vector<double> gather_currents(std::span<const Point> where,
                                       std::span<const double> amps) const;
-  GridSolution solve_sor(std::span<const double> current,
-                         bool vdd_rail) const;
-  GridSolution solve_multigrid(std::span<const double> current,
-                               bool vdd_rail) const;
 
   struct SorOperator;
 
   PowerGridOptions opt_;
   Rect die_;
   PdnTopology topo_;
-  GridSolver resolved_ = GridSolver::kSor;
   /// Immutable after construction; shared so PowerGrid stays copyable.
   std::shared_ptr<const SorOperator> sor_;
-  std::shared_ptr<const mg::Hierarchy> mg_;
 };
 
 }  // namespace scap

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <numeric>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -202,9 +201,9 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
       gopt.ny = static_cast<std::uint32_t>(
           std::clamp<std::uint64_t>(sc.grid_ny, 2, 64));
       // The shared problem statement: a (possibly voided / jittered)
-      // topology every solver consumes. voids = 0 and jitter = 0 reproduce
-      // the legacy uniform mesh bit-for-bit, so old corpus entries replay
-      // unchanged.
+      // topology that SOR and the reference both consume. voids = 0 and
+      // jitter = 0 reproduce the legacy uniform mesh bit-for-bit, so old
+      // corpus entries replay unchanged.
       const PdnTopology topo = make_fuzz_topology(
           soc.floorplan, gopt,
           static_cast<std::size_t>(std::min<std::uint64_t>(sc.grid_voids, 8)),
@@ -218,41 +217,14 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
         where[i] = {gr.uniform(die.x0, die.x1), gr.uniform(die.y0, die.y1)};
         amps[i] = gr.uniform(1e-3, 2e-2);
       }
-      const bool run_sor = sc.grid_solver % 3 != 2;
-      const bool run_mg = sc.grid_solver % 3 != 1;
-      PowerGridOptions sor_opt = gopt;
-      sor_opt.solver = GridSolver::kSor;
-      PowerGridOptions mg_opt = gopt;
-      mg_opt.solver = GridSolver::kMultigrid;
-      std::optional<PowerGrid> sor_grid, mg_grid;
-      if (run_sor) sor_grid.emplace(die, sor_opt, topo);
-      if (run_mg) mg_grid.emplace(die, mg_opt, topo);
+      const PowerGrid grid(die, gopt, topo);
       for (const bool rail : {true, false}) {
-        const char* rail_name = rail ? "vdd" : "vss";
         const GridSolution r =
             grid_solve_ref(die, topo, gopt, where, amps, rail);
-        std::optional<GridSolution> s, m;
         std::string why;
-        if (run_sor) {
-          s = sor_grid->solve(where, amps, rail);
-          if (!compare_grid(*s, r, &why)) {
-            res.divergences.push_back(
-                {"grid", std::string("sor ") + rail_name + ": " + why,
-                 kNoPattern});
-          }
-        }
-        if (run_mg) {
-          m = mg_grid->solve(where, amps, rail);
-          if (!compare_grid(*m, r, &why)) {
-            res.divergences.push_back(
-                {"grid", std::string("mg ") + rail_name + ": " + why,
-                 kNoPattern});
-          }
-        }
-        if (s && m && !compare_grid(*m, *s, &why)) {
-          res.divergences.push_back(
-              {"grid", std::string("mg-vs-sor ") + rail_name + ": " + why,
-               kNoPattern});
+        if (!compare_grid(grid.solve(where, amps, rail), r, &why)) {
+          const std::string what = rail ? "sor vdd: " : "sor vss: ";
+          res.divergences.push_back({"grid", what + why, kNoPattern});
         }
       }
     }
@@ -339,11 +311,6 @@ ShrinkResult shrink_scenario(const Scenario& start, InjectedBug inject) {
       }
       if (cur.grid_voids > 0) push([](Scenario& c) { c.grid_voids = 0; });
       if (cur.grid_jitter > 0) push([](Scenario& c) { c.grid_jitter = 0.0; });
-      if (cur.grid_solver % 3 == 0) {
-        // Isolate which production solver diverges.
-        push([](Scenario& c) { c.grid_solver = 1; });
-        push([](Scenario& c) { c.grid_solver = 2; });
-      }
     }
     if (cur.check_grade && cur.fault_sample > 1) {
       push([](Scenario& c) { c.fault_sample /= 2; });

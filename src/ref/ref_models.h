@@ -86,7 +86,7 @@ std::vector<std::size_t> fault_grade_ref(const Netlist& nl,
 /// Gauss-Seidel (a dense matrix for small meshes, the 5-point stencil above
 /// kDenseNodeLimit nodes -- same arithmetic either way). Iterates an order
 /// of magnitude past the production tolerance so comparator slack covers
-/// both solvers' truncation.
+/// the truncation of the production SOR and of the reference itself.
 inline constexpr std::size_t kDenseNodeLimit = 256;
 GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
                             std::span<const Point> where,
@@ -95,7 +95,7 @@ GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
 
 /// Irregular-topology reference. The finalized PdnTopology (per-edge
 /// conductances, voids, pad anchors, injection snap map) is the *problem
-/// statement* shared with the production solvers; everything downstream of
+/// statement* shared with the production SOR; everything downstream of
 /// it -- matrix assembly, factorization, iteration -- is independent. At or
 /// below kDenseNodeLimit active nodes the system is solved exactly by dense
 /// LU with partial pivoting (so the oracle carries no iteration truncation

@@ -37,11 +37,12 @@ Scenario Scenario::random(std::uint64_t seed) {
   constexpr std::uint64_t kWidths[] = {0, 1, 2, 4};
   sc.batch_words = kWidths[r.below(4)];
   // Irregular-topology axes (drawn last so earlier fields keep their values
-  // for a given seed): voids + jitter deform the mesh, and the solver select
-  // decides which production solver(s) face the reference.
+  // for a given seed): voids + jitter deform the mesh.
   sc.grid_voids = r.below(4);
   sc.grid_jitter = r.chance(0.5) ? 0.0 : r.uniform(0.05, 0.5);
-  sc.grid_solver = r.below(3);
+  // The retired solver-select draw, kept so every later field keeps its
+  // per-seed value.
+  (void)r.below(3);
   sc.droop_alternate = r.chance(0.5);
   return sc;
 }
@@ -73,7 +74,6 @@ Scenario Scenario::parse(const std::string& text) {
   sc.grid_seed = doc.get_u64("grid_seed", sc.grid_seed);
   sc.grid_voids = doc.get_u64("grid_voids", sc.grid_voids);
   sc.grid_jitter = doc.get_f64("grid_jitter", sc.grid_jitter);
-  sc.grid_solver = doc.get_u64("grid_solver", sc.grid_solver);
   sc.fault_sample = doc.get_u64("fault_sample", sc.fault_sample);
   sc.fault_seed = doc.get_u64("fault_seed", sc.fault_seed);
   sc.batch_words = doc.get_u64("batch_words", sc.batch_words);
@@ -111,7 +111,6 @@ std::string Scenario::serialize() const {
   doc.set_u64("grid_seed", grid_seed);
   doc.set_u64("grid_voids", grid_voids);
   doc.set_f64("grid_jitter", grid_jitter);
-  doc.set_u64("grid_solver", grid_solver);
   doc.set_u64("fault_sample", fault_sample);
   doc.set_u64("fault_seed", fault_seed);
   doc.set_u64("batch_words", batch_words);

@@ -59,10 +59,6 @@ struct Scenario {
   std::uint64_t grid_voids = 0;
   /// Per-edge conductance jitter fraction in [0, 0.9] (0 = uniform metal).
   double grid_jitter = 0.0;
-  /// 0 = run multigrid AND SOR (each vs the reference, plus against each
-  /// other); 1 = SOR only; 2 = multigrid only. The shrinker flips 0 to a
-  /// single solver to isolate which one diverged.
-  std::uint64_t grid_solver = 0;
 
   // --- fault grading -------------------------------------------------------
   std::uint64_t fault_sample = 32;  ///< collapsed faults graded (0 = all)

@@ -85,7 +85,9 @@ TEST(LevelizedView, ScheduleIsTopologicalAndMirrorsTopology) {
   const std::uint32_t* off = v.gate_in_offsets();
   ASSERT_EQ(off[0], 0u);
   for (std::uint32_t i = 0; i < v.num_gates(); ++i) {
-    if (i > 0) EXPECT_GE(levels[i], levels[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(levels[i], levels[i - 1]);
+    }
     const GateId g = v.gate_at(i);
     EXPECT_EQ(v.sched_of_gate(g), i);
     EXPECT_EQ(v.gate_types()[i], nl.gate(g).type);

@@ -140,7 +140,9 @@ TEST(FaultSim, GradeDropsAndCredits) {
   EXPECT_GT(detected, rig.faults.size() / 4);
   // First-detection indices must be valid pattern indices.
   for (auto idx : first) {
-    if (idx != FaultSimulator::kUndetected) EXPECT_LT(idx, pats.size());
+    if (idx != FaultSimulator::kUndetected) {
+      EXPECT_LT(idx, pats.size());
+    }
   }
 }
 

@@ -31,7 +31,9 @@ TEST(Floorplan, B5IsCentralAndLargest) {
   const Point die_center = fp.die().center();
   EXPECT_TRUE(b5.contains(die_center));
   for (std::size_t i = 0; i < fp.block_count(); ++i) {
-    if (i != 4) EXPECT_GT(b5.area(), fp.block(i).rect.area());
+    if (i != 4) {
+      EXPECT_GT(b5.area(), fp.block(i).rect.area());
+    }
   }
 }
 

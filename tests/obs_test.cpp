@@ -130,7 +130,7 @@ TEST_F(ObsTest, MetricsJsonRoundTrips) {
   RunReport rep;
   rep.name = "unit";
   rep.info.emplace_back("scale", "0.040");
-  rep.phases.push_back(PhaseTime{"setup", 1.25});
+  rep.phases.push_back(PhaseTime{"setup", 1.25, {}});
 
   const std::string text = to_json(rep, Registry::global());
   const auto doc = json::parse(text);

@@ -241,7 +241,9 @@ TEST(Podem, ExtendMergesCompatibleFaults) {
     EXPECT_TRUE(cube_detects(rig.nl, rig.ctx, c2, f2));
     // The merge only adds assignments, never changes existing care bits.
     for (std::size_t b = 0; b < c1.s1.size(); ++b) {
-      if (c1.s1[b] != kBitX) EXPECT_EQ(c2.s1[b], c1.s1[b]);
+      if (c1.s1[b] != kBitX) {
+        EXPECT_EQ(c2.s1[b], c1.s1[b]);
+      }
     }
   }
   EXPECT_GE(merged_trials, 3);

@@ -177,6 +177,59 @@ TEST(PowerGrid, ConvergenceFlagHonest) {
         obs::Registry::global().counter("power.grid_solve_nonconverged").value(),
         1u);
   }
+
+  // And the converged solve drives the true equation residual orders of
+  // magnitude below the one-sweep map's.
+  const GridRig full;  // the default sweep budget
+  const PowerGrid grid_full(full.fp, full.opt);
+  const GridSolution conv = grid_full.solve(std::span<const Point>(&p, 1),
+                                            std::span<const double>(&amps, 1),
+                                            true);
+  EXPECT_TRUE(conv.converged);
+  const double res_one = grid_full.residual_inf(
+      sol, std::span<const Point>(&p, 1), std::span<const double>(&amps, 1),
+      true);
+  const double res_conv = grid_full.residual_inf(
+      conv, std::span<const Point>(&p, 1), std::span<const double>(&amps, 1),
+      true);
+  EXPECT_GT(res_one, 0.0);
+  EXPECT_LT(res_conv, res_one * 1e-2);
+}
+
+TEST(PowerGrid, VoidNodesCarryZeroDropAndLoadsSnapOut) {
+  const Floorplan fp = Floorplan::turbo_eagle_like(1000.0, 8);
+  PowerGridOptions opt;
+  opt.nx = 16;
+  opt.ny = 16;
+  PdnTopology topo =
+      PdnTopology::uniform(16, 16, 1.0 / opt.segment_res_ohm);
+  topo.punch_void(6, 6, 9, 9);
+  const double gpad = 1.0 / opt.pad_res_ohm;
+  for (const PowerPad& pad : fp.pads()) {
+    topo.add_pad_at(fp.die(), pad.pos, pad.is_vdd, gpad);
+  }
+  topo.finalize();
+  EXPECT_EQ(topo.active_nodes, static_cast<std::size_t>(16 * 16 - 16));
+  // A node inside the void snaps to an active node.
+  EXPECT_NE(topo.snap[topo.node(7, 7)], topo.node(7, 7));
+  EXPECT_TRUE(topo.active[topo.snap[topo.node(7, 7)]]);
+
+  // Inject exactly at the die center (inside the void): the current must
+  // land on the surviving mesh and produce positive drops around the hole,
+  // while every void node reports exactly zero.
+  const PowerGrid grid(fp.die(), opt, topo);
+  const Point center{500.0, 500.0};
+  const double amps = 0.05;
+  const GridSolution sol = grid.solve(std::span<const Point>(&center, 1),
+                                      std::span<const double>(&amps, 1), true);
+  EXPECT_TRUE(sol.converged);
+  EXPECT_GT(sol.worst(), 0.0);
+  for (std::uint32_t iy = 6; iy <= 9; ++iy) {
+    for (std::uint32_t ix = 6; ix <= 9; ++ix) {
+      EXPECT_EQ(sol.node(ix, iy), 0.0);
+    }
+  }
+  EXPECT_GT(sol.node(5, 7), 0.0);
 }
 
 /// FNV-1a over the bit patterns of a drop map: equal hashes mean the maps
@@ -201,7 +254,6 @@ struct SorGolden {
 
 void expect_sor_golden(const GridSolution& sol, const SorGolden& g,
                        const char* what) {
-  EXPECT_EQ(sol.solver, GridSolver::kSor) << what;
   EXPECT_TRUE(sol.converged) << what;
   EXPECT_EQ(sol.iterations, g.iterations) << what;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(sol.final_delta_v),
@@ -256,24 +308,21 @@ TEST(PowerGrid, SorGoldenBitForBit) {
 
   // (a) The default 48x48 uniform mesh, the one every validation solves.
   const PowerGrid uniform(fp);
-  ASSERT_EQ(uniform.resolved_solver(), GridSolver::kSor);
 
   // (b) An irregular mesh: a punched-out void, jittered edges and the
   // floorplan's pads, so absent and zero-conductance edges both occur.
   PowerGridOptions opt;
   opt.nx = 24;
   opt.ny = 24;
-  opt.solver = GridSolver::kSor;
   const PdnTopology topo = irregular_topology(fp, opt, {{9, 8, 13, 12}}, 11);
   ASSERT_LT(topo.active_nodes, std::size_t{24 * 24});
   const PowerGrid voided(fp.die(), opt, topo);
 
-  // (c) A 96x96 mesh, large enough for the row-band parallel sweep.
+  // (c) A 96x96 mesh, four times the default's nodes.
   PowerGridOptions big;
   big.nx = 96;
   big.ny = 96;
-  big.solver = GridSolver::kSor;
-  const PowerGrid banded(fp, big);
+  const PowerGrid big_grid(fp, big);
 
   // (d) An odd-width irregular mesh: a colour's rows alternate between 24
   // and 23 nodes, so the kernel runs its scalar tail, and a void reaches
@@ -281,7 +330,6 @@ TEST(PowerGrid, SorGoldenBitForBit) {
   PowerGridOptions odd;
   odd.nx = 47;
   odd.ny = 33;
-  odd.solver = GridSolver::kSor;
   const PdnTopology odd_topo = irregular_topology(
       fp, odd, {{17, 11, 26, 19}, {40, 5, 46, 9}}, 47);
   ASSERT_EQ(odd_topo.active_nodes, std::size_t{47 * 33 - 90 - 35});
@@ -304,7 +352,7 @@ TEST(PowerGrid, SorGoldenBitForBit) {
        0x3e98f067c4b00000ull},
       {"void vss", &voided, false,
        {109, 0x3e776d6a00200000ull, 0x7a229b172827eecdull}, 0},
-      {"banded vdd", &banded, true,
+      {"96x96 vdd", &big_grid, true,
        {1648, 0x3e7ac870b9580000ull, 0x06feb736375da845ull}, 0},
       {"odd vdd", &odd_grid, true,
        {212, 0x3e7ac59955780000ull, 0x34c8a68bc7faa1b8ull},
@@ -340,11 +388,10 @@ TEST(PowerGrid, RejectsNonFiniteOrMismatchedCurrents) {
   // a non-finite position was injected at node (0, 0).
   GridRig rig;
   const PowerGrid grid(rig.fp, rig.opt);
-  PowerGridOptions mg_opt;
-  mg_opt.nx = 64;
-  mg_opt.ny = 64;
-  const PowerGrid mg_grid(rig.fp, mg_opt);
-  ASSERT_EQ(mg_grid.resolved_solver(), GridSolver::kMultigrid);
+  PowerGridOptions other_opt;
+  other_opt.nx = 64;
+  other_opt.ny = 64;
+  const PowerGrid other_grid(rig.fp, other_opt);
 
   const std::vector<Point> where = {{300.0, 600.0}, {700.0, 200.0}};
   const std::vector<double> good = {0.05, 0.08};
@@ -363,19 +410,19 @@ TEST(PowerGrid, RejectsNonFiniteOrMismatchedCurrents) {
     const GridSolution sol = grid.solve(where, good, vdd);
     for (const std::vector<double>* bad : {&nan, &inf, &short_amps}) {
       EXPECT_THROW(grid.solve(where, *bad, vdd), std::invalid_argument);
-      EXPECT_THROW(mg_grid.solve(where, *bad, vdd), std::invalid_argument);
+      EXPECT_THROW(other_grid.solve(where, *bad, vdd), std::invalid_argument);
       EXPECT_THROW(grid.residual_inf(sol, where, *bad, vdd),
                    std::invalid_argument);
     }
     for (const std::vector<Point>* bad : {&nan_where, &inf_where}) {
       EXPECT_THROW(grid.solve(*bad, good, vdd), std::invalid_argument);
-      EXPECT_THROW(mg_grid.solve(*bad, good, vdd), std::invalid_argument);
+      EXPECT_THROW(other_grid.solve(*bad, good, vdd), std::invalid_argument);
       EXPECT_THROW(grid.residual_inf(sol, *bad, good, vdd),
                    std::invalid_argument);
     }
     EXPECT_NO_THROW(grid.residual_inf(sol, where, good, vdd));
     // A drop map of another mesh size is not this grid's solution.
-    EXPECT_THROW(mg_grid.residual_inf(sol, where, good, vdd),
+    EXPECT_THROW(other_grid.residual_inf(sol, where, good, vdd),
                  std::invalid_argument);
   }
 }

@@ -202,31 +202,6 @@ TEST(RtDeterminism, FaultGradeBatchWidthInvariant) {
   }
 }
 
-TEST(RtDeterminism, GridSolveRedBlackInvariant) {
-  // A grid large enough to take the parallel red-black path (>= 8192 nodes).
-  const Experiment& exp = exp_fixture();
-  PowerGridOptions gopt;
-  gopt.nx = 96;
-  gopt.ny = 96;
-  const PowerGrid grid(exp.soc.floorplan, gopt);
-  std::vector<Point> where;
-  std::vector<double> amps;
-  const Netlist& nl = exp.soc.netlist;
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
-    where.push_back(exp.soc.placement.gate_pos(g));
-    amps.push_back(2e-6 * static_cast<double>(1 + g % 5));
-  }
-  auto run = [&] { return grid.solve(where, amps, /*vdd_rail=*/true); };
-  const GridSolution at1 = at_threads(1, run);
-  const GridSolution at4 = at_threads(4, run);
-
-  EXPECT_EQ(at1.iterations, at4.iterations);
-  EXPECT_EQ(at1.converged, at4.converged);
-  EXPECT_EQ(at1.final_delta_v, at4.final_delta_v);
-  EXPECT_EQ(at1.drop_v, at4.drop_v);  // element-wise bit identity
-  EXPECT_TRUE(at1.converged);
-}
-
 TEST(RtDeterminism, StatisticalAnalysisInvariant) {
   const Experiment& exp = exp_fixture();
   const Netlist& nl = exp.soc.netlist;

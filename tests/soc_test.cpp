@@ -24,7 +24,9 @@ TEST(SocConfig, ScaledShapesMatchPaper) {
   std::vector<std::size_t> per_block(6, 0);
   for (const auto& p : cfg.population) per_block[p.block] += p.flops;
   for (std::size_t b = 0; b < 6; ++b) {
-    if (b != 4) EXPECT_GT(per_block[4], per_block[b]);
+    if (b != 4) {
+      EXPECT_GT(per_block[4], per_block[b]);
+    }
   }
   EXPECT_DOUBLE_EQ(cfg.period_ns(0), 10.0);
 }

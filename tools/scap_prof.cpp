@@ -4,12 +4,14 @@
 // thread-scaling sweep times) with the profiler forced on, prints the
 // per-lane pool report (obs/prof.h: tasks, parks, busy/park/sched shares,
 // and the events the rings dropped), and writes the rt.prof.* metrics as a
-// JSON artifact. With --overhead it instead times the kernel with the
-// profiler off vs on and reports the relative cost, which is the number the
-// "<2% prof-off overhead" acceptance check quotes.
+// JSON artifact. With --overhead it instead runs the kernel --repeat times
+// with the profiler off and as often with it on, one of each per
+// repetition and alternating which goes first, so a drift in the host's
+// speed lands on both sides; it prints each side's median and quartiles
+// and the median's relative cost of recording.
 //
 // Usage:
-//   scap_prof [--kernel faultsim|grid|scap|atpg] [--threads N] [--repeat N]
+//   scap_prof [--kernel faultsim|scap|atpg] [--threads N] [--repeat N]
 //             [--scale S] [--words 1|2|4] [--out DIR] [--overhead]
 //
 // `--kernel atpg` runs conventional random-fill ATPG at backtrack limit 32,
@@ -43,15 +45,15 @@
 #include "obs/prof.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "power/dynamic_ir.h"
 #include "rt/parallel.h"
+#include "util/stats.h"
 #include "util/version.h"
 
 namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--kernel faultsim|grid|scap|atpg] [--threads N]\n"
+               "usage: %s [--kernel faultsim|scap|atpg] [--threads N]\n"
                "       [--repeat N] [--scale S] [--words 1|2|4] [--out DIR]\n"
                "       [--overhead]\n",
                argv0);
@@ -128,7 +130,6 @@ int main(int argc, char** argv) {
   std::printf("scap_prof: kernel=%s threads=%zu repeat=%d scale=%.3f\n",
               kernel.c_str(), threads, repeat, scale);
   const scap::Experiment exp = scap::Experiment::standard(scale, 2007);
-  const scap::Netlist& nl = exp.soc.netlist;
   const scap::PatternSet pats =
       scap::random_pattern_set(192, exp.ctx.num_vars(), 2007);
 
@@ -140,21 +141,6 @@ int main(int argc, char** argv) {
       fsim.set_batch_words(words);
       volatile std::size_t n = fsim.grade(pats.patterns, exp.faults).size();
       (void)n;
-    };
-  } else if (kernel == "grid") {
-    scap::PowerGridOptions gopt;
-    gopt.nx = 128;
-    gopt.ny = 128;
-    auto grid = std::make_shared<scap::PowerGrid>(exp.soc.floorplan, gopt);
-    auto where = std::make_shared<std::vector<scap::Point>>();
-    auto amps = std::make_shared<std::vector<double>>();
-    for (scap::GateId g = 0; g < nl.num_gates(); ++g) {
-      where->push_back(exp.soc.placement.gate_pos(g));
-      amps->push_back(2e-6 * static_cast<double>(1 + g % 5));
-    }
-    body = [grid, where, amps] {
-      volatile int it = grid->solve(*where, *amps, /*vdd_rail=*/true).iterations;
-      (void)it;
     };
   } else if (kernel == "scap") {
     body = [&] {
@@ -188,22 +174,33 @@ int main(int argc, char** argv) {
   scap::obs::ObsConfig cfg = scap::obs::config();
 
   if (overhead) {
-    cfg.prof = false;
-    scap::obs::configure(cfg);
-    double off_ms = 0.0;
-    for (int r = 0; r < repeat; ++r) off_ms += wall_ms(body);
-    cfg.prof = true;
-    scap::obs::configure(cfg);
+    std::vector<double> off_ms, on_ms;
+    auto timed = [&](bool prof) {
+      cfg.prof = prof;
+      scap::obs::configure(cfg);
+      (prof ? on_ms : off_ms).push_back(wall_ms(body));
+    };
     scap::obs::prof_reset();
-    double on_ms = 0.0;
-    for (int r = 0; r < repeat; ++r) on_ms += wall_ms(body);
+    for (int r = 0; r < repeat; ++r) {
+      const bool on_first = r % 2 == 1;
+      timed(on_first);
+      timed(!on_first);
+    }
     const scap::obs::PoolProfile prof = scap::obs::collect_pool_profile();
-    const double pct =
-        off_ms > 0.0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;
+    auto summary = [](const std::vector<double>& ms) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "median %.2f ms [%.2f, %.2f]",
+                    scap::quantile(ms, 0.5), scap::quantile(ms, 0.25),
+                    scap::quantile(ms, 0.75));
+      return std::string(buf);
+    };
+    const double off = scap::quantile(off_ms, 0.5);
+    const double on = scap::quantile(on_ms, 0.5);
     std::printf(
-        "profiler overhead: off %.2f ms, on %.2f ms (%+.2f%%), "
-        "%llu events recorded\n",
-        off_ms / repeat, on_ms / repeat, pct,
+        "profiler overhead over %d alternating pairs: off %s, on %s "
+        "(%+.2f%% at the median), %llu events recorded\n",
+        repeat, summary(off_ms).c_str(), summary(on_ms).c_str(),
+        off > 0.0 ? 100.0 * (on - off) / off : 0.0,
         static_cast<unsigned long long>(prof.total_events));
     return 0;
   }
