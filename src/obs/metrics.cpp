@@ -43,24 +43,6 @@ std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
   return out;
 }
 
-std::vector<std::pair<std::string, RunningStats>> Registry::gauges() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, RunningStats>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g->snapshot());
-  return out;
-}
-
-std::vector<Registry::TimerSnap> Registry::timers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TimerSnap> out;
-  out.reserve(timers_.size());
-  for (const auto& [name, t] : timers_) {
-    out.push_back(TimerSnap{name, t->snapshot(), t->total_ms()});
-  }
-  return out;
-}
-
 namespace {
 
 template <typename Vec, typename Key, typename MergeFn>

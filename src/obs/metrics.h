@@ -131,10 +131,8 @@ class Registry {
     void merge(const Snapshot& other);
   };
 
-  /// Sorted-by-name snapshots.
+  /// Every counter's value, zero ones included, sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  std::vector<std::pair<std::string, RunningStats>> gauges() const;
-  std::vector<TimerSnap> timers() const;
 
   /// Non-empty entries only; does not modify the registry.
   Snapshot snapshot() const;

@@ -94,49 +94,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string to_json(const RunReport& rep, const Registry& reg) {
-  std::ostringstream os;
-  os << "{\n  \"name\": \"" << json_escape(rep.name) << "\",\n  \"info\": {";
-  for (std::size_t i = 0; i < rep.info.size(); ++i) {
-    if (i) os << ", ";
-    os << "\"" << json_escape(rep.info[i].first) << "\": \""
-       << json_escape(rep.info[i].second) << "\"";
-  }
-  os << "},\n  \"phases\": [";
-  for (std::size_t i = 0; i < rep.phases.size(); ++i) {
-    if (i) os << ",";
-    os << "\n    {\"name\": \"" << json_escape(rep.phases[i].name)
-       << "\", \"wall_ms\": " << num(rep.phases[i].wall_ms) << "}";
-  }
-  os << (rep.phases.empty() ? "]" : "\n  ]") << ",\n  \"counters\": {";
-  const auto counters = reg.counters();
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i) os << ",";
-    os << "\n    \"" << json_escape(counters[i].first)
-       << "\": " << counters[i].second;
-  }
-  os << (counters.empty() ? "}" : "\n  }") << ",\n  \"gauges\": {";
-  const auto gauges = reg.gauges();
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i) os << ",";
-    os << "\n    \"" << json_escape(gauges[i].first) << "\": ";
-    append_stats(os, gauges[i].second);
-  }
-  os << (gauges.empty() ? "}" : "\n  }") << ",\n  \"timers\": {";
-  const auto timers = reg.timers();
-  for (std::size_t i = 0; i < timers.size(); ++i) {
-    if (i) os << ",";
-    os << "\n    \"" << json_escape(timers[i].name)
-       << "\": {\"count\":" << timers[i].stats.count()
-       << ",\"total_ms\":" << num(timers[i].total_ms)
-       << ",\"mean_ms\":" << num(timers[i].stats.mean())
-       << ",\"min_ms\":" << num(timers[i].stats.min())
-       << ",\"max_ms\":" << num(timers[i].stats.max()) << "}";
-  }
-  os << (timers.empty() ? "}" : "\n  }") << "\n}\n";
-  return os.str();
-}
-
 std::string to_json(const RunReport& rep) {
   Registry::Snapshot total;
   for (const PhaseTime& p : rep.phases) total.merge(p.metrics);
@@ -164,24 +121,6 @@ std::string to_json(const RunReport& rep) {
   os << (rep.phases.empty() ? "]" : "\n  ]") << ",\n";
   append_snapshot_sections(os, total, "  ");
   os << "\n}\n";
-  return os.str();
-}
-
-std::string to_csv(const Registry& reg) {
-  std::ostringstream os;
-  os << "kind,name,count,value,mean,min,max\n";
-  for (const auto& [name, v] : reg.counters()) {
-    os << "counter," << name << ",1," << v << ",,,\n";
-  }
-  for (const auto& [name, s] : reg.gauges()) {
-    os << "gauge," << name << "," << s.count() << ",," << num(s.mean()) << ","
-       << num(s.min()) << "," << num(s.max()) << "\n";
-  }
-  for (const auto& t : reg.timers()) {
-    os << "timer," << t.name << "," << t.stats.count() << ","
-       << num(t.total_ms) << "," << num(t.stats.mean()) << ","
-       << num(t.stats.min()) << "," << num(t.stats.max()) << "\n";
-  }
   return os.str();
 }
 

@@ -37,15 +37,11 @@ struct RunReport {
 /// Escape a string for embedding in a JSON string literal.
 std::string json_escape(std::string_view s);
 
-/// Serialize the run report plus a snapshot of `reg` as JSON.
-std::string to_json(const RunReport& rep, const Registry& reg);
 /// Serialize a run report whose phases carry their own metric snapshots:
-/// top-level counters/gauges/timers are the merge of every phase (same shape
-/// as the legacy overload), and each phase object additionally embeds its own
-/// "metrics" section when non-empty.
+/// top-level counters/gauges/timers are the merge of every phase, and each
+/// phase object additionally embeds its own "metrics" section when
+/// non-empty.
 std::string to_json(const RunReport& rep);
-/// Counters/gauges/timers as CSV (`kind,name,count,value,mean,min,max`).
-std::string to_csv(const Registry& reg);
 
 /// Atomically-ish write `contents` to `path` (truncate). False on I/O error.
 bool write_file(const std::string& path, std::string_view contents);

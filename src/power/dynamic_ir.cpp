@@ -39,8 +39,7 @@ DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
                                    const PowerGrid& grid,
                                    const RailCharges& charges,
                                    const ClockTree* clock_tree,
-                                   DomainId active_domain,
-                                   const DynamicIrOptions& opt) {
+                                   DomainId active_domain) {
   SCAP_TRACE_SCOPE("power.dynamic_ir");
   if (charges.gate_vdd_pc.size() != nl.num_gates() ||
       charges.gate_vss_pc.size() != nl.num_gates() ||
@@ -74,7 +73,7 @@ DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
     vdd_amps.push_back(charges.flop_vdd_pc[f] * to_amps);
     vss_amps.push_back(charges.flop_vss_pc[f] * to_amps);
   }
-  if (opt.include_clock_tree && clock_tree != nullptr) {
+  if (clock_tree != nullptr) {
     for (const ClockBuffer& b : clock_tree->buffers()) {
       if (b.domain != active_domain) continue;
       // One rise and one fall per launch-capture window.

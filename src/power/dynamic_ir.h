@@ -23,12 +23,6 @@
 
 namespace scap {
 
-struct DynamicIrOptions {
-  /// Include the active domain's clock-tree switching (one rise + one fall
-  /// per launch-capture window) in the rail currents.
-  bool include_clock_tree = true;
-};
-
 struct DynamicIrReport {
   double window_ns = 0.0;
   GridSolution vdd_solution;
@@ -95,16 +89,15 @@ class DynamicIrBinner final : public ToggleSink {
 /// Convert the charges into average rail currents over charges.window_ns,
 /// solve both rails on the grid (concurrently on the rt pool; bit-identical
 /// at any SCAP_THREADS) and derive the block / per-instance droop views. The
-/// active domain's clock-tree buffers add one rise and one fall each unless
-/// opt.include_clock_tree is off. Throws std::invalid_argument
-/// when the charge vectors do not match the netlist's gate / flop counts or
-/// the window is not positive.
+/// active domain's clock-tree buffers add one rise and one fall each; pass
+/// clock_tree = nullptr to leave the clock current out. Throws
+/// std::invalid_argument when the charge vectors do not match the netlist's
+/// gate / flop counts or the window is not positive.
 DynamicIrReport analyze_pattern_ir(const Netlist& nl, const Placement& pl,
                                    const TechLibrary& lib, const Floorplan& fp,
                                    const PowerGrid& grid,
                                    const RailCharges& charges,
                                    const ClockTree* clock_tree,
-                                   DomainId active_domain,
-                                   const DynamicIrOptions& opt = {});
+                                   DomainId active_domain);
 
 }  // namespace scap

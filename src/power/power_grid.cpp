@@ -18,15 +18,12 @@ namespace {
 /// SOR over-relaxation factor.
 constexpr double kSorOmega = 1.9;
 
-/// One colour pass of one SOR solve: the colour's coefficient, current and
-/// drop planes (each (ny + 2) * width slots, slot 0 of row 0 first) and the
-/// other colour's drop plane.
+/// One colour pass of one SOR solve: the mesh conductance, the colour's
+/// diagonal, current and drop planes (each (ny + 2) * width slots, slot 0
+/// of row 0 first) and the other colour's drop plane.
 struct SorPass {
-  const double* g_left = nullptr;
-  const double* g_right = nullptr;
-  const double* g_up = nullptr;
-  const double* g_down = nullptr;
-  const double* gsum = nullptr;  ///< the rail's diagonal: pad + four edges
+  double g = 0.0;                ///< every edge's conductance [S]
+  const double* gsum = nullptr;  ///< the rail's diagonal: pad + the edges
   const double* b = nullptr;     ///< node currents [A]
   double* d = nullptr;           ///< this colour's drops [V], updated
   const double* other = nullptr;  ///< the other colour's drops [V], read
@@ -63,25 +60,23 @@ Vec vabs(Vec x) {
 /// (iy + 1) * W + 1 + q; its left and right neighbours are slots q + s - 1
 /// and q + s of the other colour's row (counted from that row's first
 /// node), its up and down neighbours slot q of the other colour's rows
-/// iy - 1 and iy + 1. Per node the arithmetic is the edge-tested scalar
-/// kernel's, in its order: f = b, then + left, + right, + up, + down (each
-/// g * d), next = f / gsum, d + omega * (next - d). This TU is built with
+/// iy - 1 and iy + 1; a neighbour off the mesh is a zero ring slot. Per
+/// node the arithmetic is the edge-tested scalar kernel's, in its order:
+/// f = b, then + left, + right, + up, + down (each g * d), next = f / gsum,
+/// d + omega * (next - d). This TU is built with
 /// -ffp-contract=off, so no product is fused into an add and every lane
 /// rounds as scalar code does; the max is a compare-select with std::max's
 /// operand order, so it is exact in any lane grouping.
 double sweep_rows(const SorPass& p) {
   const std::size_t w = p.width;
   const Vec omega = Vec{} + kSorOmega;
+  const Vec g = Vec{} + p.g;
   Vec vmax = {};
   double smax = 0.0;
   for (std::uint32_t iy = 0; iy < p.ny; ++iy) {
     const std::uint32_t s = (iy + p.colour) & 1u;
     const std::size_t n = (p.nx + 1 - s) / 2;  // the colour's nodes in row iy
     const std::size_t row = (iy + 1) * w + 1;
-    const double* gl = p.g_left + row;
-    const double* gr = p.g_right + row;
-    const double* gu = p.g_up + row;
-    const double* gd = p.g_down + row;
     const double* gs = p.gsum + row;
     const double* b = p.b + row;
     double* d = p.d + row;
@@ -92,10 +87,10 @@ double sweep_rows(const SorPass& p) {
     std::size_t q = 0;
     for (; q + kLanes <= n; q += kLanes) {
       Vec f = load(b + q);
-      f += load(gl + q) * load(left + q);
-      f += load(gr + q) * load(right + q);
-      f += load(gu + q) * load(up + q);
-      f += load(gd + q) * load(down + q);
+      f += g * load(left + q);
+      f += g * load(right + q);
+      f += g * load(up + q);
+      f += g * load(down + q);
       const Vec next = f / load(gs + q);
       const Vec old = load(d + q);
       const Vec relaxed = old + omega * (next - old);
@@ -105,10 +100,10 @@ double sweep_rows(const SorPass& p) {
     }
     for (; q < n; ++q) {
       double f = b[q];
-      f += gl[q] * left[q];
-      f += gr[q] * right[q];
-      f += gu[q] * up[q];
-      f += gd[q] * down[q];
+      f += p.g * left[q];
+      f += p.g * right[q];
+      f += p.g * up[q];
+      f += p.g * down[q];
       const double next = f / gs[q];
       const double relaxed = d[q] + kSorOmega * (next - d[q]);
       smax = std::max(smax, std::abs(relaxed - d[q]));
@@ -124,41 +119,37 @@ double sweep_rows(const SorPass& p) {
 // The SOR operator in the split-colour layout the row kernel sweeps (see
 // power_grid.h and sweep_rows above): node (ix, iy) has colour
 // (ix + iy) & 1 and sits at slot (iy + 1) * width + ix / 2 + 1 of its
-// colour's plane; every slot outside the mesh is zero. Absent edges couple
-// with g = 0, and an inactive node has no couplings, gsum = 1 and b = 0, so
-// its drop stays exactly +0.0. Each drop is finite, so a zero coupling adds
-// exactly 0.0 to the inflow and the sums equal the edge-tested ones bit for
-// bit.
+// colour's plane; every slot outside the mesh is zero. Every edge has the
+// conductance g; a boundary node's absent edge reads a zero ring slot, so
+// it adds g * 0 = +0.0 to the inflow, and the sums equal the edge-tested
+// ones bit for bit.
 struct PowerGrid::SorOperator {
   std::uint32_t nx = 0, ny = 0;  ///< the mesh, without the ring
   std::size_t width = 0;         ///< slots per row, nx / 2 + 2
   std::size_t plane = 0;         ///< slots per colour, (ny + 2) * width
-  /// Both colours' planes, colour 0 first.
-  std::vector<double> g_left, g_right, g_up, g_down;
-  /// Per rail: pad + left + right + up + down, summed in that order.
+  double g = 0.0;                ///< every edge's conductance [S]
+  /// Per rail: pad + left + right + up + down, summed in that order (0 for
+  /// an absent edge); both colours' planes, colour 0 first.
   std::vector<double> gsum_vdd, gsum_vss;
 
-  explicit SorOperator(const PdnTopology& t)
-      : nx(t.nx), ny(t.ny), width(t.nx / 2 + 2), plane((t.ny + 2) * width) {
-    for (auto* v : {&g_left, &g_right, &g_up, &g_down, &gsum_vdd, &gsum_vss}) {
-      v->assign(2 * plane, 0.0);
-    }
+  /// `vdd_pad` and `vss_pad`: each node's pad conductance [S], row-major.
+  SorOperator(std::uint32_t nx_, std::uint32_t ny_, double g_,
+              const std::vector<double>& vdd_pad,
+              const std::vector<double>& vss_pad)
+      : nx(nx_), ny(ny_), width(nx_ / 2 + 2), plane((ny_ + 2) * width),
+        g(g_) {
+    gsum_vdd.assign(2 * plane, 0.0);
+    gsum_vss.assign(2 * plane, 0.0);
     for (std::uint32_t iy = 0; iy < ny; ++iy) {
       for (std::uint32_t ix = 0; ix < nx; ++ix) {
         const std::size_t p = at(ix, iy);
-        const std::uint32_t i = t.node(ix, iy);
-        if (!t.active[i]) {
-          gsum_vdd[p] = gsum_vss[p] = 1.0;
-          continue;
-        }
-        if (ix > 0) g_left[p] = t.edge_h(ix - 1, iy);
-        if (ix + 1 < nx) g_right[p] = t.edge_h(ix, iy);
-        if (iy > 0) g_up[p] = t.edge_v(ix, iy - 1);
-        if (iy + 1 < ny) g_down[p] = t.edge_v(ix, iy);
-        gsum_vdd[p] =
-            t.vdd_pad_g[i] + g_left[p] + g_right[p] + g_up[p] + g_down[p];
-        gsum_vss[p] =
-            t.vss_pad_g[i] + g_left[p] + g_right[p] + g_up[p] + g_down[p];
+        const std::size_t i = static_cast<std::size_t>(iy) * nx + ix;
+        const double left = ix > 0 ? g : 0.0;
+        const double right = ix + 1 < nx ? g : 0.0;
+        const double up = iy > 0 ? g : 0.0;
+        const double down = iy + 1 < ny ? g : 0.0;
+        gsum_vdd[p] = vdd_pad[i] + left + right + up + down;
+        gsum_vss[p] = vss_pad[i] + left + right + up + down;
       }
     }
   }
@@ -167,15 +158,12 @@ struct PowerGrid::SorOperator {
     return ((ix + iy) & 1u) * plane + (iy + 1) * width + ix / 2 + 1;
   }
 
-  /// A row-major nx * ny map in the split layout, 0 on the ring and on
-  /// the nodes `active` marks 0.
-  std::vector<double> split(std::span<const double> v,
-                            const std::vector<std::uint8_t>& active) const {
+  /// A row-major nx * ny map in the split layout, 0 on the ring.
+  std::vector<double> split(std::span<const double> v) const {
     std::vector<double> out(2 * plane, 0.0);
     for (std::uint32_t iy = 0; iy < ny; ++iy) {
       for (std::uint32_t ix = 0; ix < nx; ++ix) {
-        const std::size_t i = static_cast<std::size_t>(iy) * nx + ix;
-        if (active[i]) out[at(ix, iy)] = v[i];
+        out[at(ix, iy)] = v[static_cast<std::size_t>(iy) * nx + ix];
       }
     }
     return out;
@@ -198,10 +186,7 @@ struct PowerGrid::SorOperator {
     const std::size_t own = colour * plane;
     const std::size_t other = (1 - colour) * plane;
     SorPass p;
-    p.g_left = g_left.data() + own;
-    p.g_right = g_right.data() + own;
-    p.g_up = g_up.data() + own;
-    p.g_down = g_down.data() + own;
+    p.g = g;
     p.gsum = (vdd_rail ? gsum_vdd : gsum_vss).data() + own;
     p.b = b + own;
     p.d = d + own;
@@ -217,15 +202,14 @@ struct PowerGrid::SorOperator {
   /// up, down: the kernel's stencil, one node at a time.
   double flow(std::uint32_t ix, std::uint32_t iy, double b,
               const double* d) const {
-    const std::size_t p = at(ix, iy);
     // Row iy of the other colour; column x of it sits at slot x / 2 + 1,
     // and column -1 (left of the mesh) at ring slot 0.
     const std::size_t o = ((ix + iy + 1) & 1u) * plane + (iy + 1) * width;
     double f = b;
-    f += g_left[p] * d[o + (ix + 1) / 2];
-    f += g_right[p] * d[o + (ix + 1) / 2 + 1];
-    f += g_up[p] * d[o - width + ix / 2 + 1];
-    f += g_down[p] * d[o + width + ix / 2 + 1];
+    f += g * d[o + (ix + 1) / 2];
+    f += g * d[o + (ix + 1) / 2 + 1];
+    f += g * d[o - width + ix / 2 + 1];
+    f += g * d[o + width + ix / 2 + 1];
     return f;
   }
 };
@@ -284,20 +268,23 @@ double GridSolution::average_in(const Rect& r) const {
 
 PowerGrid::PowerGrid(const Floorplan& fp, PowerGridOptions opt)
     : opt_(opt), die_(fp.die()) {
-  topo_ = PdnTopology::uniform(opt_.nx, opt_.ny, 1.0 / opt_.segment_res_ohm);
-  const double gpad = 1.0 / opt_.pad_res_ohm;
-  for (const PowerPad& pad : fp.pads()) {
-    topo_.add_pad_at(die_, pad.pos, pad.is_vdd, gpad);
+  if (opt_.nx < 2 || opt_.ny < 2) {
+    throw std::runtime_error("PowerGrid: mesh must be at least 2x2");
   }
-  topo_.finalize();
-  sor_ = std::make_shared<const SorOperator>(topo_);
-}
-
-PowerGrid::PowerGrid(const Rect& die, PowerGridOptions opt, PdnTopology topo)
-    : opt_(opt), die_(die), topo_(std::move(topo)) {
-  opt_.nx = topo_.nx;
-  opt_.ny = topo_.ny;
-  sor_ = std::make_shared<const SorOperator>(topo_);
+  const std::size_t n = static_cast<std::size_t>(opt_.nx) * opt_.ny;
+  std::vector<double> vdd_pad(n, 0.0), vss_pad(n, 0.0);
+  const double gpad = 1.0 / opt_.pad_res_ohm;
+  double vdd_anchor = 0.0, vss_anchor = 0.0;
+  for (const PowerPad& pad : fp.pads()) {
+    (pad.is_vdd ? vdd_pad : vss_pad)[nearest_node(pad.pos)] += gpad;
+    (pad.is_vdd ? vdd_anchor : vss_anchor) += gpad;
+  }
+  if (!(vdd_anchor > 0.0) || !(vss_anchor > 0.0)) {
+    throw std::runtime_error(
+        "PowerGrid: the floorplan needs a VDD and a VSS pad");
+  }
+  sor_ = std::make_shared<const SorOperator>(
+      opt_.nx, opt_.ny, 1.0 / opt_.segment_res_ohm, vdd_pad, vss_pad);
 }
 
 std::uint32_t PowerGrid::nearest_node(Point p) const {
@@ -330,9 +317,7 @@ std::vector<double> PowerGrid::gather_currents(
       throw std::invalid_argument("PowerGrid: load " + std::to_string(i) +
                                   " has a non-finite position");
     }
-    // Loads that land inside a void snap to the nearest surviving node
-    // (identity on uniform meshes).
-    current[topo_.snap[nearest_node(where[i])]] += amps[i];
+    current[nearest_node(where[i])] += amps[i];
   }
   return current;
 }
@@ -342,8 +327,7 @@ GridSolution PowerGrid::solve(std::span<const Point> where,
                               bool vdd_rail) const {
   SCAP_TRACE_SCOPE("power.grid_solve");
   const SorOperator& op = *sor_;
-  const std::vector<double> b =
-      op.split(gather_currents(where, amps), topo_.active);
+  const std::vector<double> b = op.split(gather_currents(where, amps));
 
   GridSolution sol;
   sol.nx = opt_.nx;
@@ -395,11 +379,10 @@ double PowerGrid::residual_inf(const GridSolution& sol,
   }
   const std::vector<double> b = gather_currents(where, amps);
   const std::vector<double>& gsum = vdd_rail ? op.gsum_vdd : op.gsum_vss;
-  const std::vector<double> d = op.split(sol.drop_v, topo_.active);
+  const std::vector<double> d = op.split(sol.drop_v);
   double worst = 0.0;
   for (std::uint32_t iy = 0; iy < opt_.ny; ++iy) {
     for (std::uint32_t ix = 0; ix < opt_.nx; ++ix) {
-      if (!topo_.active[node_index(ix, iy)]) continue;
       const std::size_t p = op.at(ix, iy);
       const double flow = op.flow(ix, iy, 0.0, d.data());
       worst = std::max(worst, std::abs(b[node_index(ix, iy)] -

@@ -1,14 +1,13 @@
 // Resistive power-distribution-network model and DC IR-drop solver.
 //
-// Each rail (VDD and VSS) is a 2-D resistive mesh spanning the die -- by
-// default uniform with ideal periphery pads (the Turbo-Eagle floorplan has
-// 37 pads per rail), but any irregular PdnTopology (per-edge conductances,
-// punched-out void regions, explicit pad sites; see power/pdn_topology.h)
-// can back the grid. Instance switching currents are injected at the
-// nearest active mesh node and the resulting node voltages are obtained
-// from the linear system
+// Each rail (VDD and VSS) is a uniform 2-D resistive mesh spanning the die,
+// every segment at segment_res_ohm, anchored by the floorplan's periphery
+// pads (the Turbo-Eagle floorplan has 37 pads per rail; each pad lands on
+// its nearest mesh node through pad_res_ohm). Instance switching currents
+// are injected at the nearest mesh node and the resulting node voltages are
+// obtained from the linear system
 //
-//     sum_j g_ij (d_i - d_j) + g_pad,i * d_i = I_i
+//     sum_j g (d_i - d_j) + g_pad,i * d_i = I_i
 //
 // d_i is the *drop* at node i: VDD loss on the VDD rail, ground bounce on
 // the VSS rail -- the same equations apply to both because the floorplan
@@ -39,11 +38,11 @@
 // sits at slot (iy + 1) * W + ix / 2 + 1 of its colour's plane. Every other
 // slot -- rows 0 and ny + 1, slot 0 of each row, the slots past a row's
 // last node -- is zero, so no node needs an edge test, and a colour pass
-// reads only the other colour's plane, with unit stride. Per node the
-// planes hold the four neighbour conductances (0 for an absent edge) and
-// each rail's diagonal; a void node has no couplings, diagonal 1 and no
-// current, so its drop stays exactly 0 with no mask. residual_inf()
-// evaluates the same stencil on the same planes.
+// reads only the other colour's plane, with unit stride. Every edge has the
+// one mesh conductance g, and an absent boundary edge reads a zero ring
+// slot, so it adds g * 0 = +0.0 to the inflow. The planes hold each rail's
+// diagonal, pad + the conductances of the node's present edges.
+// residual_inf() evaluates the same stencil on the same planes.
 //
 // SOR kernel. One row kernel sweeps a colour pass two nodes at a time (GCC
 // vector types, baseline flags). It keeps the scalar arithmetic and its
@@ -72,7 +71,6 @@
 #include <vector>
 
 #include "layout/floorplan.h"
-#include "power/pdn_topology.h"
 #include "util/geometry.h"
 
 namespace scap {
@@ -95,7 +93,7 @@ struct GridSolution {
   std::uint32_t nx = 0;
   std::uint32_t ny = 0;
   Rect die;
-  std::vector<double> drop_v;  ///< row-major node drops [V]; 0 on void nodes
+  std::vector<double> drop_v;  ///< row-major node drops [V]
   std::uint32_t iterations = 0;
   /// False when the sweep budget (max_iterations) ran out before the update
   /// delta fell below tolerance_v; such a map may understate the true drops.
@@ -117,11 +115,10 @@ struct GridSolution {
 
 class PowerGrid {
  public:
-  /// Uniform mesh from the options, pads taken from the floorplan.
+  /// Uniform mesh from the options, pads taken from the floorplan. Throws
+  /// std::runtime_error for a mesh below 2x2 or a floorplan without a VDD
+  /// or a VSS pad (either rail's system would be singular).
   PowerGrid(const Floorplan& fp, PowerGridOptions opt = PowerGridOptions{});
-  /// Irregular mesh: `topo` must be finalized; its nx/ny override the
-  /// options' (pads and edges come from the topology, not the floorplan).
-  PowerGrid(const Rect& die, PowerGridOptions opt, PdnTopology topo);
 
   /// Solve one rail for the given point current injections [A]: amps[i]
   /// flows at where[i]. vdd_rail selects which pad set anchors the mesh.
@@ -130,7 +127,7 @@ class PowerGrid {
   GridSolution solve(std::span<const Point> where, std::span<const double> amps,
                      bool vdd_rail) const;
 
-  /// Max over active nodes of |I_i - (A d)_i| [A] -- the true equation
+  /// Max over the nodes of |I_i - (A d)_i| [A] -- the true equation
   /// residual of a solution, independent of the solver's own stop metric.
   /// Throws std::invalid_argument on bad loads, as solve() does, and on a
   /// drop map of another mesh size.
@@ -144,7 +141,6 @@ class PowerGrid {
 
   const PowerGridOptions& options() const { return opt_; }
   const Rect& die() const { return die_; }
-  const PdnTopology& topology() const { return topo_; }
 
  private:
   std::uint32_t node_index(std::uint32_t ix, std::uint32_t iy) const {
@@ -158,7 +154,6 @@ class PowerGrid {
 
   PowerGridOptions opt_;
   Rect die_;
-  PdnTopology topo_;
   /// Immutable after construction; shared so PowerGrid stays copyable.
   std::shared_ptr<const SorOperator> sor_;
 };

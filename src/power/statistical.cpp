@@ -56,7 +56,7 @@ StatisticalReport analyze_statistical(
     account(pl.flop_pos(f), fr.block, par.flop_load_pf(nl, f),
             domain_freq_mhz[fr.domain], opt.toggle_prob);
   }
-  if (opt.include_clock_tree && clock_tree != nullptr) {
+  if (clock_tree != nullptr) {
     for (const ClockBuffer& b : clock_tree->buffers()) {
       const std::size_t blk = fp.block_at(b.pos);
       account(b.pos,
@@ -75,15 +75,11 @@ StatisticalReport analyze_statistical(
 
   rep.block_worst_vdd_v.resize(nl.block_count());
   rep.block_worst_vss_v.resize(nl.block_count());
-  rt::parallel_for(
-      nl.block_count(), /*grain=*/1,
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          const Rect r = b < fp.block_count() ? fp.block(b).rect : fp.die();
-          rep.block_worst_vdd_v[b] = rep.vdd_solution.worst_in(r);
-          rep.block_worst_vss_v[b] = rep.vss_solution.worst_in(r);
-        }
-      });
+  for (BlockId b = 0; b < nl.block_count(); ++b) {
+    const Rect r = b < fp.block_count() ? fp.block(b).rect : fp.die();
+    rep.block_worst_vdd_v[b] = rep.vdd_solution.worst_in(r);
+    rep.block_worst_vss_v[b] = rep.vss_solution.worst_in(r);
+  }
   rep.chip_worst_vdd_v = rep.vdd_solution.worst();
   rep.chip_worst_vss_v = rep.vss_solution.worst();
   obs::count("power.statistical_runs");

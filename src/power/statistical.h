@@ -29,8 +29,6 @@ struct StatisticalOptions {
   /// Fraction of the cycle the switching is concentrated into:
   /// 1.0 = Case1 (full cycle), 0.5 = Case2 (average STW).
   double window_fraction = 1.0;
-  /// Include clock-tree switching (toggles every cycle regardless of data).
-  bool include_clock_tree = true;
 };
 
 struct StatisticalReport {
@@ -54,6 +52,8 @@ struct StatisticalReport {
   }
 };
 
+/// Clock-tree buffers switch every cycle regardless of data, twice each;
+/// pass clock_tree = nullptr to leave the clock current out.
 StatisticalReport analyze_statistical(
     const Netlist& nl, const Placement& pl, const Parasitics& par,
     const TechLibrary& lib, const Floorplan& fp, const PowerGrid& grid,

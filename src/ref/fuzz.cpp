@@ -200,14 +200,6 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
           std::clamp<std::uint64_t>(sc.grid_nx, 2, 64));
       gopt.ny = static_cast<std::uint32_t>(
           std::clamp<std::uint64_t>(sc.grid_ny, 2, 64));
-      // The shared problem statement: a (possibly voided / jittered)
-      // topology that SOR and the reference both consume. voids = 0 and
-      // jitter = 0 reproduce the legacy uniform mesh bit-for-bit, so old
-      // corpus entries replay unchanged.
-      const PdnTopology topo = make_fuzz_topology(
-          soc.floorplan, gopt,
-          static_cast<std::size_t>(std::min<std::uint64_t>(sc.grid_voids, 8)),
-          std::clamp(sc.grid_jitter, 0.0, 0.9), sc.grid_seed);
       Rng gr(sc.grid_seed);
       const Rect die = soc.floorplan.die();
       const std::size_t ns = std::max<std::uint64_t>(1, sc.grid_sources);
@@ -217,10 +209,10 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
         where[i] = {gr.uniform(die.x0, die.x1), gr.uniform(die.y0, die.y1)};
         amps[i] = gr.uniform(1e-3, 2e-2);
       }
-      const PowerGrid grid(die, gopt, topo);
+      const PowerGrid grid(soc.floorplan, gopt);
       for (const bool rail : {true, false}) {
         const GridSolution r =
-            grid_solve_ref(die, topo, gopt, where, amps, rail);
+            grid_solve_ref(soc.floorplan, gopt, where, amps, rail);
         std::string why;
         if (!compare_grid(grid.solve(where, amps, rail), r, &why)) {
           const std::string what = rail ? "sor vdd: " : "sor vss: ";
@@ -309,8 +301,6 @@ ShrinkResult shrink_scenario(const Scenario& start, InjectedBug inject) {
       if (cur.grid_sources > 1) {
         push([](Scenario& c) { c.grid_sources /= 2; });
       }
-      if (cur.grid_voids > 0) push([](Scenario& c) { c.grid_voids = 0; });
-      if (cur.grid_jitter > 0) push([](Scenario& c) { c.grid_jitter = 0.0; });
     }
     if (cur.check_grade && cur.fault_sample > 1) {
       push([](Scenario& c) { c.fault_sample /= 2; });

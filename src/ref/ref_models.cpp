@@ -410,10 +410,6 @@ GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
   sol.drop_v.assign(n, 0.0);
   std::vector<double>& d = sol.drop_v;
 
-  // Converge well past the production tolerance so comparator slack only has
-  // to absorb the production solver's truncation.
-  const double tol = std::max(opt.tolerance_v * 1e-2, 1e-13);
-
   auto neighbors = [&](std::size_t i, std::array<std::size_t, 4>& out) {
     const std::uint32_t ix = static_cast<std::uint32_t>(i) % nx;
     const std::uint32_t iy = static_cast<std::uint32_t>(i) / nx;
@@ -426,172 +422,58 @@ GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
   };
 
   if (n <= kDenseNodeLimit) {
-    // Dense assembly of sum_j g_ij (d_i - d_j) + g_pad,i d_i = I_i, then
-    // natural-order Gauss-Seidel on the full matrix.
+    // Exact direct solve: dense assembly of
+    // sum_j g_ij (d_i - d_j) + g_pad,i d_i = I_i, LU with partial pivoting,
+    // forward and back substitution. No iteration truncation.
     std::vector<std::vector<double>> A(n, std::vector<double>(n, 0.0));
+    std::vector<double> x = b;
     std::array<std::size_t, 4> nb{};
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t cnt = neighbors(i, nb);
       A[i][i] = pad_g[i] + gseg * static_cast<double>(cnt);
       for (std::size_t k = 0; k < cnt; ++k) A[i][nb[k]] = -gseg;
     }
-    for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      double max_delta = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        for (std::size_t j = 0; j < n; ++j) {
-          if (j != i) acc -= A[i][j] * d[j];
-        }
-        const double next = acc / A[i][i];
-        max_delta = std::max(max_delta, std::abs(next - d[i]));
-        d[i] = next;
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t p = k;
+      for (std::size_t r = k + 1; r < n; ++r) {
+        if (std::abs(A[r][k]) > std::abs(A[p][k])) p = r;
       }
-      sol.iterations = static_cast<std::uint32_t>(sweep + 1);
-      sol.final_delta_v = max_delta;
-      if (max_delta < tol) {
-        sol.converged = true;
-        break;
+      if (p != k) {
+        std::swap(A[p], A[k]);
+        std::swap(x[p], x[k]);
+      }
+      if (std::abs(A[k][k]) < 1e-300) {
+        throw std::runtime_error("grid_solve_ref: singular mesh system");
+      }
+      for (std::size_t r = k + 1; r < n; ++r) {
+        const double f = A[r][k] / A[k][k];
+        if (f == 0.0) continue;
+        for (std::size_t c = k; c < n; ++c) A[r][c] -= f * A[k][c];
+        x[r] -= f * x[k];
       }
     }
+    for (std::size_t k = n; k-- > 0;) {
+      double acc = x[k];
+      for (std::size_t c = k + 1; c < n; ++c) acc -= A[k][c] * x[c];
+      x[k] = acc / A[k][k];
+    }
+    d = std::move(x);
+    sol.iterations = 1;
+    sol.final_delta_v = 0.0;
+    sol.converged = true;
   } else {
-    // Same equations via the 5-point stencil, still plain natural-order
-    // Gauss-Seidel (no relaxation, no coloring, no threads).
+    // The same equations via the 5-point stencil, relaxed by plain
+    // natural-order Gauss-Seidel (no relaxation factor, no colouring, no
+    // threads) well past the production tolerance.
+    const double tol = std::max(opt.tolerance_v * 1e-2, 1e-13);
     std::array<std::size_t, 4> nb{};
     for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
       double max_delta = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t cnt = neighbors(i, nb);
-        double gsum = pad_g[i] + gseg * static_cast<double>(cnt);
+        const double gsum = pad_g[i] + gseg * static_cast<double>(cnt);
         double flow = b[i];
         for (std::size_t k = 0; k < cnt; ++k) flow += gseg * d[nb[k]];
-        const double next = flow / gsum;
-        max_delta = std::max(max_delta, std::abs(next - d[i]));
-        d[i] = next;
-      }
-      sol.iterations = static_cast<std::uint32_t>(sweep + 1);
-      sol.final_delta_v = max_delta;
-      if (max_delta < tol) {
-        sol.converged = true;
-        break;
-      }
-    }
-  }
-  return sol;
-}
-
-GridSolution grid_solve_ref(const Rect& die, const PdnTopology& topo,
-                            const PowerGridOptions& opt,
-                            std::span<const Point> where,
-                            std::span<const double> amps, bool vdd_rail,
-                            std::size_t max_sweeps) {
-  const std::uint32_t nx = topo.nx, ny = topo.ny;
-  const std::size_t n = static_cast<std::size_t>(nx) * ny;
-  const std::vector<double>& pad_g = vdd_rail ? topo.vdd_pad_g : topo.vss_pad_g;
-
-  std::vector<double> b(n, 0.0);
-  for (std::size_t i = 0; i < where.size(); ++i) {
-    b[topo.snap[ref_nearest_node(die, nx, ny, where[i])]] += amps[i];
-  }
-
-  GridSolution sol;
-  sol.nx = nx;
-  sol.ny = ny;
-  sol.die = die;
-  sol.drop_v.assign(n, 0.0);
-  std::vector<double>& d = sol.drop_v;
-
-  // Per-node conductance row: diagonal and up-to-4 neighbour couplings from
-  // the topology's edge arrays (edges at 0 siemens do not couple).
-  auto row = [&](std::size_t i, std::array<std::size_t, 4>& nb,
-                 std::array<double, 4>& g) {
-    const std::uint32_t ix = static_cast<std::uint32_t>(i) % nx;
-    const std::uint32_t iy = static_cast<std::uint32_t>(i) / nx;
-    std::size_t cnt = 0;
-    auto add = [&](std::size_t j, double gj) {
-      if (gj > 0.0) {
-        nb[cnt] = j;
-        g[cnt++] = gj;
-      }
-    };
-    if (ix > 0) add(i - 1, topo.g_h[iy * (nx - 1) + (ix - 1)]);
-    if (ix + 1 < nx) add(i + 1, topo.g_h[iy * (nx - 1) + ix]);
-    if (iy > 0) add(i - nx, topo.g_v[(iy - 1) * nx + ix]);
-    if (iy + 1 < ny) add(i + nx, topo.g_v[iy * nx + ix]);
-    return cnt;
-  };
-
-  if (topo.active_nodes <= kDenseNodeLimit) {
-    // Exact direct solve: dense assembly over the active nodes, LU with
-    // partial pivoting, forward/back substitution. No iteration truncation.
-    std::vector<std::size_t> id(n, n);
-    std::vector<std::size_t> nodes;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (topo.active[i]) {
-        id[i] = nodes.size();
-        nodes.push_back(i);
-      }
-    }
-    const std::size_t m = nodes.size();
-    std::vector<std::vector<double>> A(m, std::vector<double>(m, 0.0));
-    std::vector<double> rhs(m, 0.0);
-    std::array<std::size_t, 4> nb{};
-    std::array<double, 4> g{};
-    for (std::size_t r = 0; r < m; ++r) {
-      const std::size_t i = nodes[r];
-      const std::size_t cnt = row(i, nb, g);
-      double diag = pad_g[i];
-      for (std::size_t k = 0; k < cnt; ++k) {
-        diag += g[k];
-        if (id[nb[k]] < n) A[r][id[nb[k]]] = -g[k];
-      }
-      A[r][r] = diag;
-      rhs[r] = b[i];
-    }
-    for (std::size_t k = 0; k < m; ++k) {
-      std::size_t p = k;
-      for (std::size_t r = k + 1; r < m; ++r) {
-        if (std::abs(A[r][k]) > std::abs(A[p][k])) p = r;
-      }
-      if (p != k) {
-        std::swap(A[p], A[k]);
-        std::swap(rhs[p], rhs[k]);
-      }
-      if (std::abs(A[k][k]) < 1e-300) {
-        throw std::runtime_error("grid_solve_ref: singular irregular system");
-      }
-      for (std::size_t r = k + 1; r < m; ++r) {
-        const double f = A[r][k] / A[k][k];
-        if (f == 0.0) continue;
-        for (std::size_t c = k; c < m; ++c) A[r][c] -= f * A[k][c];
-        rhs[r] -= f * rhs[k];
-      }
-    }
-    for (std::size_t k = m; k-- > 0;) {
-      double acc = rhs[k];
-      for (std::size_t c = k + 1; c < m; ++c) acc -= A[k][c] * rhs[c];
-      rhs[k] = acc / A[k][k];
-    }
-    for (std::size_t r = 0; r < m; ++r) d[nodes[r]] = rhs[r];
-    sol.iterations = 1;
-    sol.final_delta_v = 0.0;
-    sol.converged = true;
-  } else {
-    // Natural-order Gauss-Seidel on the per-edge stencil, converged an
-    // order of magnitude past the production tolerance.
-    const double tol = std::max(opt.tolerance_v * 1e-2, 1e-13);
-    std::array<std::size_t, 4> nb{};
-    std::array<double, 4> g{};
-    for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      double max_delta = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!topo.active[i]) continue;
-        const std::size_t cnt = row(i, nb, g);
-        double gsum = pad_g[i];
-        double flow = b[i];
-        for (std::size_t k = 0; k < cnt; ++k) {
-          gsum += g[k];
-          flow += g[k] * d[nb[k]];
-        }
         const double next = flow / gsum;
         max_delta = std::max(max_delta, std::abs(next - d[i]));
         d[i] = next;

@@ -7,7 +7,7 @@
 //    evaluator (ref_eval_cell), flat ordered std::map event queues instead
 //    of the workspace pools, full-netlist fixpoint sweeps instead of
 //    levelized cones, one-fault-at-a-time scalar grading instead of 64-way
-//    words, dense/natural-order Gauss-Seidel instead of red-black SOR;
+//    words, dense LU / natural-order Gauss-Seidel instead of red-black SOR;
 //  - no reuse, no allocation discipline, no parallelism -- clarity only.
 //
 // Each reference is paired with a comparator in ref/compare.h; the fuzz
@@ -81,28 +81,15 @@ std::vector<std::size_t> fault_grade_ref(const Netlist& nl,
                                          std::span<const Pattern> patterns,
                                          std::span<const TdfFault> faults);
 
-/// Reference IR-drop solve: assemble the mesh conductance equations
-/// independently from the floorplan and relax them with plain natural-order
-/// Gauss-Seidel (a dense matrix for small meshes, the 5-point stencil above
-/// kDenseNodeLimit nodes -- same arithmetic either way). Iterates an order
-/// of magnitude past the production tolerance so comparator slack covers
-/// the truncation of the production SOR and of the reference itself.
+/// Reference IR-drop solve: assemble the uniform mesh's conductance
+/// equations independently from the floorplan (own pad and load snapping,
+/// own stencil). Up to kDenseNodeLimit nodes the system is solved exactly,
+/// by dense LU with partial pivoting, so the oracle carries no iteration
+/// truncation at all; above it, by plain natural-order Gauss-Seidel on the
+/// 5-point stencil, iterated two orders of magnitude past the production
+/// tolerance so comparator slack covers the truncation of both sides.
 inline constexpr std::size_t kDenseNodeLimit = 256;
 GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
-                            std::span<const Point> where,
-                            std::span<const double> amps, bool vdd_rail,
-                            std::size_t max_sweeps = 200000);
-
-/// Irregular-topology reference. The finalized PdnTopology (per-edge
-/// conductances, voids, pad anchors, injection snap map) is the *problem
-/// statement* shared with the production SOR; everything downstream of
-/// it -- matrix assembly, factorization, iteration -- is independent. At or
-/// below kDenseNodeLimit active nodes the system is solved exactly by dense
-/// LU with partial pivoting (so the oracle carries no iteration truncation
-/// at all); above it, natural-order Gauss-Seidel on the per-edge 5-point
-/// stencil, iterated well past the production tolerance.
-GridSolution grid_solve_ref(const Rect& die, const PdnTopology& topo,
-                            const PowerGridOptions& opt,
                             std::span<const Point> where,
                             std::span<const double> amps, bool vdd_rail,
                             std::size_t max_sweeps = 200000);

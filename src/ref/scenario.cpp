@@ -25,7 +25,7 @@ Scenario Scenario::random(std::uint64_t seed) {
   sc.droop_seed = r();
   sc.droop_max_v = r.uniform(0.0, 0.3);
   // Mesh sizes straddle kDenseNodeLimit so both reference solver paths
-  // (dense matrix and 5-point stencil) see fuzz coverage.
+  // (dense LU and the Gauss-Seidel stencil) see fuzz coverage.
   sc.grid_nx = static_cast<std::uint64_t>(r.range(4, 24));
   sc.grid_ny = static_cast<std::uint64_t>(r.range(4, 24));
   sc.grid_sources = static_cast<std::uint64_t>(r.range(1, 40));
@@ -36,12 +36,11 @@ Scenario Scenario::random(std::uint64_t seed) {
   // engine default.
   constexpr std::uint64_t kWidths[] = {0, 1, 2, 4};
   sc.batch_words = kWidths[r.below(4)];
-  // Irregular-topology axes (drawn last so earlier fields keep their values
-  // for a given seed): voids + jitter deform the mesh.
-  sc.grid_voids = r.below(4);
-  sc.grid_jitter = r.chance(0.5) ? 0.0 : r.uniform(0.05, 0.5);
-  // The retired solver-select draw, kept so every later field keeps its
-  // per-seed value.
+  // The retired draws of the mesh's void count, its edge jitter (the
+  // scenario's old grid_voids and grid_jitter) and its solver select, kept
+  // so every later field keeps its per-seed value.
+  (void)r.below(4);
+  if (!r.chance(0.5)) (void)r.uniform(0.05, 0.5);
   (void)r.below(3);
   sc.droop_alternate = r.chance(0.5);
   return sc;
@@ -72,8 +71,6 @@ Scenario Scenario::parse(const std::string& text) {
   sc.grid_ny = doc.get_u64("grid_ny", sc.grid_ny);
   sc.grid_sources = doc.get_u64("grid_sources", sc.grid_sources);
   sc.grid_seed = doc.get_u64("grid_seed", sc.grid_seed);
-  sc.grid_voids = doc.get_u64("grid_voids", sc.grid_voids);
-  sc.grid_jitter = doc.get_f64("grid_jitter", sc.grid_jitter);
   sc.fault_sample = doc.get_u64("fault_sample", sc.fault_sample);
   sc.fault_seed = doc.get_u64("fault_seed", sc.fault_seed);
   sc.batch_words = doc.get_u64("batch_words", sc.batch_words);
@@ -109,8 +106,6 @@ std::string Scenario::serialize() const {
   doc.set_u64("grid_ny", grid_ny);
   doc.set_u64("grid_sources", grid_sources);
   doc.set_u64("grid_seed", grid_seed);
-  doc.set_u64("grid_voids", grid_voids);
-  doc.set_f64("grid_jitter", grid_jitter);
   doc.set_u64("fault_sample", fault_sample);
   doc.set_u64("fault_seed", fault_seed);
   doc.set_u64("batch_words", batch_words);

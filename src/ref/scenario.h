@@ -10,7 +10,10 @@
 //
 // Serialization uses util::KvDoc ("key value" lines, '#' comments); unknown
 // keys are ignored on parse and every field has a default, so old corpus
-// entries keep replaying as the scenario schema grows.
+// entries keep replaying as the scenario schema changes. Scenario::random
+// draws every field from one Rng stream in a fixed order; a retired field
+// keeps consuming its draws, so every later field keeps its per-seed value
+// (ref_diff_test pins five seeds).
 #pragma once
 
 #include <cstdint>
@@ -51,14 +54,12 @@ struct Scenario {
   bool droop_alternate = false;
 
   // --- power grid ----------------------------------------------------------
+  // The uniform mesh PowerGrid builds from the SOC's floorplan, with
+  // grid_sources random point loads drawn from grid_seed.
   std::uint64_t grid_nx = 12;
   std::uint64_t grid_ny = 12;
   std::uint64_t grid_sources = 16;
   std::uint64_t grid_seed = 1;
-  /// Interior void rectangles punched out of the mesh (0 = legacy uniform).
-  std::uint64_t grid_voids = 0;
-  /// Per-edge conductance jitter fraction in [0, 0.9] (0 = uniform metal).
-  double grid_jitter = 0.0;
 
   // --- fault grading -------------------------------------------------------
   std::uint64_t fault_sample = 32;  ///< collapsed faults graded (0 = all)

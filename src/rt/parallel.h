@@ -1,11 +1,10 @@
-// Parallel loop and reduction primitives over the global pool.
+// Parallel loop primitives over the global pool.
 //
 // One chunking regime: the index range is cut into fixed chunks of `grain`
 // elements, chunk k covering [k * grain, min(n, (k + 1) * grain)). The chunk
 // layout is a pure function of (n, grain), never of the thread count, and it
-// is the same on the parallel, serial and nested paths.
-// parallel_transform_reduce combines its per-chunk partials in chunk index
-// order, so floating-point reductions associate identically at every
+// is the same on the parallel, serial and nested paths, so a body that
+// writes only element-indexed state gives the same result at every
 // SCAP_THREADS value, including 1. That is the library-wide determinism
 // contract (README "Parallel runtime").
 #pragma once
@@ -13,8 +12,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "rt/thread_pool.h"
 
@@ -51,28 +48,6 @@ inline void parallel_for(
     const std::size_t b = c * grain;
     body(b, std::min(n, b + grain));
   });
-}
-
-/// Deterministic ordered reduction: map(begin, end) produces one partial per
-/// fixed-size chunk (serially, in index order, inside the chunk); partials
-/// are combined left-to-right in chunk index order. `init` must be the
-/// identity of `combine`. Bit-identical at any thread count.
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_transform_reduce(std::size_t n, std::size_t grain, T init,
-                            MapFn&& map, CombineFn&& combine) {
-  if (n == 0) return init;
-  grain = std::max<std::size_t>(1, grain);
-  const std::size_t n_chunks = (n + grain - 1) / grain;
-  detail::note_grain(grain, n_chunks);
-  std::vector<T> partials(n_chunks, init);
-  const std::function<void(std::size_t)> chunk_body = [&](std::size_t c) {
-    const std::size_t b = c * grain;
-    partials[c] = map(b, std::min(n, b + grain));
-  };
-  ThreadPool::global()->run_chunked(n_chunks, chunk_body);
-  T acc = std::move(init);
-  for (T& p : partials) acc = combine(std::move(acc), std::move(p));
-  return acc;
 }
 
 /// Run two independent closures, possibly concurrently.

@@ -38,11 +38,9 @@ struct DynRig {
   }
 
   DynamicIrReport ir_of(const RailCharges& charges, bool clock = true) {
-    DynamicIrOptions opt;
-    opt.include_clock_tree = clock;
     return analyze_pattern_ir(soc.netlist, soc.placement, lib, soc.floorplan,
-                              grid, charges, &soc.clock_tree, ctx.domain,
-                              opt);
+                              grid, charges, clock ? &soc.clock_tree : nullptr,
+                              ctx.domain);
   }
 };
 

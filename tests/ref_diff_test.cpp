@@ -104,6 +104,167 @@ TEST(ScenarioSerialization, RoundTripsByteStable) {
   }
 }
 
+TEST(ScenarioSerialization, RandomDrawsArePinnedPerSeed) {
+  // Scenario::random's fields for five seeds, recorded before the mesh's
+  // void and jitter fields were retired (minus those two lines). A retired
+  // field whose draw is dropped instead of consumed shifts every later
+  // field and fails here.
+  const struct {
+    std::uint64_t seed;
+    const char* text;
+  } pinned[] = {
+      {1, R"(# scap_fuzz scenario v1
+name fuzz_1
+soc_seed 14971601782005023387
+flops_scale 0.81032853711866404
+scan_chains 5
+gates_per_flop 6.4773012237008629
+domain 0
+scheme 2
+num_patterns 6
+pattern_skip 0
+pattern_seed 9655336933892813345
+fill_mode_raw 18446744073709551615
+x_fraction 0.13429378204468956
+droop false
+droop_seed 6336475467619303347
+droop_max_v 0.021729519968756515
+droop_alternate true
+grid_nx 13
+grid_ny 24
+grid_sources 4
+grid_seed 10277292511068429730
+fault_sample 35
+fault_seed 17670016435951889822
+batch_words 2
+check_sim true
+check_scap true
+check_grade true
+check_grid true
+)"},
+      {2, R"(# scap_fuzz scenario v1
+name fuzz_2
+soc_seed 14116099294885116970
+flops_scale 0.65287203032375163
+scan_chains 4
+gates_per_flop 3.76238083261594
+domain 1
+scheme 0
+num_patterns 1
+pattern_skip 0
+pattern_seed 13672081973823004183
+fill_mode_raw 18446744073709551615
+x_fraction 0.86374387631611016
+droop false
+droop_seed 12726614133470775006
+droop_max_v 0.20246358572405956
+droop_alternate true
+grid_nx 20
+grid_ny 11
+grid_sources 1
+grid_seed 10398480724789949516
+fault_sample 28
+fault_seed 4131832357971256236
+batch_words 4
+check_sim true
+check_scap true
+check_grade true
+check_grid true
+)"},
+      {3, R"(# scap_fuzz scenario v1
+name fuzz_3
+soc_seed 949111157599856937
+flops_scale 0.7359381596494512
+scan_chains 6
+gates_per_flop 7.0689341623791577
+domain 0
+scheme 0
+num_patterns 6
+pattern_skip 0
+pattern_seed 11520309155721947287
+fill_mode_raw 0
+x_fraction 0.57669632708909357
+droop true
+droop_seed 6539017615540506349
+droop_max_v 0.13778294882968092
+droop_alternate false
+grid_nx 4
+grid_ny 4
+grid_sources 18
+grid_seed 14053674625491806340
+fault_sample 17
+fault_seed 10921768710064968898
+batch_words 1
+check_sim true
+check_scap true
+check_grade true
+check_grid true
+)"},
+      {77, R"(# scap_fuzz scenario v1
+name fuzz_77
+soc_seed 6794626775825142462
+flops_scale 0.77131195228863192
+scan_chains 6
+gates_per_flop 3.2967149899628807
+domain 1
+scheme 2
+num_patterns 1
+pattern_skip 0
+pattern_seed 4747593582404241619
+fill_mode_raw 1
+x_fraction 0.92308761881870505
+droop true
+droop_seed 1076344355409159069
+droop_max_v 0.047583911588595783
+droop_alternate true
+grid_nx 8
+grid_ny 14
+grid_sources 9
+grid_seed 5197377633971778764
+fault_sample 48
+fault_seed 6629367177026806624
+batch_words 2
+check_sim true
+check_scap true
+check_grade true
+check_grid true
+)"},
+      {1234, R"(# scap_fuzz scenario v1
+name fuzz_1234
+soc_seed 13965075828013061239
+flops_scale 0.56822870171740492
+scan_chains 6
+gates_per_flop 2.0404003487765809
+domain 1
+scheme 2
+num_patterns 3
+pattern_skip 0
+pattern_seed 16894014828112847807
+fill_mode_raw 1
+x_fraction 0.89264495212767325
+droop true
+droop_seed 2713747978234715150
+droop_max_v 0.017540272596919669
+droop_alternate true
+grid_nx 20
+grid_ny 10
+grid_sources 13
+grid_seed 12175637275397204893
+fault_sample 28
+fault_seed 10722747117448611729
+batch_words 1
+check_sim true
+check_scap true
+check_grade true
+check_grid true
+)"},
+  };
+  for (const auto& p : pinned) {
+    EXPECT_EQ(Scenario::random(p.seed).serialize(), p.text)
+        << "seed " << p.seed;
+  }
+}
+
 TEST(ScenarioSerialization, MissingKeysKeepDefaults) {
   const Scenario sc = Scenario::parse("num_patterns 7\n");
   const Scenario def;

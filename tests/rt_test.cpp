@@ -185,48 +185,6 @@ TEST(ParallelFor, CoversRangeWithArbitraryGrain) {
   rt::ThreadPool::set_global_concurrency(0);
 }
 
-TEST(ParallelReduce, MatchesSerialSum) {
-  rt::ThreadPool::set_global_concurrency(4);
-  const std::size_t n = 100000;
-  const auto sum = rt::parallel_transform_reduce(
-      n, /*grain=*/64, std::uint64_t{0},
-      [](std::size_t b, std::size_t e) {
-        std::uint64_t s = 0;
-        for (std::size_t i = b; i < e; ++i) s += i;
-        return s;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(n) * (n - 1) / 2);
-  rt::ThreadPool::set_global_concurrency(0);
-}
-
-TEST(ParallelReduce, FloatReductionBitIdenticalAcrossThreadCounts) {
-  // Awkward magnitudes make float addition order-sensitive; the ordered
-  // chunk combine must erase any thread-count dependence.
-  const std::size_t n = 4096;
-  auto run = [&] {
-    return rt::parallel_transform_reduce(
-        n, /*grain=*/32, 0.0,
-        [](std::size_t b, std::size_t e) {
-          double s = 0.0;
-          for (std::size_t i = b; i < e; ++i) {
-            s += (i % 3 ? 1.0e-9 : 1.0e9) * static_cast<double>(i + 1);
-          }
-          return s;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  rt::ThreadPool::set_global_concurrency(1);
-  const double at1 = run();
-  rt::ThreadPool::set_global_concurrency(4);
-  const double at4 = run();
-  rt::ThreadPool::set_global_concurrency(3);
-  const double at3 = run();
-  rt::ThreadPool::set_global_concurrency(0);
-  EXPECT_EQ(at1, at4);  // exact, not NEAR: the contract is bit-identity
-  EXPECT_EQ(at1, at3);
-}
-
 TEST(ParallelInvoke, RunsBoth) {
   rt::ThreadPool::set_global_concurrency(2);
   std::atomic<int> a{0}, b{0};

@@ -17,11 +17,10 @@ struct StatRig {
     StatisticalOptions opt;
     opt.window_fraction = window_fraction;
     opt.toggle_prob = toggle_prob;
-    opt.include_clock_tree = clock;
     return analyze_statistical(soc.netlist, soc.placement, soc.parasitics, lib,
                                soc.floorplan, grid,
                                soc.config.domain_freq_mhz,
-                               &soc.clock_tree, opt);
+                               clock ? &soc.clock_tree : nullptr, opt);
   }
 };
 

@@ -222,9 +222,12 @@ int main(int argc, char** argv) {
   rep.info.emplace_back("kernel", kernel);
   rep.info.emplace_back("threads", std::to_string(threads));
   rep.info.emplace_back("repeat", std::to_string(repeat));
+  // One phase: the repetitions' wall time and every metric the process
+  // recorded, setup included.
+  rep.phases.push_back({"run", total_ms, reg.snapshot_and_reset()});
   const std::string metrics_path =
       (out_base / "scap_prof_metrics.json").string();
-  if (scap::obs::write_file(metrics_path, scap::obs::to_json(rep, reg))) {
+  if (scap::obs::write_file(metrics_path, scap::obs::to_json(rep))) {
     std::printf("metrics: wrote %s\n", metrics_path.c_str());
   } else {
     std::fprintf(stderr, "metrics: FAILED to write %s\n", metrics_path.c_str());
