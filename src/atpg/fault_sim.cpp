@@ -290,7 +290,7 @@ std::vector<std::size_t> FaultSimulator::grade(
     // and shared read-only across all fault shards. Writes are
     // element-indexed, so the block contents never depend on the chunking.
     std::vector<GoodBlock> blocks(nb);
-    if (obs::metrics_enabled()) batches_ctr_->add(nb);
+    batches_ctr_->add(nb);
     {
       SCAP_TRACE_SCOPE("faultsim.good_blocks");
       const std::size_t n_chunks = std::min(nb, std::max<std::size_t>(threads, 1));
@@ -339,10 +339,8 @@ std::vector<std::size_t> FaultSimulator::grade(
           --remaining;
         }
       }
-      if (obs::metrics_enabled()) {
-        replays_ctr_->add(replays);
-        cs.flush_counters(masks_ctr_, events_ctr_);
-      }
+      replays_ctr_->add(replays);
+      cs.flush_counters(masks_ctr_, events_ctr_);
     });
   }
 

@@ -1,6 +1,6 @@
 #include "atpg/pattern.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "rt/parallel.h"
 
@@ -71,7 +71,11 @@ void fill_subset(std::span<std::uint8_t> bits, FillMode mode, Rng& rng,
       break;
     }
     case FillMode::kQuiet: {
-      assert(quiet_state.size() == bits.size());
+      // A longer state is fine (the engine's covers the LOS scan-in bits).
+      if (quiet_state.size() < bits.size()) {
+        throw std::invalid_argument(
+            "quiet fill: quiet state shorter than the pattern it fills");
+      }
       for (FlopId f = 0; f < bits.size(); ++f) {
         if (bits[f] == kBitX && in_subset(f)) bits[f] = quiet_state[f];
       }
@@ -122,7 +126,10 @@ Pattern apply_fill_per_block(const Netlist& nl, const TestCube& cube,
                              std::span<const FillMode> block_modes, Rng& rng,
                              std::span<const std::vector<FlopId>> chains,
                              std::span<const std::uint8_t> quiet_state) {
-  assert(block_modes.size() >= nl.block_count());
+  if (block_modes.size() < nl.block_count()) {
+    throw std::invalid_argument(
+        "apply_fill_per_block: fewer block modes than netlist blocks");
+  }
   Pattern p;
   p.s1 = cube.s1;
   std::vector<std::vector<FlopId>> fallback;

@@ -63,12 +63,16 @@ const char* fill_mode_name(FillMode m);
 /// orders (each a shift-ordered flop list); X cells copy the value of the
 /// nearest preceding care cell in their chain (falling back to the nearest
 /// following one, then 0). If chains is empty, flop-id order is used as one
-/// virtual chain.
+/// virtual chain. kQuiet copies quiet_state[v] into each X bit v; it throws
+/// std::invalid_argument when quiet_state is shorter than the cube (longer
+/// is fine).
 Pattern apply_fill(const TestCube& cube, FillMode mode, Rng& rng,
                    std::span<const std::vector<FlopId>> chains = {},
                    std::span<const std::uint8_t> quiet_state = {});
 
 /// Per-block fill: block_modes[b] selects the mode for flops of block b.
+/// Throws std::invalid_argument when block_modes has fewer entries than the
+/// netlist has blocks, or, as apply_fill, on a short quiet_state.
 Pattern apply_fill_per_block(const Netlist& nl, const TestCube& cube,
                              std::span<const FillMode> block_modes, Rng& rng,
                              std::span<const std::vector<FlopId>> chains = {},

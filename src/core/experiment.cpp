@@ -1,8 +1,5 @@
 #include "core/experiment.h"
 
-#include <stdexcept>
-
-#include "lint/lint.h"
 #include "obs/trace.h"
 
 namespace scap {
@@ -15,24 +12,6 @@ Experiment Experiment::standard(double scale, std::uint64_t seed) {
   SocDesign soc = build_soc(cfg, lib);
 
   TestContext ctx = TestContext::for_domain(soc.netlist, /*domain=*/0);
-
-  // Static lint of the generated design (netlist + stitched scan chains +
-  // test context, which lets the dataflow rules account for held-PI
-  // constants). Feeds the obs registry ("lint.findings", "lint.rule.<id>"),
-  // so every BENCH_*.json artifact records the design's lint profile; a
-  // generator regression that produces an error-severity finding fails
-  // loudly here.
-  {
-    lint::LintInput lin;
-    lin.netlist = &soc.netlist;
-    lin.scan_chains = soc.scan.chains;
-    lin.ctx = &ctx;
-    const lint::LintReport lrep = lint::run(lin);
-    if (lrep.has_errors()) {
-      throw std::runtime_error("Experiment::standard: generated SOC fails lint (" +
-                               std::to_string(lrep.errors) + " error(s))");
-    }
-  }
 
   std::vector<TdfFault> all = enumerate_faults(soc.netlist);
   std::vector<TdfFault> collapsed = collapse_faults(soc.netlist, all);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "lint/lint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -41,7 +40,6 @@ FlowResult run_power_aware_atpg(const Netlist& nl, const TestContext& ctx,
                                 std::span<const TdfFault> faults,
                                 const StepPlan& plan, AtpgOptions base) {
   SCAP_TRACE_SCOPE("flow.power_aware");
-  lint::debug_verify(nl, "run_power_aware_atpg");
   FlowResult out;
   out.patterns.domain = ctx.domain;
   AtpgEngine engine(nl, ctx);
@@ -86,7 +84,6 @@ FlowResult run_conventional_atpg(const Netlist& nl, const TestContext& ctx,
                                  std::span<const TdfFault> faults,
                                  AtpgOptions base) {
   SCAP_TRACE_SCOPE("flow.conventional");
-  lint::debug_verify(nl, "run_conventional_atpg");
   FlowResult out;
   out.patterns.domain = ctx.domain;
   AtpgEngine engine(nl, ctx);

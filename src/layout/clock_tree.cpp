@@ -2,16 +2,25 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
+
+#include "layout/parasitics.h"
 
 namespace scap {
 
 namespace {
 
+constexpr std::uint32_t kLeafCapacity = 16;  ///< max flops per leaf buffer
+/// Buffers chained ahead of each domain root. Real SOC clock trees carry
+/// nanoseconds of insertion delay; it matters because IR-drop on the
+/// capture flop's clock path shifts the *measured* endpoint delay (the
+/// paper's Figure 7 Region 2).
+constexpr std::uint32_t kRootChainBuffers = 8;
+constexpr double kWireDelayNsPerUm = 5e-5;
+constexpr double kFlopClkPinCapPf = 0.0045;
+
 struct BuildCtx {
   const Placement& pl;
   const TechLibrary& lib;
-  const ClockTree::Options& opt;
   std::vector<ClockBuffer>& buffers;
   std::vector<std::uint32_t>& flop_leaf;
   std::vector<double>& flop_wire_ns;
@@ -32,17 +41,17 @@ std::uint32_t build_region(BuildCtx& ctx, DomainId domain,
   buf.domain = domain;
   if (parent != kNullId) {
     buf.wire_from_parent_ns =
-        manhattan(centroid, ctx.buffers[parent].pos) * ctx.opt.wire_delay_ns_per_um;
+        manhattan(centroid, ctx.buffers[parent].pos) * kWireDelayNsPerUm;
   }
   ctx.buffers.push_back(buf);
 
-  if (flops.size() <= ctx.opt.leaf_capacity) {
+  if (flops.size() <= kLeafCapacity) {
     double load = 0.0;
     for (FlopId f : flops) {
       ctx.flop_leaf[f] = me;
       const double dist = manhattan(ctx.pl.flop_pos(f), centroid);
-      ctx.flop_wire_ns[f] = dist * ctx.opt.wire_delay_ns_per_um;
-      load += ctx.opt.flop_clk_pin_cap_pf + dist * ctx.opt.wire_cap_pf_per_um;
+      ctx.flop_wire_ns[f] = dist * kWireDelayNsPerUm;
+      load += kFlopClkPinCapPf + dist * kWireCapPfPerUm;
     }
     ctx.buffers[me].load_pf = load;
     return me;
@@ -75,7 +84,7 @@ std::uint32_t build_region(BuildCtx& ctx, DomainId domain,
     if (q.empty()) continue;
     const std::uint32_t child = build_region(ctx, domain, q, me);
     load += buf_in_cap +
-            manhattan(ctx.buffers[child].pos, centroid) * ctx.opt.wire_cap_pf_per_um;
+            manhattan(ctx.buffers[child].pos, centroid) * kWireCapPfPerUm;
   }
   ctx.buffers[me].load_pf = load;
   return me;
@@ -84,12 +93,12 @@ std::uint32_t build_region(BuildCtx& ctx, DomainId domain,
 }  // namespace
 
 ClockTree ClockTree::synthesize(const Netlist& nl, const Placement& pl,
-                                const TechLibrary& lib, Options opt) {
+                                const TechLibrary& lib) {
   ClockTree ct;
   ct.flop_leaf_.assign(nl.num_flops(), kNullId);
   ct.flop_wire_ns_.assign(nl.num_flops(), 0.0);
 
-  BuildCtx ctx{pl, lib, opt, ct.buffers_, ct.flop_leaf_, ct.flop_wire_ns_};
+  BuildCtx ctx{pl, lib, ct.buffers_, ct.flop_leaf_, ct.flop_wire_ns_};
   auto by_domain = nl.flops_by_domain();
   const double buf_in_cap = lib.timing(CellType::kClkBuf).input_cap_pf;
   for (DomainId d = 0; d < by_domain.size(); ++d) {
@@ -100,7 +109,7 @@ ClockTree ClockTree::synthesize(const Netlist& nl, const Placement& pl,
     for (FlopId f : by_domain[d]) centroid = centroid + pl.flop_pos(f);
     centroid = centroid * (1.0 / static_cast<double>(by_domain[d].size()));
     std::uint32_t parent = kNullId;
-    for (std::uint32_t i = 0; i < opt.root_chain_buffers; ++i) {
+    for (std::uint32_t i = 0; i < kRootChainBuffers; ++i) {
       ClockBuffer buf;
       buf.pos = centroid;
       buf.parent = parent;

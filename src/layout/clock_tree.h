@@ -29,25 +29,10 @@ struct ClockBuffer {
   double load_pf = 0.0;            ///< switched cap at this buffer's output
 };
 
-struct ClockTreeOptions {
-  std::uint32_t leaf_capacity = 16;  ///< max flops per leaf buffer
-  /// Buffers chained ahead of each domain root. Real SOC clock trees carry
-  /// nanoseconds of insertion delay; it matters because IR-drop on the
-  /// capture flop's clock path shifts the *measured* endpoint delay (the
-  /// paper's Figure 7 Region 2).
-  std::uint32_t root_chain_buffers = 8;
-  double wire_delay_ns_per_um = 5e-5;
-  double wire_cap_pf_per_um = 0.00018;
-  double flop_clk_pin_cap_pf = 0.0045;
-};
-
 class ClockTree {
  public:
-  using Options = ClockTreeOptions;
-
   static ClockTree synthesize(const Netlist& nl, const Placement& pl,
-                              const TechLibrary& lib,
-                              Options opt = ClockTreeOptions{});
+                              const TechLibrary& lib);
 
   std::span<const ClockBuffer> buffers() const { return buffers_; }
   std::size_t buffer_count() const { return buffers_.size(); }

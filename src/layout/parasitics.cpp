@@ -5,8 +5,7 @@
 namespace scap {
 
 Parasitics Parasitics::extract(const Netlist& nl, const Placement& pl,
-                               const TechLibrary& lib,
-                               double wire_cap_pf_per_um) {
+                               const TechLibrary& lib) {
   Parasitics out;
   out.net_load_pf_.assign(nl.num_nets(), 0.0);
   out.net_hpwl_um_.assign(nl.num_nets(), 0.0);
@@ -44,7 +43,7 @@ Parasitics Parasitics::extract(const Netlist& nl, const Placement& pl,
     for (FlopId ff : nl.fanout_flops(n)) expand(pl.flop_pos(ff));
     const double hpwl = (x1 - x0) + (y1 - y0);
     out.net_hpwl_um_[n] = hpwl;
-    out.net_load_pf_[n] += hpwl * wire_cap_pf_per_um;
+    out.net_load_pf_[n] += hpwl * kWireCapPfPerUm;
     out.total_wirelength_um_ += hpwl;
     out.total_load_pf_ += out.net_load_pf_[n];
   }

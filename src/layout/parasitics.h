@@ -14,12 +14,14 @@
 
 namespace scap {
 
+/// Routed-wire capacitance per micron, 0.18 fF/um (a typical 180 nm value):
+/// the unit cap of every signal net here and of the clock tree's wires.
+inline constexpr double kWireCapPfPerUm = 0.00018;
+
 class Parasitics {
  public:
-  /// wire_cap_pf_per_um defaults to 0.18 fF/um, a typical 180 nm value.
   static Parasitics extract(const Netlist& nl, const Placement& pl,
-                            const TechLibrary& lib,
-                            double wire_cap_pf_per_um = 0.00018);
+                            const TechLibrary& lib);
 
   /// Total capacitive load on the net's driver [pF].
   double net_load_pf(NetId n) const { return net_load_pf_[n]; }

@@ -248,23 +248,21 @@ DataflowFacts analyze_dataflow(const Netlist& nl, const DataflowOptions& opt) {
   }
 
   // -- backward pass: observability ------------------------------------------
-  if (opt.observability) {
-    for (NetId n = 0; n < nn; ++n) {
-      if (nl.net(n).is_po) f.co[n] = 0;
-    }
-    for (FlopId fl = 0; fl < nl.num_flops(); ++fl) {
-      const NetId d = nl.flop(fl).d;
-      if (d != kNullId) f.co[d] = 0;  // captured, then scanned out
-    }
-    for (auto it = f.levels.topo.rbegin(); it != f.levels.topo.rend(); ++it) {
-      const Gate& gr = nl.gate(*it);
-      if (gr.out == kNullId || f.co[gr.out] == kInfCost) continue;
-      const std::span<const NetId> ins = nl.gate_inputs(*it);
-      for (std::size_t i = 0; i < ins.size(); ++i) {
-        const std::uint32_t cost = sat_add(
-            f.co[gr.out], sensitize_cost(gr.type, ins, i, f.cc0, f.cc1));
-        f.co[ins[i]] = sat_min(f.co[ins[i]], cost);
-      }
+  for (NetId n = 0; n < nn; ++n) {
+    if (nl.net(n).is_po) f.co[n] = 0;
+  }
+  for (FlopId fl = 0; fl < nl.num_flops(); ++fl) {
+    const NetId d = nl.flop(fl).d;
+    if (d != kNullId) f.co[d] = 0;  // captured, then scanned out
+  }
+  for (auto it = f.levels.topo.rbegin(); it != f.levels.topo.rend(); ++it) {
+    const Gate& gr = nl.gate(*it);
+    if (gr.out == kNullId || f.co[gr.out] == kInfCost) continue;
+    const std::span<const NetId> ins = nl.gate_inputs(*it);
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      const std::uint32_t cost = sat_add(
+          f.co[gr.out], sensitize_cost(gr.type, ins, i, f.cc0, f.cc1));
+      f.co[ins[i]] = sat_min(f.co[ins[i]], cost);
     }
   }
 

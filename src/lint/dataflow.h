@@ -58,8 +58,6 @@ struct DataflowOptions {
   /// (classic SCOAP); non-empty = the held tester constants, which makes
   /// the opposite PI value unjustifiable and lets constants propagate.
   std::span<const std::uint8_t> pi_values;
-  /// Skip the backward observability pass (the CO vector stays kInfCost).
-  bool observability = true;
 };
 
 struct DataflowFacts {

@@ -1,18 +1,15 @@
 #include "lint/lint.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/env.h"
 
 namespace scap::lint {
 
 namespace {
 
 void record_metrics(const LintReport& rep) {
-  if (!obs::metrics_enabled()) return;
   obs::count("lint.runs");
   obs::count("lint.findings", rep.total());
   obs::count("lint.errors", rep.errors);
@@ -48,48 +45,5 @@ LintReport run(const Netlist& nl, const LintConfig& cfg) {
   in.netlist = &nl;
   return run(in, cfg);
 }
-
-bool lint_enabled() {
-  // Read-only env probe; callers are single-threaded verify/CLI paths.
-  if (const char* e = util::env_cstr("SCAP_LINT")) {
-    return !(e[0] == '0' && e[1] == '\0');
-  }
-#ifdef NDEBUG
-  return false;
-#else
-  return true;
-#endif
-}
-
-void debug_verify(const Netlist& nl, const char* where) {
-  if (!lint_enabled()) return;
-  LintConfig cfg;
-  cfg.max_per_rule = 4;  // the throw names only the first error anyway
-  const LintReport rep = run(nl, cfg);
-  if (!rep.has_errors()) return;
-  std::string msg = std::string("lint: ") + where + ": " +
-                    std::to_string(rep.errors) + " error(s)";
-  for (const Diagnostic& d : rep.diagnostics) {
-    if (d.severity == Severity::kError) {
-      msg += "; first: [" + d.rule + "] " + d.message;
-      break;
-    }
-  }
-  throw std::runtime_error(msg);
-}
-
-namespace {
-
-// Netlist::finalize() verifies through this hook whenever the lint library
-// is linked in (the hook keeps scap_netlist free of an upward dependency).
-// lint.cpp is pulled into every binary that references lint::run or
-// lint::debug_verify -- which includes everything linking scap_core.
-[[maybe_unused]] const bool kVerifyHookInstalled = [] {
-  set_netlist_verify_hook(
-      [](const Netlist& nl) { debug_verify(nl, "Netlist::finalize"); });
-  return true;
-}();
-
-}  // namespace
 
 }  // namespace scap::lint

@@ -9,19 +9,16 @@
 // procedure exists to remove). This subsystem checks those invariants
 // *statically* -- no simulation -- and reports machine-readable diagnostics.
 //
-// Three entry points:
+// Two entry points, both outside the engines it checks (no library module
+// calls lint; only tools and tests do):
 //  - lint::run(input, config): the library API. Structural rules always run;
 //    scan-chain, pattern and threshold rules run when the corresponding
 //    optional inputs are present.
 //  - the scap_lint CLI (tools/scap_lint.cpp): text / JSON / SARIF output.
-//  - lint::debug_verify: the env-gated guard Netlist::finalize() (via the
-//    verify hook installed by this library) and the power-aware flow call;
-//    throws on any error-severity finding. Enabled when SCAP_LINT is set
-//    (SCAP_LINT=0 disables), defaulting to on in debug (!NDEBUG) builds.
 //
-// Every finding also feeds the obs metrics registry ("lint.findings",
-// "lint.errors", "lint.rule.<id>"), so lint results surface in the
-// BENCH_*.json artifacts alongside the engines' own counters.
+// Every run also counts its findings in the obs metrics registry
+// ("lint.findings", "lint.errors", "lint.rule.<id>"); the LintReport itself
+// carries the same counts.
 #pragma once
 
 #include <cstdint>
@@ -88,16 +85,5 @@ std::string to_json(const LintReport& rep);
 /// SARIF 2.1.0 (one run, logical locations; validates against the schema's
 /// required fields and round-trips through obs/json.h).
 std::string to_sarif(const LintReport& rep);
-
-// -- debug guard -------------------------------------------------------------
-
-/// SCAP_LINT env switch: "0" disables, any other value enables; unset
-/// defaults to on in debug (!NDEBUG) builds and off otherwise.
-bool lint_enabled();
-
-/// Structural-lint `nl` and throw std::runtime_error naming `where` and the
-/// first error when any error-severity finding exists. No-op unless
-/// lint_enabled().
-void debug_verify(const Netlist& nl, const char* where);
 
 }  // namespace scap::lint

@@ -14,15 +14,7 @@ namespace {
   throw std::runtime_error("netlist: " + msg);
 }
 
-NetlistVerifyHook g_verify_hook = nullptr;
-
 }  // namespace
-
-NetlistVerifyHook set_netlist_verify_hook(NetlistVerifyHook hook) {
-  NetlistVerifyHook prev = g_verify_hook;
-  g_verify_hook = hook;
-  return prev;
-}
 
 void Netlist::require_unfinalized() const {
   if (finalized_) fail("mutation after finalize()");
@@ -211,7 +203,6 @@ void Netlist::finalize() {
 
   finalized_ = true;
   view_ = LevelizedView::build(*this);
-  if (g_verify_hook != nullptr) g_verify_hook(*this);
 }
 
 std::vector<std::vector<FlopId>> Netlist::flops_by_domain() const {

@@ -88,7 +88,9 @@ class Netlist {
 
   /// Build fanout maps, levelize, validate, and build the levelized view.
   /// Throws std::runtime_error on multiple drivers, undriven nets, arity
-  /// mismatches or combinational loops.
+  /// mismatches or combinational loops. These are the defects behind all
+  /// five error-severity structural lint rules, so a finalized netlist
+  /// already passes them; the engines therefore never call lint.
   void finalize();
   bool finalized() const { return finalized_; }
 
@@ -165,12 +167,5 @@ class Netlist {
   bool finalized_ = false;
   bool permissive_ = false;
 };
-
-/// Optional verification callback finalize() invokes after a netlist passes
-/// its built-in checks. The lint library (lint/lint.h) installs an env-gated
-/// structural lint here when linked; the indirection keeps scap_netlist free
-/// of an upward dependency. Returns the previously installed hook.
-using NetlistVerifyHook = void (*)(const Netlist&);
-NetlistVerifyHook set_netlist_verify_hook(NetlistVerifyHook hook);
 
 }  // namespace scap

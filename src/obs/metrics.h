@@ -10,6 +10,7 @@
 // time instead of paying the name lookup per call.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -19,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.h"  // metrics_enabled()
 #include "util/stats.h"
 
 namespace scap::obs {
@@ -151,14 +151,14 @@ class Registry {
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers_;
 };
 
-/// Convenience helpers gated on the metrics switch. Fine for warm paths
+/// Convenience helpers: one registry lookup per call. Fine for warm paths
 /// (per pattern, per batch, per ATPG run); hot loops should accumulate
 /// locally and flush once per call instead.
 inline void count(std::string_view name, std::uint64_t n = 1) {
-  if (metrics_enabled()) Registry::global().counter(name).add(n);
+  Registry::global().counter(name).add(n);
 }
 inline void observe(std::string_view name, double x) {
-  if (metrics_enabled()) Registry::global().gauge(name).observe(x);
+  Registry::global().gauge(name).observe(x);
 }
 
 }  // namespace scap::obs

@@ -14,7 +14,7 @@
 
 namespace scap::obs {
 
-std::atomic<unsigned> g_obs_flags{kFlagMetrics};
+std::atomic<unsigned> g_obs_flags{0};
 
 namespace {
 
@@ -138,9 +138,6 @@ ObsConfig config_from_env() {
           std::strcmp(env, "1") == 0 ? default_trace_path() : env;
     }
   }
-  if (const char* env = util::env_cstr("SCAP_METRICS")) {
-    cfg.metrics = std::strcmp(env, "0") != 0 && env[0] != '\0';
-  }
   if (const char* env = util::env_cstr("SCAP_PROF")) {
     cfg.prof = std::strcmp(env, "0") != 0 && env[0] != '\0';
   }
@@ -151,7 +148,6 @@ void configure(const ObsConfig& cfg) {
   std::lock_guard<std::mutex> lock(g_config_mu);
   g_config = cfg;
   g_obs_flags.store((cfg.trace ? kFlagTrace : 0u) |
-                        (cfg.metrics ? kFlagMetrics : 0u) |
                         (cfg.prof ? kFlagProf : 0u),
                     std::memory_order_relaxed);
 }
@@ -227,9 +223,7 @@ double span_begin(const char* name) {
 void span_end(const char* name, double start_us) {
   const double t = now_us();
   if (trace_enabled()) thread_buffer().push(name, t, 'E');
-  if (metrics_enabled()) {
-    Registry::global().timer(name).observe_ms((t - start_us) / 1000.0);
-  }
+  Registry::global().timer(name).observe_ms((t - start_us) / 1000.0);
 }
 
 }  // namespace scap::obs

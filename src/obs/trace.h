@@ -1,19 +1,18 @@
 // Scoped tracing for the ATPG / simulation / power flow.
 //
-// The instrumentation layer has two switches (see ObsConfig):
-//  - tracing: SCAP_TRACE_SCOPE("podem") records a begin/end event pair into a
+// Every SCAP_TRACE_SCOPE("podem") feeds an aggregated wall-time Timer in the
+// global metrics registry (obs/metrics.h), which is what gives the bench
+// artifacts their per-phase wall times; metrics are always on. Two switches
+// (see ObsConfig) add more:
+//  - tracing: each scope also records a begin/end event pair into a
 //    per-thread buffer; the buffers export as Chrome `chrome://tracing` /
-//    Perfetto JSON (write_chrome_trace). Off by default; near-zero cost when
-//    off (one relaxed atomic load and a predictable branch per scope).
-//  - metrics: every scope also feeds an aggregated wall-time Timer in the
-//    global metrics registry (obs/metrics.h), which is what gives the bench
-//    artifacts their per-phase wall times. On by default.
+//    Perfetto JSON (write_chrome_trace). Off by default.
+//  - profiling: the scheduler profiler (obs/prof.h). Off by default.
 //
 // Environment:
 //   SCAP_TRACE=1        enable tracing, dump scap_trace.json next to the
 //                       running binary (never the invocation cwd) at exit
 //   SCAP_TRACE=<path>   enable tracing, dump to <path> at process exit
-//   SCAP_METRICS=0      disable counters/gauges/timers (default: enabled)
 //   SCAP_PROF=1         enable the scheduler profiler (obs/prof.h; default off)
 #pragma once
 
@@ -28,7 +27,6 @@ namespace scap::obs {
 /// Process-wide instrumentation configuration.
 struct ObsConfig {
   bool trace = false;    ///< record SCAP_TRACE_SCOPE begin/end events
-  bool metrics = true;   ///< record counters / gauges / span timers
   bool prof = false;     ///< record scheduler profiler events (obs/prof.h)
   bool dump_trace_at_exit = false;
   std::string trace_path = "scap_trace.json";
@@ -41,7 +39,7 @@ struct ObsConfig {
 /// SCAP_TRACE=<path> always wins.
 std::string default_trace_path();
 
-/// Parse SCAP_TRACE / SCAP_METRICS from the environment (applied once at
+/// Parse SCAP_TRACE / SCAP_PROF from the environment (applied once at
 /// startup by the library itself; exposed for tests).
 ObsConfig config_from_env();
 
@@ -51,21 +49,14 @@ ObsConfig config();
 // Bit flags mirrored into an atomic so the hot-path checks are one relaxed
 // load. Do not touch directly; use configure().
 inline constexpr unsigned kFlagTrace = 1u;
-inline constexpr unsigned kFlagMetrics = 2u;
-inline constexpr unsigned kFlagProf = 4u;
+inline constexpr unsigned kFlagProf = 2u;
 extern std::atomic<unsigned> g_obs_flags;
 
 inline bool trace_enabled() noexcept {
   return (g_obs_flags.load(std::memory_order_relaxed) & kFlagTrace) != 0;
 }
-inline bool metrics_enabled() noexcept {
-  return (g_obs_flags.load(std::memory_order_relaxed) & kFlagMetrics) != 0;
-}
 inline bool prof_enabled() noexcept {
   return (g_obs_flags.load(std::memory_order_relaxed) & kFlagProf) != 0;
-}
-inline bool obs_active() noexcept {
-  return g_obs_flags.load(std::memory_order_relaxed) != 0;
 }
 
 /// One begin ('B') or end ('E') record. Timestamps are microseconds since
@@ -104,25 +95,19 @@ std::uint64_t trace_dropped();
 double span_begin(const char* name);
 void span_end(const char* name, double start_us);
 
-/// RAII span: records a begin/end trace-event pair (when tracing) and an
-/// aggregated wall-time Timer observation (when metrics are on).
+/// RAII span: an aggregated wall-time Timer observation, plus a begin/end
+/// trace-event pair when tracing.
 class TraceScope {
  public:
-  explicit TraceScope(const char* name) {
-    if (obs_active()) {
-      name_ = name;
-      start_us_ = span_begin(name);
-    }
-  }
-  ~TraceScope() {
-    if (name_ != nullptr) span_end(name_, start_us_);
-  }
+  explicit TraceScope(const char* name)
+      : name_(name), start_us_(span_begin(name)) {}
+  ~TraceScope() { span_end(name_, start_us_); }
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
  private:
-  const char* name_ = nullptr;
-  double start_us_ = 0.0;
+  const char* name_;
+  double start_us_;
 };
 
 // --- Chrome-trace export (trace_export.cpp) --------------------------------

@@ -1,6 +1,6 @@
 #include "power/statistical.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,7 +15,10 @@ StatisticalReport analyze_statistical(
     std::span<const double> domain_freq_mhz, const ClockTree* clock_tree,
     const StatisticalOptions& opt) {
   SCAP_TRACE_SCOPE("power.statistical");
-  assert(domain_freq_mhz.size() >= nl.domain_count());
+  if (domain_freq_mhz.size() < nl.domain_count()) {
+    throw std::invalid_argument(
+        "analyze_statistical: fewer domain frequencies than clock domains");
+  }
 
   StatisticalReport rep;
   rep.options = opt;

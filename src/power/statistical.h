@@ -53,7 +53,9 @@ struct StatisticalReport {
 };
 
 /// Clock-tree buffers switch every cycle regardless of data, twice each;
-/// pass clock_tree = nullptr to leave the clock current out.
+/// pass clock_tree = nullptr to leave the clock current out. Throws
+/// std::invalid_argument when domain_freq_mhz has fewer entries than the
+/// netlist has clock domains.
 StatisticalReport analyze_statistical(
     const Netlist& nl, const Placement& pl, const Parasitics& par,
     const TechLibrary& lib, const Floorplan& fp, const PowerGrid& grid,

@@ -17,12 +17,12 @@
 //    the window itself is near zero. Hence both a relative term (1e-6) and
 //    an absolute floor kStwAbsTolNs = 1e-4 ns; the self-test's injected
 //    0.05 ns window bug sits 500x above the floor.
-//  - Grid node voltages: the production SOR and the iterative reference
-//    stop at a finite update-delta, not at the exact solution, so errors up
-//    to ~delta / (1 - rho) survive on each side (the dense-LU reference on
-//    small meshes has none). kGridRelTol/kGridAbsTolV bound the node-wise
-//    disagreement of an honest SOR and the reference; indexing or stamping
-//    bugs produce errors orders of magnitude larger.
+//  - Grid node voltages: the production SOR stops at a finite update-delta,
+//    not at the exact solution, so an error up to ~delta / (1 - rho)
+//    survives on its side; the banded-Cholesky reference is exact to
+//    rounding. kGridRelTol/kGridAbsTolV bound the node-wise disagreement of
+//    an honest SOR and the reference; indexing or stamping bugs produce
+//    errors orders of magnitude larger.
 //  - Traces and fault grades are discrete and compare exactly.
 #pragma once
 

@@ -385,8 +385,7 @@ std::uint32_t ref_nearest_node(const Rect& die, std::uint32_t nx,
 
 GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
                             std::span<const Point> where,
-                            std::span<const double> amps, bool vdd_rail,
-                            std::size_t max_sweeps) {
+                            std::span<const double> amps, bool vdd_rail) {
   const std::uint32_t nx = opt.nx, ny = opt.ny;
   const std::size_t n = static_cast<std::size_t>(nx) * ny;
   const Rect die = fp.die();
@@ -398,94 +397,79 @@ GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
     if (pad.is_vdd != vdd_rail) continue;
     pad_g[ref_nearest_node(die, nx, ny, pad.pos)] += gpad;
   }
-  std::vector<double> b(n, 0.0);
+  std::vector<double> x(n, 0.0);
   for (std::size_t i = 0; i < where.size(); ++i) {
-    b[ref_nearest_node(die, nx, ny, where[i])] += amps[i];
+    x[ref_nearest_node(die, nx, ny, where[i])] += amps[i];
+  }
+
+  // Assemble sum_j g_ij (d_i - d_j) + g_pad,i d_i = I_i in natural row-major
+  // order, where every coupling lies within nx of the diagonal. The lower
+  // band of row i holds columns i-nx..i at band[i*w + (i - j)].
+  const std::size_t bw = nx;
+  const std::size_t w = bw + 1;
+  std::vector<double> band(n * w, 0.0);
+  auto at = [&](std::size_t i, std::size_t j) -> double& {
+    return band[i * w + (i - j)];
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t ix = i % nx, iy = i / nx;
+    int links = 0;
+    if (ix > 0) {
+      at(i, i - 1) = -gseg;
+      ++links;
+    }
+    if (iy > 0) {
+      at(i, i - nx) = -gseg;
+      ++links;
+    }
+    links += (ix + 1 < nx ? 1 : 0) + (iy + 1 < ny ? 1 : 0);
+    at(i, i) = pad_g[i] + gseg * links;
+  }
+
+  // Exact direct solve: banded Cholesky A = L L^T in place, then forward and
+  // back substitution. No iteration truncation. The mesh system is symmetric
+  // positive definite whenever the rail has a pad; a non-positive pivot
+  // means it is not.
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t k0 = j > bw ? j - bw : 0;
+    double diag = at(j, j);
+    for (std::size_t k = k0; k < j; ++k) diag -= at(j, k) * at(j, k);
+    if (!(diag > 0.0)) {
+      throw std::runtime_error(
+          "grid_solve_ref: mesh system not positive definite");
+    }
+    const double ljj = std::sqrt(diag);
+    at(j, j) = ljj;
+    const std::size_t i_end = std::min(n, j + bw + 1);
+    for (std::size_t i = j + 1; i < i_end; ++i) {
+      double v = at(i, j);
+      for (std::size_t k = i > bw ? i - bw : 0; k < j; ++k) {
+        v -= at(i, k) * at(j, k);
+      }
+      at(i, j) = v / ljj;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = i > bw ? i - bw : 0; k < i; ++k) {
+      x[i] -= at(i, k) * x[k];
+    }
+    x[i] /= at(i, i);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::size_t k = i + 1; k < std::min(n, i + bw + 1); ++k) {
+      x[i] -= at(k, i) * x[k];
+    }
+    x[i] /= at(i, i);
   }
 
   GridSolution sol;
   sol.nx = nx;
   sol.ny = ny;
   sol.die = die;
-  sol.drop_v.assign(n, 0.0);
-  std::vector<double>& d = sol.drop_v;
-
-  auto neighbors = [&](std::size_t i, std::array<std::size_t, 4>& out) {
-    const std::uint32_t ix = static_cast<std::uint32_t>(i) % nx;
-    const std::uint32_t iy = static_cast<std::uint32_t>(i) / nx;
-    std::size_t cnt = 0;
-    if (ix > 0) out[cnt++] = i - 1;
-    if (ix + 1 < nx) out[cnt++] = i + 1;
-    if (iy > 0) out[cnt++] = i - nx;
-    if (iy + 1 < ny) out[cnt++] = i + nx;
-    return cnt;
-  };
-
-  if (n <= kDenseNodeLimit) {
-    // Exact direct solve: dense assembly of
-    // sum_j g_ij (d_i - d_j) + g_pad,i d_i = I_i, LU with partial pivoting,
-    // forward and back substitution. No iteration truncation.
-    std::vector<std::vector<double>> A(n, std::vector<double>(n, 0.0));
-    std::vector<double> x = b;
-    std::array<std::size_t, 4> nb{};
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t cnt = neighbors(i, nb);
-      A[i][i] = pad_g[i] + gseg * static_cast<double>(cnt);
-      for (std::size_t k = 0; k < cnt; ++k) A[i][nb[k]] = -gseg;
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      std::size_t p = k;
-      for (std::size_t r = k + 1; r < n; ++r) {
-        if (std::abs(A[r][k]) > std::abs(A[p][k])) p = r;
-      }
-      if (p != k) {
-        std::swap(A[p], A[k]);
-        std::swap(x[p], x[k]);
-      }
-      if (std::abs(A[k][k]) < 1e-300) {
-        throw std::runtime_error("grid_solve_ref: singular mesh system");
-      }
-      for (std::size_t r = k + 1; r < n; ++r) {
-        const double f = A[r][k] / A[k][k];
-        if (f == 0.0) continue;
-        for (std::size_t c = k; c < n; ++c) A[r][c] -= f * A[k][c];
-        x[r] -= f * x[k];
-      }
-    }
-    for (std::size_t k = n; k-- > 0;) {
-      double acc = x[k];
-      for (std::size_t c = k + 1; c < n; ++c) acc -= A[k][c] * x[c];
-      x[k] = acc / A[k][k];
-    }
-    d = std::move(x);
-    sol.iterations = 1;
-    sol.final_delta_v = 0.0;
-    sol.converged = true;
-  } else {
-    // The same equations via the 5-point stencil, relaxed by plain
-    // natural-order Gauss-Seidel (no relaxation factor, no colouring, no
-    // threads) well past the production tolerance.
-    const double tol = std::max(opt.tolerance_v * 1e-2, 1e-13);
-    std::array<std::size_t, 4> nb{};
-    for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      double max_delta = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t cnt = neighbors(i, nb);
-        const double gsum = pad_g[i] + gseg * static_cast<double>(cnt);
-        double flow = b[i];
-        for (std::size_t k = 0; k < cnt; ++k) flow += gseg * d[nb[k]];
-        const double next = flow / gsum;
-        max_delta = std::max(max_delta, std::abs(next - d[i]));
-        d[i] = next;
-      }
-      sol.iterations = static_cast<std::uint32_t>(sweep + 1);
-      sol.final_delta_v = max_delta;
-      if (max_delta < tol) {
-        sol.converged = true;
-        break;
-      }
-    }
-  }
+  sol.drop_v = std::move(x);
+  sol.iterations = 1;
+  sol.final_delta_v = 0.0;
+  sol.converged = true;
   return sol;
 }
 

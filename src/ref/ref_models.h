@@ -7,7 +7,7 @@
 //    evaluator (ref_eval_cell), flat ordered std::map event queues instead
 //    of the workspace pools, full-netlist fixpoint sweeps instead of
 //    levelized cones, one-fault-at-a-time scalar grading instead of 64-way
-//    words, dense LU / natural-order Gauss-Seidel instead of red-black SOR;
+//    words, a banded Cholesky direct solve instead of red-black SOR;
 //  - no reuse, no allocation discipline, no parallelism -- clarity only.
 //
 // Each reference is paired with a comparator in ref/compare.h; the fuzz
@@ -83,15 +83,12 @@ std::vector<std::size_t> fault_grade_ref(const Netlist& nl,
 
 /// Reference IR-drop solve: assemble the uniform mesh's conductance
 /// equations independently from the floorplan (own pad and load snapping,
-/// own stencil). Up to kDenseNodeLimit nodes the system is solved exactly,
-/// by dense LU with partial pivoting, so the oracle carries no iteration
-/// truncation at all; above it, by plain natural-order Gauss-Seidel on the
-/// 5-point stencil, iterated two orders of magnitude past the production
-/// tolerance so comparator slack covers the truncation of both sides.
-inline constexpr std::size_t kDenseNodeLimit = 256;
+/// own stencil) in natural row-major order and solve them exactly, by a
+/// banded Cholesky factorisation of the symmetric positive-definite system
+/// (bandwidth nx), so the oracle carries no iteration truncation at all.
+/// Throws std::runtime_error on a non-positive pivot (a rail without pads).
 GridSolution grid_solve_ref(const Floorplan& fp, const PowerGridOptions& opt,
                             std::span<const Point> where,
-                            std::span<const double> amps, bool vdd_rail,
-                            std::size_t max_sweeps = 200000);
+                            std::span<const double> amps, bool vdd_rail);
 
 }  // namespace scap::ref

@@ -24,8 +24,8 @@ Scenario Scenario::random(std::uint64_t seed) {
   sc.droop = r.chance(0.5);
   sc.droop_seed = r();
   sc.droop_max_v = r.uniform(0.0, 0.3);
-  // Mesh sizes straddle kDenseNodeLimit so both reference solver paths
-  // (dense LU and the Gauss-Seidel stencil) see fuzz coverage.
+  // Mesh sizes from 4x4 to 24x24: square and skewed meshes, with band
+  // widths (nx) from 4 to 24 in the reference's banded Cholesky solve.
   sc.grid_nx = static_cast<std::uint64_t>(r.range(4, 24));
   sc.grid_ny = static_cast<std::uint64_t>(r.range(4, 24));
   sc.grid_sources = static_cast<std::uint64_t>(r.range(1, 40));

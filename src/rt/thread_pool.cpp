@@ -166,10 +166,8 @@ void ThreadPool::run_chunked(std::size_t n_chunks,
   ring.record(obs::ProfKind::kJobBegin,
               static_cast<std::uint32_t>(
                   std::min<std::size_t>(n_chunks, 0xFFFFu)));
-  if (obs::metrics_enabled()) {
-    jobs_ctr_->add(1);
-    chunks_ctr_->add(n_chunks);
-  }
+  jobs_ctr_->add(1);
+  chunks_ctr_->add(n_chunks);
 
   const auto job = std::make_shared<Job>(body, n_chunks);
   {

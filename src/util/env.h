@@ -1,11 +1,11 @@
 // Single point of environment access for one-time configuration reads.
 //
-// Every SCAP_* switch (SCAP_THREADS, SCAP_TRACE, SCAP_METRICS, SCAP_PROF,
-// SCAP_METRICS_DIR, ...) is read exactly once, during process or subsystem
-// startup, and the library never calls setenv/putenv. Funneling the getenv
-// calls through this helper keeps the one concurrency-mt-unsafe call site --
-// and its justification -- in one place instead of scattering per-call-site
-// NOLINTs through the codebase.
+// The library reads four SCAP_* switches (SCAP_THREADS, SCAP_TRACE, SCAP_PROF,
+// SCAP_METRICS_DIR), each exactly once, during process or subsystem startup,
+// and never calls setenv/putenv. Funneling the getenv calls through this
+// helper keeps the one concurrency-mt-unsafe call site -- and its
+// justification -- in one place instead of scattering per-call-site NOLINTs
+// through the codebase.
 #pragma once
 
 #include <cstdlib>

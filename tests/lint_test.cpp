@@ -4,9 +4,12 @@
 // round-trip through the obs/json.h reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "lint/baseline.h"
 #include "lint/lint.h"
 #include "netlist/netlist.h"
@@ -235,6 +238,19 @@ TEST(LintClean, GeneratedSocHasNoErrors) {
   in.scan_chains = soc.scan.chains;
   const LintReport rep = lint::run(in);
   EXPECT_EQ(rep.errors, 0u) << lint::to_text(rep);
+
+  // The experiment designs the benches and examples run on, linted with
+  // their stitched scan chains and their test context.
+  for (const double scale : {0.012, 0.04}) {
+    const Experiment exp = Experiment::standard(scale, 2007);
+    LintInput ein;
+    ein.netlist = &exp.soc.netlist;
+    ein.scan_chains = exp.soc.scan.chains;
+    ein.ctx = &exp.ctx;
+    const LintReport erep = lint::run(ein);
+    EXPECT_EQ(erep.errors, 0u) << "scale " << scale << "\n"
+                               << lint::to_text(erep);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -327,12 +343,91 @@ TEST(LintNetlist, FinalizeRejectsMultiDriven) {
   }
 }
 
-TEST(LintNetlist, VerifyHookIsInstalled) {
-  // The lint library's static registrar must have installed a hook; restore
-  // whatever we displaced so other tests keep their guard.
-  NetlistVerifyHook prev = set_netlist_verify_hook(nullptr);
-  EXPECT_NE(prev, nullptr);
-  set_netlist_verify_hook(prev);
+TEST(LintNetlist, FinalizeRejectsEveryStructuralError) {
+  // No engine lints the netlists it is given, because finalize() already
+  // rejects every defect an error-severity rule of lint::run(netlist) can
+  // report: one fixture per such rule, flagged by lint and refused by
+  // finalize().
+  struct Case {
+    std::string_view rule;
+    std::function<void(Netlist&)> build;
+  };
+  const Case cases[] = {
+      {lint::rule::kNetMultiDriven,
+       [](Netlist& nl) {
+         nl.set_permissive(true);
+         const NetId a = nl.add_input("a");
+         const NetId y = nl.add_net("y");
+         const NetId in0[] = {a};
+         nl.add_gate(CellType::kBuf, in0, y);
+         nl.add_gate(CellType::kInv, in0, y);
+         nl.mark_output(y);
+       }},
+      {lint::rule::kNetUndriven,
+       [](Netlist& nl) {
+         const NetId a = nl.add_input("a");
+         nl.mark_output(a);
+         nl.mark_output(nl.add_net("po"));  // an output nothing drives
+       }},
+      {lint::rule::kGateFloatingInput,
+       [](Netlist& nl) {
+         const NetId a = nl.add_input("a");
+         const NetId fl = nl.add_net("fl");
+         const NetId y = nl.add_net("y");
+         const NetId in0[] = {a, fl};
+         nl.add_gate(CellType::kAnd2, in0, y);
+         nl.mark_output(y);
+       }},
+      {lint::rule::kFlopFloatingD,
+       [](Netlist& nl) {
+         const NetId d = nl.add_net("d");
+         const NetId q = nl.add_net("q");
+         nl.add_flop(d, q, /*domain=*/0, /*block=*/0);
+         nl.mark_output(q);
+       }},
+      {lint::rule::kCombLoop,
+       [](Netlist& nl) {
+         const NetId a = nl.add_input("a");
+         const NetId x = nl.add_net("x");
+         const NetId y = nl.add_net("y");
+         const NetId in0[] = {a, y};
+         nl.add_gate(CellType::kAnd2, in0, x);
+         const NetId in1[] = {x};
+         nl.add_gate(CellType::kBuf, in1, y);
+         nl.mark_output(x);
+       }},
+  };
+  std::vector<std::string_view> covered;
+  for (const Case& c : cases) {
+    Netlist nl;
+    c.build(nl);
+    const LintReport rep = lint::run(nl);
+    ASSERT_GE(rep.count(c.rule), 1u) << c.rule << "\n" << lint::to_text(rep);
+    EXPECT_EQ(severity_of(rep, c.rule), Severity::kError) << c.rule;
+    EXPECT_THROW(nl.finalize(), std::runtime_error) << c.rule;
+    covered.push_back(c.rule);
+  }
+
+  // The table is complete: every other rule run(netlist) evaluates -- the
+  // rest of the structural family and the dataflow family -- is at most a
+  // warning by default.
+  const std::string_view netlist_only_rules[] = {
+      lint::rule::kNetMultiDriven,     lint::rule::kNetUndriven,
+      lint::rule::kGateFloatingInput,  lint::rule::kFlopFloatingD,
+      lint::rule::kCombLoop,           lint::rule::kGateUnreachable,
+      lint::rule::kFlopUnreachable,    lint::rule::kNetDangling,
+      lint::rule::kBlockTagInconsistent, lint::rule::kCdcCombPath,
+      lint::rule::kNetUncontrollable,  lint::rule::kNetUnobservable,
+      lint::rule::kNetConstant,        lint::rule::kFlopConstantD,
+      lint::rule::kCaptureXContaminated,
+  };
+  for (const std::string_view id : netlist_only_rules) {
+    const lint::RuleInfo* info = lint::find_rule(id);
+    ASSERT_NE(info, nullptr) << id;
+    const bool in_table =
+        std::find(covered.begin(), covered.end(), id) != covered.end();
+    EXPECT_EQ(info->severity == Severity::kError, in_table) << id;
+  }
 }
 
 TEST(LintNetlist, RelaxedParseSurvivesDoubleDriver) {
@@ -501,7 +596,6 @@ TEST(LintBaseline, FullBaselineRoundTripSuppressesEverything) {
 }
 
 TEST(LintMetrics, ExportsPerRuleAndSuppressedCounters) {
-  if (!obs::metrics_enabled()) GTEST_SKIP() << "SCAP_METRICS=0";
   auto& reg = obs::Registry::global();
   const std::uint64_t rule0 =
       reg.counter("lint.rule.net-multi-driven").value();

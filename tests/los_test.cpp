@@ -139,6 +139,22 @@ TEST(LosEngine, EndToEndRun) {
   }
 }
 
+TEST(LosEngine, PerBlockQuietFillRuns) {
+  // Per-block fill covers the flop bits with a quiet state sized for every
+  // test variable, scan-in bits included: the longer state must be accepted.
+  LosRig rig;
+  AtpgEngine engine(rig.nl, rig.los);
+  AtpgOptions opt;
+  opt.per_block_fill.assign(rig.nl.block_count(), FillMode::kQuiet);
+  const AtpgResult res = engine.run(rig.faults, opt);
+  EXPECT_GT(res.patterns.size(), 0u);
+  EXPECT_GT(res.stats.fault_coverage(), 0.40);
+  for (const Pattern& p : res.patterns.patterns) {
+    ASSERT_EQ(p.s1.size(), rig.los.num_vars());
+    for (const std::uint8_t b : p.s1) EXPECT_LT(b, 2);
+  }
+}
+
 TEST(LosVsLoc, LosCoversAtLeastComparably) {
   // With a fully controllable S2, LOS usually detects more TDFs than LOC
   // (some LOC-testable faults need functional states LOS can't shift in, so

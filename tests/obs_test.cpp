@@ -17,13 +17,12 @@ namespace scap::obs {
 namespace {
 
 // The obs state is process-global; every test starts from a known, clean
-// configuration and leaves the defaults behind (metrics on, tracing off).
+// configuration and leaves the defaults behind (tracing off).
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ObsConfig cfg;
     cfg.trace = true;
-    cfg.metrics = true;
     cfg.dump_trace_at_exit = false;
     configure(cfg);
     trace_clear();
@@ -163,18 +162,8 @@ TEST_F(ObsTest, MetricsJsonRoundTrips) {
   EXPECT_EQ(phases->array[0].find("wall_ms")->number, 1.25);
 }
 
-TEST_F(ObsTest, DisabledModeLeavesNoEventsAndNoCounts) {
-  configure(ObsConfig{.trace = false, .metrics = false});
-  { SCAP_TRACE_SCOPE("t.off"); }
-  count("t.off_counter");
-  observe("t.off_gauge", 1.0);
-  EXPECT_TRUE(trace_snapshot().empty());
-  EXPECT_EQ(Registry::global().counter("t.off_counter").value(), 0u);
-  EXPECT_EQ(Registry::global().gauge("t.off_gauge").snapshot().count(), 0u);
-}
-
 TEST_F(ObsTest, TraceDisabledMetricsStillAggregate) {
-  configure(ObsConfig{.trace = false, .metrics = true});
+  configure(ObsConfig{.trace = false});
   { SCAP_TRACE_SCOPE("t.metrics_only"); }
   EXPECT_TRUE(trace_snapshot().empty());
   EXPECT_EQ(Registry::global().timer("t.metrics_only").snapshot().count(), 1u);
@@ -361,12 +350,12 @@ TEST_F(ObsTest, PhaseScopedReportEmitsPerPhaseAndMergedMetrics) {
 
 TEST(ObsConfigTest, FlagsMirrorConfig) {
   const ObsConfig saved = config();
-  configure(ObsConfig{.trace = true, .metrics = false});
+  configure(ObsConfig{.trace = true});
   EXPECT_TRUE(trace_enabled());
-  EXPECT_FALSE(metrics_enabled());
-  EXPECT_TRUE(obs_active());
-  configure(ObsConfig{.trace = false, .metrics = false});
-  EXPECT_FALSE(obs_active());
+  EXPECT_FALSE(prof_enabled());
+  configure(ObsConfig{.trace = false, .prof = true});
+  EXPECT_FALSE(trace_enabled());
+  EXPECT_TRUE(prof_enabled());
   configure(saved);
 }
 

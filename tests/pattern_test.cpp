@@ -102,6 +102,30 @@ TEST(Fill, PerBlockKeepsCareBits) {
   EXPECT_EQ(p.s1, (std::vector<std::uint8_t>{0, 1, 1}));
 }
 
+TEST(Fill, QuietFillRejectsShortStateAndAcceptsLongerOne) {
+  Netlist nl = test::tiny_netlist();
+  Rng rng(1);
+  TestCube c;
+  c.s1 = {kBitX, 1, kBitX};
+  const std::vector<std::uint8_t> short_state{1, 1};
+  EXPECT_THROW(apply_fill(c, FillMode::kQuiet, rng, {}, short_state),
+               std::invalid_argument);
+  const std::vector<FillMode> quiet{FillMode::kQuiet, FillMode::kQuiet};
+  EXPECT_THROW(apply_fill_per_block(nl, c, quiet, rng, {}, short_state),
+               std::invalid_argument);
+  const std::vector<FillMode> one_mode{FillMode::kFill0};
+  EXPECT_THROW(apply_fill_per_block(nl, c, one_mode, rng),
+               std::invalid_argument);
+
+  // A state longer than the cube (the engine's covers LOS scan-in bits too)
+  // fills from its leading bits.
+  const std::vector<std::uint8_t> long_state{1, 0, 0, 1, 1};
+  EXPECT_EQ(apply_fill(c, FillMode::kQuiet, rng, {}, long_state).s1,
+            (std::vector<std::uint8_t>{1, 1, 0}));
+  EXPECT_EQ(apply_fill_per_block(nl, c, quiet, rng, {}, long_state).s1,
+            (std::vector<std::uint8_t>{1, 1, 0}));
+}
+
 TEST(Fill, ModeNames) {
   EXPECT_STREQ(fill_mode_name(FillMode::kRandom), "random-fill");
   EXPECT_STREQ(fill_mode_name(FillMode::kFill0), "fill-0");

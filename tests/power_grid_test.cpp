@@ -170,11 +170,9 @@ TEST(PowerGrid, ConvergenceFlagHonest) {
   // The reported residual must reflect the unfinished sweep, and the
   // non-converged solve must be visible in the metrics registry.
   EXPECT_GT(sol.final_delta_v, rig.opt.tolerance_v);
-  if (obs::metrics_enabled()) {
-    EXPECT_GE(
-        obs::Registry::global().counter("power.grid_solve_nonconverged").value(),
-        1u);
-  }
+  EXPECT_GE(
+      obs::Registry::global().counter("power.grid_solve_nonconverged").value(),
+      1u);
 
   // And the converged solve drives the true equation residual orders of
   // magnitude below the one-sweep map's.

@@ -1,5 +1,5 @@
 // Tests for the scheduler profiler (obs/prof.h): the disabled mode must be a
-// true no-op (zero events recorded, zero registry entries exported), ring
+// true no-op (zero events recorded, no rt.prof.* registry entry), ring
 // overflow must drop the oldest events with exact accounting, and a profiled
 // parallel region must aggregate to the known task/job/grain totals.
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@ namespace {
 class ProfTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    configure(ObsConfig{});  // metrics on, trace off, prof off
+    configure(ObsConfig{});  // trace off, prof off
     prof_reset();
     trace_clear();
     Registry::global().reset();
@@ -57,9 +57,6 @@ class ProfTest : public ::testing::Test {
 };
 
 TEST_F(ProfTest, DisabledModeIsTrueNoOp) {
-  ObsConfig cfg;
-  cfg.metrics = false;  // isolate: any registry entry must come from prof
-  configure(cfg);
   rt::ThreadPool::set_global_concurrency(4);
   run_workload(4096, 8);
 
@@ -68,8 +65,19 @@ TEST_F(ProfTest, DisabledModeIsTrueNoOp) {
   EXPECT_EQ(p.total_events, 0u);
   EXPECT_EQ(p.dropped, 0u);
 
+  // The pool's own counters and span timers land in the registry; the
+  // profiler must add nothing of its own.
   export_pool_profile(p, Registry::global());
-  EXPECT_TRUE(Registry::global().snapshot().empty());
+  const Registry::Snapshot snap = Registry::global().snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_FALSE(name.starts_with("rt.prof.")) << name;
+  }
+  for (const auto& [name, stats] : snap.gauges) {
+    EXPECT_FALSE(name.starts_with("rt.prof.")) << name;
+  }
+  for (const Registry::TimerSnap& t : snap.timers) {
+    EXPECT_FALSE(t.name.starts_with("rt.prof.")) << t.name;
+  }
 }
 
 TEST_F(ProfTest, CallerRingRecordGatedOnFlag) {

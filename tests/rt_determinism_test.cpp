@@ -61,9 +61,7 @@ auto counted_at_threads(std::size_t threads, Fn&& fn) {
        obs::Registry::global().snapshot_and_reset().counters) {
     if (name.starts_with("atpg.")) counts[name] = value;
   }
-  if (obs::metrics_enabled()) {
-    EXPECT_GT(counts["atpg.podem_generates"], 0u) << "the run must search";
-  }
+  EXPECT_GT(counts["atpg.podem_generates"], 0u) << "the run must search";
   return std::pair(std::move(out), std::move(counts));
 }
 
@@ -121,12 +119,10 @@ TEST(RtDeterminism, Fig2ConventionalPipeline) {
   EXPECT_EQ(at1.first.coverage_curve(), at4.first.coverage_curve());
   expect_stats_identical(at1.first.stats, at4.first.stats);
   EXPECT_EQ(counts1, counts4);
-  if (obs::metrics_enabled()) {
-    // Calls stopped at the backtrack limit are compared like the rest.
-    for (const char* name : {"atpg.limit_generates", "atpg.limit_extends",
-                             "atpg.limit_implications"}) {
-      EXPECT_TRUE(counts1.contains(name)) << name << " never counted";
-    }
+  // Calls stopped at the backtrack limit are compared like the rest.
+  for (const char* name : {"atpg.limit_generates", "atpg.limit_extends",
+                           "atpg.limit_implications"}) {
+    EXPECT_TRUE(counts1.contains(name)) << name << " never counted";
   }
   expect_reports_identical(at1.second, at4.second);
 }

@@ -113,6 +113,18 @@ TEST(Statistical, FunctionalDropScalesSanely) {
   EXPECT_LT(rep.chip_worst_vdd_v, 0.25 * rig.lib.vdd());
 }
 
+TEST(Statistical, RejectsShortDomainFrequencies) {
+  StatRig rig;
+  ASSERT_GT(rig.soc.netlist.domain_count(), 1u);
+  const std::vector<double> short_freq(rig.soc.netlist.domain_count() - 1,
+                                       100.0);
+  EXPECT_THROW(analyze_statistical(rig.soc.netlist, rig.soc.placement,
+                                   rig.soc.parasitics, rig.lib,
+                                   rig.soc.floorplan, rig.grid, short_freq,
+                                   &rig.soc.clock_tree, StatisticalOptions{}),
+               std::invalid_argument);
+}
+
 TEST(Activity, GateDomainsFollowFanin) {
   // A gate fed only by domain-d flops must inherit domain d.
   Netlist nl;
