@@ -174,7 +174,6 @@ void BM_FaultSimBatch(benchmark::State& state) {
   // faults (the engine's flush, good-frame settle included).
   const Experiment& exp = bench::experiment();
   FaultSimulator fsim(exp.soc.netlist, exp.ctx);
-  fsim.set_batch_words(1);
   const PatternSet pats = random_pattern_set(64, exp.ctx.num_vars(), 2007);
   const std::span<const TdfFault> faults(
       exp.faults.data(), std::min<std::size_t>(256, exp.faults.size()));

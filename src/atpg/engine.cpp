@@ -141,7 +141,6 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   };
 
   FaultSimulator fsim(nl, *ctx_);
-  fsim.set_batch_words(1);  // one 64-pattern buffer per grade() block
   Rng rng(opt.seed);
 
   std::span<const std::vector<FlopId>> chains;
@@ -154,6 +153,19 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   if (wants_quiet) {
     quiet = compute_quiet_state(nl, *ctx_).s1;
     quiet.resize(ctx_->num_vars(), 0);  // LOS scan-in bits idle at 0
+  }
+
+  // Fill mode of each launch variable past the flop bits (LOS scan-in,
+  // enhanced-scan V2): under per-block fill, the mode of the block of the
+  // flop it launches.
+  std::vector<FillMode> launch_fill(ctx_->num_vars() - nl.num_flops(),
+                                    opt.fill);
+  if (!opt.per_block_fill.empty()) {
+    for (FlopId f = 0; f < ctx_->los_pred.size(); ++f) {
+      if (ctx_->los_pred[f] < nl.num_flops()) continue;
+      launch_fill[ctx_->los_pred[f] - nl.num_flops()] =
+          opt.per_block_fill[nl.flop(f).block];
+    }
   }
 
   auto fill_cube = [&](const TestCube& cube) -> Pattern {
@@ -172,13 +184,24 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     } else {
       p = apply_fill(cube, opt.fill, rng, chains, quiet);
     }
-    // LOS scan-in bits: quiet/adjacent have no defined source; use 0 (the
-    // conventional scan-in idle value) unless randomized.
+    // Launch variables still X: random draws, fill-1 sets 1, quiet takes
+    // the quiet state, and the rest use 0, the conventional scan-in idle
+    // value (adjacent fill has no defined source here).
     for (std::size_t v = nl.num_flops(); v < p.s1.size(); ++v) {
       if (p.s1[v] != kBitX) continue;
-      p.s1[v] = opt.fill == FillMode::kRandom
-                    ? static_cast<std::uint8_t>(rng.below(2))
-                    : (opt.fill == FillMode::kFill1 ? 1 : 0);
+      switch (launch_fill[v - nl.num_flops()]) {
+        case FillMode::kRandom:
+          p.s1[v] = static_cast<std::uint8_t>(rng.below(2));
+          break;
+        case FillMode::kFill1:
+          p.s1[v] = 1;
+          break;
+        case FillMode::kQuiet:
+          p.s1[v] = quiet[v];
+          break;
+        default:
+          p.s1[v] = 0;
+      }
     }
     return p;
   };

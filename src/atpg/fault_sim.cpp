@@ -9,13 +9,6 @@
 #include "obs/trace.h"
 #include "rt/parallel.h"
 
-// Cone-walker instantiation of the shared cell kernels: the same W-lane
-// bodies the full-sweep BatchSim uses, driven here by a gathered operand
-// buffer instead of the dense value table.
-#define SCAP_BATCH_KERNEL_NS cone
-#include "sim/batch_kernels.inl"
-#undef SCAP_BATCH_KERNEL_NS
-
 namespace scap {
 
 FaultSimulator::FaultSimulator(const Netlist& nl, const TestContext& ctx)
@@ -44,14 +37,6 @@ FaultSimulator::FaultSimulator(const Netlist& nl, const TestContext& ctx)
   for (NetId c = 0; c < nl.num_nets(); ++c) {
     obs_reach_[c] = observable[view_->external_net(c)];
   }
-}
-
-void FaultSimulator::set_batch_words(std::size_t words) {
-  if (words == 0) words = kDefaultBatchWords;
-  if (!valid_batch_words(words)) {
-    throw std::invalid_argument("FaultSimulator: batch words must be 1, 2 or 4");
-  }
-  words_ = words;
 }
 
 void FaultSimulator::ConeScratch::ensure(const LevelizedView& v) {
@@ -254,8 +239,9 @@ std::uint64_t FaultSimulator::cone_word(const TdfFault& fault,
           inbuf[j] = cs.stamp[n] == epoch ? cs.faulty[n] : good(n);
         }
       }
-      batchk::cone::eval_cell<1>(
-          types[si], [&](int j) { return inbuf + j; }, outbuf);
+      // The cell kernel BatchSim's sweep runs, fed from a gathered operand
+      // buffer instead of the dense value table.
+      eval_cell<1>(types[si], [&](int j) { return inbuf + j; }, outbuf);
       set_faulty(outs[si], outbuf[0]);
     }
     bucket.clear();
@@ -280,7 +266,7 @@ std::vector<std::size_t> FaultSimulator::grade(
   std::vector<std::size_t> first(faults.size(), kUndetected);
 
   if (!patterns.empty() && !faults.empty()) {
-    const std::size_t W = words_;
+    const std::size_t W = patterns.size() <= 64 ? 1 : kMaxBatchWords;
     const std::size_t lanes = 64 * W;
     const std::size_t nb = (patterns.size() + lanes - 1) / lanes;
     const std::size_t threads = rt::concurrency();
@@ -308,7 +294,7 @@ std::vector<std::size_t> FaultSimulator::grade(
     // dropping, each owning only cone scratch. Shards are disjoint fault
     // slices and a fault's first-detect index scans blocks, words and bits in
     // pattern order, so the result is bit-identical at any SCAP_THREADS and
-    // any batch width W.
+    // either batch width.
     constexpr std::size_t kMinFaultsPerShard = 64;
     const std::size_t n_shards = std::max<std::size_t>(
         1, std::min(threads, faults.size() / kMinFaultsPerShard));

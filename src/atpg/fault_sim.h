@@ -1,7 +1,8 @@
 // Bit-parallel transition-fault simulation with fault dropping.
 //
 // Patterns are packed 64*W to a block (W machine words per net, bit i of
-// word w = pattern w*64+i; W is the batch width, 1/2/4). Evaluation runs on
+// word w = pattern w*64+i): W = 1 when the set fits in 64 patterns, as the
+// ATPG engine's 64-pattern flushes do, and W = 4 otherwise. Evaluation runs on
 // the struct-of-arrays LevelizedView (netlist/levelized_view.h) through
 // BatchSim: one sweep over the flat (level, type)-sorted gate table per
 // frame, with the cell dispatch inlined. The fault-free two-frame response
@@ -17,8 +18,8 @@
 // element-indexed), then fault shards walk them read-only with thread-
 // private cone scratch. A fault's first-detect index is a pure function of
 // the pattern order -- blocks in order, words in order, bits in pattern
-// order -- so results are bit-identical at any SCAP_THREADS *and* at any
-// batch width W (rt_determinism_test + batch_sim_test enforce both).
+// order -- so results are bit-identical at any SCAP_THREADS *and* at either
+// batch width (rt_determinism_test + batch_sim_test enforce both).
 //
 // grade() is the one fault-grading path: the ATPG engine drops faults by
 // grading each buffered 64-pattern batch against its still-open faults, and
@@ -45,18 +46,9 @@ class Counter;
 
 class FaultSimulator {
  public:
-  /// Patterns per grade block = 64 * batch width. 4 words = 256 lanes per
-  /// sweep, the widest compiled kernel (AVX2-sized).
-  static constexpr std::size_t kDefaultBatchWords = 4;
-
   /// Runs on the netlist's own levelized view (Netlist::levelized_view());
   /// throws std::invalid_argument if the netlist is not finalized.
   FaultSimulator(const Netlist& nl, const TestContext& ctx);
-
-  /// Batch width used by grade(), in 64-pattern machine words (1, 2 or 4;
-  /// 0 resets to the default). Throws std::invalid_argument on other values.
-  void set_batch_words(std::size_t words);
-  std::size_t batch_words() const { return words_; }
 
   /// Simulate the pattern set against the fault list with dropping. Returns,
   /// per fault, the index of the first detecting pattern (or kUndetected);
@@ -67,8 +59,10 @@ class FaultSimulator {
   /// Large runs shard the fault list across the rt thread pool; shards share
   /// the precomputed good blocks read-only and own only cone scratch, so the
   /// per-shard setup cost that used to scale with the thread count is gone.
-  /// Per-fault results are independent of the sharding and of the batch
-  /// width, so the output is bit-identical at any SCAP_THREADS and any W.
+  /// Blocks are 64 patterns wide (one word) when the set fits in 64 and 256
+  /// (kMaxBatchWords words) otherwise. Per-fault results are independent of
+  /// the sharding and of the width, so the output is bit-identical at any
+  /// SCAP_THREADS.
   static constexpr std::size_t kUndetected = static_cast<std::size_t>(-1);
   std::vector<std::size_t> grade(std::span<const Pattern> patterns,
                                  std::span<const TdfFault> faults,
@@ -115,7 +109,7 @@ class FaultSimulator {
   /// Detection words for one fault over one good block; writes `words` words
   /// into `out`. Words are walked in pattern order with early exit at the
   /// first detecting word (later words stay zero); grade() only consumes the
-  /// earliest detect bit, and the walked word sequence is the same at any
+  /// earliest detect bit, and the walked word sequence is the same at either
   /// batch width, which keeps results and counters W-invariant.
   bool detect_block(std::size_t words, const TdfFault& fault,
                     const GoodBlock& blk, ConeScratch& cs,
@@ -129,7 +123,6 @@ class FaultSimulator {
 
   const TestContext* ctx_;
   std::shared_ptr<const LevelizedView> view_;
-  std::size_t words_ = kDefaultBatchWords;
 
   /// PI values broadcast to full words (constant across lanes), one word per
   /// PI; eval paths repeat them per lane as needed.

@@ -3,12 +3,14 @@
 // The library models a small 180 nm-class standard-cell kit (the paper uses
 // the Cadence GSCLib 0.18 um library): basic combinational cells of 1-4
 // inputs, a 2:1 mux, a scan D flip-flop, clock buffers and tie cells.
-// Evaluation is provided in the domains used by different engines:
-//   - scalar 0/1            (event-driven timing simulation)
-//   - 3-valued "possible set" logic, one or two lanes per byte (PODEM
-//     implication, dataflow X-propagation)
-// The bit-parallel word domain (BatchSim, fault simulation) lives in
-// sim/batch_kernels.inl.
+// Each value domain has one evaluation kernel:
+//   - two-valued, bit-parallel over W 64-bit words (eval_cell: BatchSim's
+//     sweep, the fault simulator's cone walk, and the event simulator's
+//     truth tables, one eval_cell<1> call per cell type)
+//   - 3-valued "possible set" logic, one or two lanes per byte (V3Lanes:
+//     PODEM implication, dataflow X-propagation)
+// tests/cell_type_test.cpp checks both against the independent
+// ref::ref_eval_cell on every input combination.
 #pragma once
 
 #include <cstddef>
@@ -159,9 +161,6 @@ constexpr int controlling_value(CellType t) {
   }
 }
 
-/// Scalar evaluation; inputs are 0 or 1.
-std::uint8_t eval_scalar(CellType t, std::span<const std::uint8_t> ins);
-
 /// 3-valued logic in "possible set" encoding:
 /// bit0 set => value can be 0; bit1 set => value can be 1.
 /// 0b01 = constant 0, 0b10 = constant 1, 0b11 = X. 0b00 is invalid.
@@ -284,6 +283,114 @@ constexpr V3 eval_v3(CellType t, In in) {
 
 inline V3 eval_v3(CellType t, std::span<const V3> ins) {
   return eval_v3(t, [ins](int k) { return ins[static_cast<std::size_t>(k)]; });
+}
+
+/// The one two-valued cell kernel: evaluates a cell over W 64-bit words,
+/// bit p of word w being pattern w*64+p. `in` is an operand accessor: in(k)
+/// returns a pointer to input k's W words. `o` receives the W output words
+/// and must not alias any operand. Pure bitwise ops over contiguous words,
+/// so the W-lane bodies unroll and vectorize.
+template <int W, typename GetIn>
+inline void eval_cell(CellType t, GetIn in, std::uint64_t* o) {
+#define SCAP_LANES(expr)                       \
+  do {                                         \
+    for (int w = 0; w < W; ++w) o[w] = (expr); \
+  } while (0)
+  const std::uint64_t* a = nullptr;
+  const std::uint64_t* b = nullptr;
+  const std::uint64_t* c = nullptr;
+  const std::uint64_t* d = nullptr;
+  switch (t) {
+    case CellType::kTie0:
+      SCAP_LANES(0ull);
+      break;
+    case CellType::kTie1:
+      SCAP_LANES(~0ull);
+      break;
+    case CellType::kBuf:
+    case CellType::kClkBuf:
+    case CellType::kDff:  // D passthrough (combinational view of the D pin)
+      a = in(0);
+      SCAP_LANES(a[w]);
+      break;
+    case CellType::kInv:
+      a = in(0);
+      SCAP_LANES(~a[w]);
+      break;
+    case CellType::kAnd2:
+      a = in(0), b = in(1);
+      SCAP_LANES(a[w] & b[w]);
+      break;
+    case CellType::kAnd3:
+      a = in(0), b = in(1), c = in(2);
+      SCAP_LANES(a[w] & b[w] & c[w]);
+      break;
+    case CellType::kAnd4:
+      a = in(0), b = in(1), c = in(2), d = in(3);
+      SCAP_LANES(a[w] & b[w] & c[w] & d[w]);
+      break;
+    case CellType::kNand2:
+      a = in(0), b = in(1);
+      SCAP_LANES(~(a[w] & b[w]));
+      break;
+    case CellType::kNand3:
+      a = in(0), b = in(1), c = in(2);
+      SCAP_LANES(~(a[w] & b[w] & c[w]));
+      break;
+    case CellType::kNand4:
+      a = in(0), b = in(1), c = in(2), d = in(3);
+      SCAP_LANES(~(a[w] & b[w] & c[w] & d[w]));
+      break;
+    case CellType::kOr2:
+      a = in(0), b = in(1);
+      SCAP_LANES(a[w] | b[w]);
+      break;
+    case CellType::kOr3:
+      a = in(0), b = in(1), c = in(2);
+      SCAP_LANES(a[w] | b[w] | c[w]);
+      break;
+    case CellType::kOr4:
+      a = in(0), b = in(1), c = in(2), d = in(3);
+      SCAP_LANES(a[w] | b[w] | c[w] | d[w]);
+      break;
+    case CellType::kNor2:
+      a = in(0), b = in(1);
+      SCAP_LANES(~(a[w] | b[w]));
+      break;
+    case CellType::kNor3:
+      a = in(0), b = in(1), c = in(2);
+      SCAP_LANES(~(a[w] | b[w] | c[w]));
+      break;
+    case CellType::kNor4:
+      a = in(0), b = in(1), c = in(2), d = in(3);
+      SCAP_LANES(~(a[w] | b[w] | c[w] | d[w]));
+      break;
+    case CellType::kXor2:
+      a = in(0), b = in(1);
+      SCAP_LANES(a[w] ^ b[w]);
+      break;
+    case CellType::kXnor2:
+      a = in(0), b = in(1);
+      SCAP_LANES(~(a[w] ^ b[w]));
+      break;
+    case CellType::kMux2:  // inputs [S, A, B]; out = S ? B : A
+      a = in(0), b = in(1), c = in(2);
+      SCAP_LANES((a[w] & c[w]) | (~a[w] & b[w]));
+      break;
+  }
+#undef SCAP_LANES
+}
+
+/// Two-valued truth table of a cell: bit (i0 | i1 << 1 | ...) is the output
+/// for that input combination. One eval_cell<1> call whose lane k carries
+/// combination k, masked to the 2^n combinations of an n-input cell.
+inline std::uint16_t truth_table(CellType t) {
+  static_assert(kMaxGateInputs <= 4, "a 16-bit table holds up to 4 inputs");
+  static constexpr std::uint64_t kCombos[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
+  std::uint64_t out = 0;
+  eval_cell<1>(t, [](int k) { return &kCombos[k]; }, &out);
+  const unsigned rows = 1u << num_inputs(t);
+  return static_cast<std::uint16_t>(out & ((1ull << rows) - 1));
 }
 
 /// Canonical cell name (matches the Verilog writer/parser vocabulary).

@@ -176,21 +176,31 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
         }
         faults = std::move(sample);
       }
-      FaultSimulator fs(nl, ctx);
-      if (valid_batch_words(sc.batch_words)) {
-        fs.set_batch_words(sc.batch_words);
-      }
-      std::vector<std::size_t> graded = fs.grade(patterns, faults);
-      if (inject == InjectedBug::kGradeOffByOne) {
-        for (auto& v : graded) {
-          if (v != FaultSimulator::kUndetected) ++v;
-        }
-      }
       const std::vector<std::size_t> ref_graded =
           fault_grade_ref(nl, ctx, patterns, faults);
-      std::string why;
-      if (!compare_grade(graded, ref_graded, &why)) {
-        res.divergences.push_back({"grade", why, kNoPattern});
+      // grade() packs a set that fits in 64 patterns one word per net and a
+      // larger one four words, so it grades the set as given and tiled past
+      // 64 patterns. The tiled set opens with the set itself, so its
+      // reference first-detect indices are the untiled ones.
+      std::vector<Pattern> tiled;
+      while (!patterns.empty() && tiled.size() <= 64) {
+        tiled.insert(tiled.end(), patterns.begin(), patterns.end());
+      }
+      FaultSimulator fs(nl, ctx);
+      const std::vector<Pattern>* sets[] = {&patterns, &tiled};
+      for (const std::vector<Pattern>* set : sets) {
+        std::vector<std::size_t> graded = fs.grade(*set, faults);
+        if (inject == InjectedBug::kGradeOffByOne) {
+          for (auto& v : graded) {
+            if (v != FaultSimulator::kUndetected) ++v;
+          }
+        }
+        std::string why;
+        if (!compare_grade(graded, ref_graded, &why)) {
+          res.divergences.push_back(
+              {"grade", (set == &tiled ? "tiled: " : "") + why, kNoPattern});
+          break;
+        }
       }
     }
 
@@ -304,9 +314,6 @@ ShrinkResult shrink_scenario(const Scenario& start, InjectedBug inject) {
     }
     if (cur.check_grade && cur.fault_sample > 1) {
       push([](Scenario& c) { c.fault_sample /= 2; });
-    }
-    if (cur.check_grade && cur.batch_words != 1) {
-      push([](Scenario& c) { c.batch_words = 1; });  // simplest grade kernel
     }
     if (cur.fill_mode >= 0 && cur.x_fraction > 0.05) {
       push([](Scenario& c) { c.x_fraction = 0.0; });

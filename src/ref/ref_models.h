@@ -33,7 +33,7 @@
 namespace scap::ref {
 
 /// Independent scalar evaluation of one cell (own truth tables, not the
-/// production eval_scalar): a bug in the cell kit shows up as a divergence
+/// production eval_cell): a bug in the cell kit shows up as a divergence
 /// instead of being replicated on both sides.
 std::uint8_t ref_eval_cell(CellType t, std::span<const std::uint8_t> ins);
 

@@ -32,13 +32,10 @@ Scenario Scenario::random(std::uint64_t seed) {
   sc.grid_seed = r();
   sc.fault_sample = static_cast<std::uint64_t>(r.range(8, 48));
   sc.fault_seed = r();
-  // grade() must be width-invariant; exercise every compiled kernel plus the
-  // engine default.
-  constexpr std::uint64_t kWidths[] = {0, 1, 2, 4};
-  sc.batch_words = kWidths[r.below(4)];
-  // The retired draws of the mesh's void count, its edge jitter (the
-  // scenario's old grid_voids and grid_jitter) and its solver select, kept
-  // so every later field keeps its per-seed value.
+  // The retired draws of the grade width (the scenario's old batch_words),
+  // the mesh's void count, its edge jitter (grid_voids and grid_jitter) and
+  // its solver select, kept so every later field keeps its per-seed value.
+  (void)r.below(4);
   (void)r.below(4);
   if (!r.chance(0.5)) (void)r.uniform(0.05, 0.5);
   (void)r.below(3);
@@ -73,7 +70,6 @@ Scenario Scenario::parse(const std::string& text) {
   sc.grid_seed = doc.get_u64("grid_seed", sc.grid_seed);
   sc.fault_sample = doc.get_u64("fault_sample", sc.fault_sample);
   sc.fault_seed = doc.get_u64("fault_seed", sc.fault_seed);
-  sc.batch_words = doc.get_u64("batch_words", sc.batch_words);
   sc.check_sim = doc.get_bool("check_sim", sc.check_sim);
   sc.check_scap = doc.get_bool("check_scap", sc.check_scap);
   sc.check_grade = doc.get_bool("check_grade", sc.check_grade);
@@ -108,7 +104,6 @@ std::string Scenario::serialize() const {
   doc.set_u64("grid_seed", grid_seed);
   doc.set_u64("fault_sample", fault_sample);
   doc.set_u64("fault_seed", fault_seed);
-  doc.set_u64("batch_words", batch_words);
   doc.set_bool("check_sim", check_sim);
   doc.set_bool("check_scap", check_scap);
   doc.set_bool("check_grade", check_grade);

@@ -64,9 +64,6 @@ struct Scenario {
   // --- fault grading -------------------------------------------------------
   std::uint64_t fault_sample = 32;  ///< collapsed faults graded (0 = all)
   std::uint64_t fault_seed = 1;
-  /// grade() batch width in machine words (1/2/4); 0 = engine default. The
-  /// result must be identical at every width, so the fuzzer randomizes it.
-  std::uint64_t batch_words = 0;
 
   // --- which oracles run ---------------------------------------------------
   bool check_sim = true;

@@ -1,33 +1,34 @@
 #include "sim/batch_sim.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
-#define SCAP_BATCH_KERNEL_NS generic
-#include "sim/batch_kernels.inl"
-#undef SCAP_BATCH_KERNEL_NS
+#include "netlist/cell_type.h"
 
 namespace scap {
 
-#if defined(SCAP_HAVE_AVX2_KERNELS)
-namespace batchk {
-// Defined in batch_sim_avx2.cpp (compiled with -mavx2); call only after a
-// runtime __builtin_cpu_supports("avx2") check.
-void sweep_avx2_w1(const LevelizedView& v, std::uint64_t* vals);
-void sweep_avx2_w2(const LevelizedView& v, std::uint64_t* vals);
-void sweep_avx2_w4(const LevelizedView& v, std::uint64_t* vals);
-}  // namespace batchk
-#endif
-
 namespace {
 
-bool host_has_avx2() {
-#if defined(SCAP_HAVE_AVX2_KERNELS)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
+bool valid_words(std::size_t w) { return w == 1 || w == kMaxBatchWords; }
+
+/// One full sweep over the levelized schedule: every gate output computed
+/// from already-written compact nets. Sources (flop Q, PI, undriven) must be
+/// seeded before the call.
+template <int W>
+void sweep(const LevelizedView& v, std::uint64_t* vals) {
+  const std::size_t ng = v.num_gates();
+  const CellType* types = v.gate_types();
+  const NetId* outs = v.gate_outs();
+  const NetId* pool = v.gate_ins();
+  const std::uint32_t* off = v.gate_in_offsets();
+  for (std::size_t i = 0; i < ng; ++i) {
+    const NetId* ins = pool + off[i];
+    eval_cell<W>(
+        types[i],
+        [&](int k) { return vals + static_cast<std::size_t>(ins[k]) * W; },
+        vals + static_cast<std::size_t>(outs[i]) * W);
+  }
 }
 
 }  // namespace
@@ -35,21 +36,9 @@ bool host_has_avx2() {
 BatchSim::BatchSim(std::shared_ptr<const LevelizedView> view, std::size_t words)
     : view_(std::move(view)), words_(words) {
   if (!view_) throw std::invalid_argument("BatchSim: null view");
-  if (!valid_batch_words(words_)) {
-    throw std::invalid_argument("BatchSim: words must be 1, 2 or 4");
+  if (!valid_words(words_)) {
+    throw std::invalid_argument("BatchSim: words must be 1 or 4");
   }
-  avx2_ = host_has_avx2();
-#if defined(SCAP_HAVE_AVX2_KERNELS)
-  if (avx2_) {
-    sweep_ = words_ == 1   ? &batchk::sweep_avx2_w1
-             : words_ == 2 ? &batchk::sweep_avx2_w2
-                           : &batchk::sweep_avx2_w4;
-    return;
-  }
-#endif
-  sweep_ = words_ == 1   ? &batchk::generic::sweep<1>
-           : words_ == 2 ? &batchk::generic::sweep<2>
-                         : &batchk::generic::sweep<4>;
 }
 
 void BatchSim::eval_frame(std::span<const std::uint64_t> flop_q,
@@ -71,13 +60,20 @@ void BatchSim::eval_frame(std::span<const std::uint64_t> flop_q,
       net_values[static_cast<std::size_t>(pis[i]) * W + w] = pi[i * W + w];
     }
   }
-  sweep_(v, net_values.data());
+  if (W == 1) {
+    sweep<1>(v, net_values.data());
+  } else {
+    sweep<kMaxBatchWords>(v, net_values.data());
+  }
 }
 
 void BatchSim::next_state(std::span<const std::uint64_t> net_values,
                           std::vector<std::uint64_t>& next_q) const {
   const LevelizedView& v = *view_;
   const std::size_t W = words_;
+  if (net_values.size() != v.num_nets() * W) {
+    throw std::invalid_argument("BatchSim::next_state: input size mismatch");
+  }
   const NetId* fd = v.f_d();
   next_q.resize(v.num_flops() * W);
   for (FlopId f = 0; f < v.num_flops(); ++f) {
@@ -121,8 +117,10 @@ inline std::uint64_t pack_lsbs(std::uint64_t bytes) {
 void transpose_pack(std::span<const std::uint8_t* const> rows,
                     std::size_t num_vars, std::size_t words,
                     std::vector<std::uint64_t>& out) {
-  assert(valid_batch_words(words));
-  assert(rows.size() <= words * 64);
+  if (!valid_words(words) || rows.size() > words * 64) {
+    throw std::invalid_argument(
+        "transpose_pack: words must be 1 or 4 and hold every row");
+  }
   out.assign(num_vars * words, 0);
   const std::size_t var_octets = num_vars / 8;
   for (std::size_t w = 0; w * 64 < rows.size(); ++w) {

@@ -3,11 +3,10 @@
 // compute_quiet_state).
 //
 // One sweep over the LevelizedView's (level, type)-sorted flat gate table
-// evaluates W machine words per net (W = 1, 2 or 4 -> 64/128/256 patterns per
-// pass) with the per-gate cell dispatch inlined into the loop. The W-lane
-// inner bodies are plain bitwise ops over contiguous words, so they unroll
-// and vectorize; on x86-64 hosts with AVX2 a runtime-dispatched kernel
-// compiled with -mavx2 runs the same source at 256-bit width.
+// evaluates W machine words per net (W = 1 or 4 -> 64 or 256 patterns per
+// pass) with the per-gate cell dispatch inlined into the loop. Every gate
+// goes through the one two-valued cell kernel, eval_cell<W>
+// (netlist/cell_type.h), compiled once at the build's own flags.
 //
 // Values live in *compact* net ids (LevelizedView renumbering), W words per
 // net, lane-major: vals[net * W + w], bit p of word w = pattern w*64+p.
@@ -18,7 +17,7 @@
 // primary outputs. A broadside launch evaluates frame 1 from the scanned-in
 // state S1, derives S2 = D(S1) (the functional response captured by the
 // launch pulse), and evaluates frame 2 from S2. tests/batch_sim_test.cpp
-// pins every width lane for lane against the reference fixpoint evaluator
+// pins both widths lane for lane against the reference fixpoint evaluator
 // (ref::eval_frame_ref).
 #pragma once
 
@@ -31,16 +30,14 @@
 
 namespace scap {
 
-/// Batch widths supported by the compiled kernels.
+/// The wider of the two batch widths, in 64-bit words (the other is 1).
 inline constexpr std::size_t kMaxBatchWords = 4;
-constexpr bool valid_batch_words(std::size_t w) {
-  return w == 1 || w == 2 || w == 4;
-}
 
 class BatchSim {
  public:
-  /// `words` must satisfy valid_batch_words. The view is shared read-only;
-  /// shards of a parallel engine copy the shared_ptr, not the tables.
+  /// `words` is 1 or kMaxBatchWords; throws std::invalid_argument otherwise.
+  /// The view is shared read-only; shards of a parallel engine copy the
+  /// shared_ptr, not the tables.
   explicit BatchSim(std::shared_ptr<const LevelizedView> view,
                     std::size_t words = 1);
 
@@ -56,7 +53,8 @@ class BatchSim {
                   std::span<const std::uint64_t> pi,
                   std::vector<std::uint64_t>& net_values) const;
 
-  /// Next flop state (D values) from a frame's net values.
+  /// Next flop state (D values) from a frame's net values
+  /// (num_nets()*W words). Throws std::invalid_argument on another size.
   void next_state(std::span<const std::uint64_t> net_values,
                   std::vector<std::uint64_t>& next_q) const;
 
@@ -67,15 +65,19 @@ class BatchSim {
                  std::vector<std::uint64_t>& s2,
                  std::vector<std::uint64_t>& frame2) const;
 
-  /// True when the runtime-dispatched AVX2 kernel backs this instance.
-  bool uses_avx2() const { return avx2_; }
+  /// True when this build targets AVX2 (__AVX2__ is defined, which the
+  /// default flags do not do).
+  static constexpr bool uses_avx2() {
+#if defined(__AVX2__)
+    return true;
+#else
+    return false;
+#endif
+  }
 
  private:
   std::shared_ptr<const LevelizedView> view_;
   std::size_t words_;
-  using SweepFn = void (*)(const LevelizedView&, std::uint64_t*);
-  SweepFn sweep_ = nullptr;
-  bool avx2_ = false;
 };
 
 /// Bit-transpose a batch of pattern rows into lane-major variable words:
@@ -84,6 +86,8 @@ class BatchSim {
 /// byte vectors holding 0/1 per variable (Pattern::s1 layout). This replaces
 /// the bit-by-bit packing loop with an 8x8 bit-matrix transpose per tile --
 /// O(vars * patterns / 8) word ops instead of O(vars * patterns) shifts.
+/// Throws std::invalid_argument unless `words` is 1 or kMaxBatchWords and
+/// rows.size() <= 64 * words.
 void transpose_pack(std::span<const std::uint8_t* const> rows,
                     std::size_t num_vars, std::size_t words,
                     std::vector<std::uint64_t>& out);

@@ -78,24 +78,14 @@ void DelayModel::update_min_gate_delay() {
 
 namespace {
 
-/// Output of every input combination per cell type, tabulated from
-/// eval_scalar: bit (i0 | i1 << 1 | ...) of a type's entry is its output.
-/// The event loop evaluates a gate with one shift instead of a call and a
-/// switch, and eval_scalar stays the one definition of every cell.
+/// Every cell type's truth_table (netlist/cell_type.h), built once: the
+/// event loop evaluates a gate with one shift instead of a call and a
+/// switch, and eval_cell stays the one definition of every cell.
 const std::array<std::uint16_t, kNumCellTypes>& truth_tables() {
-  static_assert(kMaxGateInputs <= 4, "a 16-bit table holds up to 4 inputs");
   static const std::array<std::uint16_t, kNumCellTypes> tables = [] {
     std::array<std::uint16_t, kNumCellTypes> tt{};
     for (std::size_t c = 0; c < kNumCellTypes; ++c) {
-      const auto type = static_cast<CellType>(c);
-      const auto n = static_cast<std::size_t>(num_inputs(type));
-      std::array<std::uint8_t, kMaxGateInputs> ins{};
-      for (unsigned combo = 0; combo < (1u << n); ++combo) {
-        for (std::size_t i = 0; i < n; ++i) ins[i] = (combo >> i) & 1u;
-        if (eval_scalar(type, std::span<const std::uint8_t>(ins.data(), n))) {
-          tt[c] |= static_cast<std::uint16_t>(1u << combo);
-        }
-      }
+      tt[c] = truth_table(static_cast<CellType>(c));
     }
     return tt;
   }();

@@ -4,11 +4,11 @@
 // values and the reference models (src/ref):
 //  - LevelizedView: the compact renumbering is a permutation, the schedule
 //    is topological, and the compact-space topology mirrors the Netlist.
-//  - BatchSim: every width (W = 1/2/4) reproduces ref::eval_frame_ref lane
-//    by lane, the generic kernel matches the dispatched one (AVX2 on most
-//    hosts), and transpose_pack equals naive bit packing.
-//  - FaultSimulator::grade: first-detect indices are identical at every
-//    batch width, at 1 and 4 threads, and equal to ref::fault_grade_ref.
+//  - BatchSim: both widths (W = 1 and 4) reproduce ref::eval_frame_ref lane
+//    by lane, and transpose_pack equals naive bit packing.
+//  - FaultSimulator::grade: first-detect indices are identical for a whole
+//    set (four words per block) and for its 64-pattern slices (one word), at
+//    1 and 4 threads, and equal to ref::fault_grade_ref.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,13 +28,6 @@
 #include "sim/batch_sim.h"
 #include "test_helpers.h"
 #include "util/rng.h"
-
-// The kernel source built once more here, at the test's baseline flags:
-// BatchSim dispatches to the -mavx2 build whenever the host supports it, so
-// without this copy no test would reach the generic sweep on such hosts.
-#define SCAP_BATCH_KERNEL_NS test_generic
-#include "sim/batch_kernels.inl"
-#undef SCAP_BATCH_KERNEL_NS
 
 namespace scap {
 namespace {
@@ -119,7 +112,7 @@ TEST(LevelizedView, ScheduleIsTopologicalAndMirrorsTopology) {
 
 TEST(BatchSim, TransposePackMatchesNaivePacking) {
   Rng rng(42);
-  for (const std::size_t words : {1u, 2u, 4u}) {
+  for (const std::size_t words : {1u, 4u}) {
     for (const std::size_t num_vars : {1u, 8u, 13u, 64u, 67u}) {
       const std::size_t np = rng.range(1, static_cast<long>(words * 64));
       std::vector<std::vector<std::uint8_t>> pats(np);
@@ -147,13 +140,34 @@ TEST(BatchSim, TransposePackMatchesNaivePacking) {
 
 TEST(BatchSim, RejectsMissizedInputs) {
   const Netlist nl = test::tiny_netlist();
-  const BatchSim sim(nl.levelized_view(), 2);
-  std::vector<std::uint64_t> nets;
-  const std::vector<std::uint64_t> q(3 * 2), pi(1 * 2);
+  EXPECT_THROW(BatchSim(nl.levelized_view(), 2), std::invalid_argument);
+  const BatchSim sim(nl.levelized_view(), 4);
+  std::vector<std::uint64_t> nets, next;
+  const std::vector<std::uint64_t> q(3 * 4), pi(1 * 4);
   EXPECT_NO_THROW(sim.eval_frame(q, pi, nets));
   EXPECT_THROW(sim.eval_frame(std::vector<std::uint64_t>(3), pi, nets),
                std::invalid_argument);
   EXPECT_THROW(sim.eval_frame(q, std::vector<std::uint64_t>{}, nets),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sim.next_state(nets, next));
+  EXPECT_EQ(next.size(), q.size());
+  EXPECT_THROW(sim.next_state(std::span(nets).first(nets.size() - 1), next),
+               std::invalid_argument);
+
+  // transpose_pack rejects a width other than 1 or 4, and more rows than
+  // its words hold.
+  const std::vector<std::uint8_t> row(5, 1);
+  std::vector<std::uint64_t> packed;
+  EXPECT_NO_THROW(transpose_pack(
+      std::vector<const std::uint8_t*>(256, row.data()), 5, 4, packed));
+  EXPECT_THROW(transpose_pack(std::vector<const std::uint8_t*>(257, row.data()),
+                              5, 4, packed),
+               std::invalid_argument);
+  EXPECT_THROW(transpose_pack(std::vector<const std::uint8_t*>(65, row.data()),
+                              5, 1, packed),
+               std::invalid_argument);
+  EXPECT_THROW(transpose_pack(std::vector<const std::uint8_t*>(1, row.data()),
+                              5, 2, packed),
                std::invalid_argument);
 }
 
@@ -164,7 +178,7 @@ TEST(BatchSim, MatchesReferenceAtEveryWidth) {
 
   const std::size_t nf = nl.num_flops();
   const std::size_t npi = nl.primary_inputs().size();
-  for (const std::size_t W : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  for (const std::size_t W : {std::size_t{1}, std::size_t{4}}) {
     const BatchSim batch(nl.levelized_view(), W);
     ASSERT_EQ(batch.words(), W);
     // Independent random words per lane.
@@ -208,36 +222,6 @@ TEST(BatchSim, MatchesReferenceAtEveryWidth) {
   }
 }
 
-template <int W>
-void expect_generic_sweep_matches(const Netlist& nl, Rng& rng) {
-  const LevelizedView& v = *nl.levelized_view();
-  const BatchSim batch(nl.levelized_view(), W);
-  std::vector<std::uint64_t> q(v.num_flops() * W), pi(v.num_pis() * W);
-  for (auto& x : q) x = rng();
-  for (auto& x : pi) x = rng();
-  std::vector<std::uint64_t> dispatched;
-  batch.eval_frame(q, pi, dispatched);
-
-  // Seed the sources exactly as BatchSim::eval_frame does, then sweep.
-  std::vector<std::uint64_t> generic(v.num_nets() * W, 0);
-  std::copy(q.begin(), q.end(), generic.begin());
-  for (std::size_t i = 0; i < v.num_pis(); ++i) {
-    for (std::size_t w = 0; w < W; ++w) {
-      generic[static_cast<std::size_t>(v.pi_nets()[i]) * W + w] = pi[i * W + w];
-    }
-  }
-  batchk::test_generic::sweep<W>(v, generic.data());
-  EXPECT_EQ(generic, dispatched) << "W=" << W;
-}
-
-TEST(BatchSim, GenericKernelMatchesDispatchedKernel) {
-  const Netlist& nl = test::small_soc().netlist;
-  Rng rng(11);
-  expect_generic_sweep_matches<1>(nl, rng);
-  expect_generic_sweep_matches<2>(nl, rng);
-  expect_generic_sweep_matches<4>(nl, rng);
-}
-
 /// Run `fn` with the global pool pinned to `threads`, restoring the default.
 template <typename Fn>
 auto at_threads(std::size_t threads, Fn&& fn) {
@@ -251,22 +235,50 @@ TEST(BatchGrade, WidthAndThreadInvariant) {
   const Netlist& nl = test::small_soc().netlist;
   const TestContext ctx = TestContext::for_domain(nl, 0);
   const auto faults = collapse_faults(nl, enumerate_faults(nl));
-  // 3 full 64-lane batches plus a partial tail, so W=4 sees a partial block.
+  // 3 full 64-lane batches plus a partial tail: graded whole, the set is one
+  // four-word block whose last word is partial; graded in 64-pattern slices
+  // as the ATPG engine drops faults, each slice is one word and later slices
+  // see only the faults earlier ones left undetected.
   const PatternSet pats = random_pattern_set(210, ctx.num_vars(), 77);
+  const std::span<const Pattern> all(pats.patterns);
 
   std::vector<std::vector<std::size_t>> results;
   std::vector<std::vector<std::size_t>> counts;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t W :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      auto run = [&] {
-        FaultSimulator fs(nl, ctx);
-        fs.set_batch_words(W);
-        std::vector<std::size_t> per_pattern;
-        auto first = fs.grade(pats.patterns, faults, &per_pattern);
-        return std::pair(std::move(first), std::move(per_pattern));
-      };
-      auto [first, per] = at_threads(threads, run);
+    auto whole = [&] {
+      FaultSimulator fs(nl, ctx);
+      std::vector<std::size_t> per_pattern;
+      auto first = fs.grade(all, faults, &per_pattern);
+      return std::pair(std::move(first), std::move(per_pattern));
+    };
+    auto sliced = [&] {
+      FaultSimulator fs(nl, ctx);
+      std::vector<std::size_t> first(faults.size(),
+                                     FaultSimulator::kUndetected);
+      std::vector<std::size_t> per_pattern;
+      for (std::size_t base = 0; base < all.size(); base += 64) {
+        std::vector<TdfFault> open;
+        std::vector<std::size_t> open_index;
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+          if (first[i] != FaultSimulator::kUndetected) continue;
+          open.push_back(faults[i]);
+          open_index.push_back(i);
+        }
+        std::vector<std::size_t> slice_counts;
+        const auto slice_first = fs.grade(
+            all.subspan(base, std::min<std::size_t>(64, all.size() - base)),
+            open, &slice_counts);
+        for (std::size_t k = 0; k < open.size(); ++k) {
+          if (slice_first[k] == FaultSimulator::kUndetected) continue;
+          first[open_index[k]] = base + slice_first[k];
+        }
+        per_pattern.insert(per_pattern.end(), slice_counts.begin(),
+                           slice_counts.end());
+      }
+      return std::pair(std::move(first), std::move(per_pattern));
+    };
+    for (auto [first, per] : {at_threads(threads, whole),
+                              at_threads(threads, sliced)}) {
       results.push_back(std::move(first));
       counts.push_back(std::move(per));
     }
@@ -286,19 +298,6 @@ TEST(BatchGrade, WidthAndThreadInvariant) {
   }
   EXPECT_EQ(sample_first,
             ref::fault_grade_ref(nl, ctx, pats.patterns, sample));
-}
-
-TEST(BatchGrade, RejectsInvalidWidths) {
-  const Netlist& nl = test::tiny_soc().netlist;
-  const TestContext ctx = TestContext::for_domain(nl, 0);
-  FaultSimulator fs(nl, ctx);
-  EXPECT_EQ(fs.batch_words(), FaultSimulator::kDefaultBatchWords);
-  EXPECT_THROW(fs.set_batch_words(3), std::invalid_argument);
-  EXPECT_THROW(fs.set_batch_words(8), std::invalid_argument);
-  fs.set_batch_words(2);
-  EXPECT_EQ(fs.batch_words(), 2u);
-  fs.set_batch_words(0);  // reset
-  EXPECT_EQ(fs.batch_words(), FaultSimulator::kDefaultBatchWords);
 }
 
 // --- corpus replay vs the reference grader --------------------------------
@@ -333,15 +332,22 @@ TEST_P(CorpusGrade, MatchesReferenceAtEveryWidthAndThreadCount) {
 
   const std::vector<std::size_t> ref_first =
       ref::fault_grade_ref(nl, setup.ctx, setup.patterns, faults);
+  // The set as given fits in one word; tiled past 64 patterns it is graded
+  // four words wide. The tiled set opens with the set itself, so its
+  // reference first-detect indices are the untiled ones.
+  std::vector<Pattern> tiled;
+  while (tiled.size() <= 64) {
+    tiled.insert(tiled.end(), setup.patterns.begin(), setup.patterns.end());
+  }
+  const std::vector<Pattern>* sets[] = {&setup.patterns, &tiled};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t W :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const std::vector<Pattern>* set : sets) {
       auto first = at_threads(threads, [&] {
         FaultSimulator fs(nl, setup.ctx);
-        fs.set_batch_words(W);
-        return fs.grade(setup.patterns, faults);
+        return fs.grade(*set, faults);
       });
-      EXPECT_EQ(first, ref_first) << "threads=" << threads << " W=" << W;
+      EXPECT_EQ(first, ref_first)
+          << "threads=" << threads << " patterns=" << set->size();
     }
   }
 }

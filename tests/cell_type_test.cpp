@@ -1,29 +1,27 @@
-// Cross-domain consistency of the cell evaluators: scalar, 64-bit word
-// (the batch kernels' eval_cell) and 3-valued evaluation must agree on every
-// cell type and every input combination, the 3-valued evaluator must be
-// exactly the abstraction of the scalar one (known result iff all
-// completions agree), and each lane of the packed two-lane kernel must
+// The cell kernels against the independent reference evaluator
+// ref::ref_eval_cell, on every cell type and every input combination: each
+// lane of every word of the two-valued kernel eval_cell, the event
+// simulator's truth tables (truth_table), and the 3-valued kernel, which
+// must be exactly the abstraction of the reference (known result iff all
+// completions agree). Each lane of the packed two-lane 3-valued kernel must
 // evaluate exactly as the one-lane eval_v3.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "netlist/cell_type.h"
-#include "netlist/levelized_view.h"
-
-#define SCAP_BATCH_KERNEL_NS cell_test
-#include "sim/batch_kernels.inl"
-#undef SCAP_BATCH_KERNEL_NS
+#include "ref/ref_models.h"
 
 namespace scap {
 namespace {
 
-/// One 64-lane word evaluation through the shared batch kernel.
-std::uint64_t kernel_word(CellType t, const std::vector<std::uint64_t>& ins) {
-  std::uint64_t out = 0;
-  batchk::cell_test::eval_cell<1>(
-      t, [&](int k) { return ins.data() + k; }, &out);
-  return out;
+/// Reference output for input combination `combo` (bit i = input i).
+std::uint8_t ref_output(CellType t, unsigned combo) {
+  std::array<std::uint8_t, kMaxGateInputs> ins{};
+  const auto n = static_cast<std::size_t>(num_inputs(t));
+  for (std::size_t i = 0; i < n; ++i) ins[i] = (combo >> i) & 1u;
+  return ref::ref_eval_cell(t, std::span<const std::uint8_t>(ins.data(), n));
 }
 
 std::vector<CellType> all_combinational_types() {
@@ -35,51 +33,59 @@ std::vector<CellType> all_combinational_types() {
   return out;
 }
 
+/// Every input combination of `t` packed into the lanes of W words: word w
+/// lane 16*w + combo carries combination combo, so each word holds its own
+/// lanes. Checks every one of them against the reference.
+template <int W>
+void expect_word_lanes_match_reference(CellType t) {
+  const int n = num_inputs(t);
+  std::vector<std::uint64_t> wins(static_cast<std::size_t>(n) * W, 0);
+  for (int w = 0; w < W; ++w) {
+    for (int combo = 0; combo < (1 << n); ++combo) {
+      for (int i = 0; i < n; ++i) {
+        if ((combo >> i) & 1) {
+          wins[static_cast<std::size_t>(i * W + w)] |= 1ull << (16 * w + combo);
+        }
+      }
+    }
+  }
+  std::uint64_t out[W] = {};
+  eval_cell<W>(
+      t, [&](int k) { return wins.data() + static_cast<std::size_t>(k) * W; },
+      out);
+  for (int w = 0; w < W; ++w) {
+    for (int combo = 0; combo < (1 << n); ++combo) {
+      EXPECT_EQ((out[w] >> (16 * w + combo)) & 1,
+                ref_output(t, static_cast<unsigned>(combo)))
+          << cell_name(t) << " W=" << W << " word " << w << " combo " << combo;
+    }
+  }
+}
+
 class CellEval : public ::testing::TestWithParam<CellType> {};
 
-TEST_P(CellEval, ScalarMatchesWordOnAllCombinations) {
+TEST_P(CellEval, WordMatchesReferenceOnAllCombinations) {
+  // Constant words: every lane of the one evaluation is the same combination.
   const CellType t = GetParam();
   const int n = num_inputs(t);
   for (int combo = 0; combo < (1 << n); ++combo) {
-    std::vector<std::uint8_t> sins(static_cast<std::size_t>(n));
     std::vector<std::uint64_t> wins(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      const std::uint8_t bit = (combo >> i) & 1;
-      sins[static_cast<std::size_t>(i)] = bit;
-      wins[static_cast<std::size_t>(i)] = bit ? ~0ull : 0ull;
+      wins[static_cast<std::size_t>(i)] = (combo >> i) & 1 ? ~0ull : 0ull;
     }
-    const std::uint8_t s = eval_scalar(t, sins);
-    const std::uint64_t w = kernel_word(t, wins);
-    EXPECT_EQ(w, s ? ~0ull : 0ull)
+    std::uint64_t w = 0;
+    eval_cell<1>(t, [&](int k) { return wins.data() + k; }, &w);
+    EXPECT_EQ(w, ref_output(t, static_cast<unsigned>(combo)) ? ~0ull : 0ull)
         << cell_name(t) << " combo " << combo;
   }
 }
 
 TEST_P(CellEval, WordEvaluatesLanesIndependently) {
-  const CellType t = GetParam();
-  const int n = num_inputs(t);
-  if (n == 0) return;
-  // Pack all input combinations into lanes and check each lane.
-  std::vector<std::uint64_t> wins(static_cast<std::size_t>(n), 0);
-  for (int combo = 0; combo < (1 << n); ++combo) {
-    for (int i = 0; i < n; ++i) {
-      if ((combo >> i) & 1) {
-        wins[static_cast<std::size_t>(i)] |= 1ull << combo;
-      }
-    }
-  }
-  const std::uint64_t w = kernel_word(t, wins);
-  for (int combo = 0; combo < (1 << n); ++combo) {
-    std::vector<std::uint8_t> sins(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      sins[static_cast<std::size_t>(i)] = (combo >> i) & 1;
-    }
-    EXPECT_EQ((w >> combo) & 1, eval_scalar(t, sins))
-        << cell_name(t) << " lane " << combo;
-  }
+  expect_word_lanes_match_reference<1>(GetParam());
+  expect_word_lanes_match_reference<4>(GetParam());
 }
 
-TEST_P(CellEval, V3IsExactAbstractionOfScalar) {
+TEST_P(CellEval, V3IsExactAbstractionOfReference) {
   const CellType t = GetParam();
   const int n = num_inputs(t);
   // Enumerate 3-valued inputs (0,1,X per pin).
@@ -106,15 +112,14 @@ TEST_P(CellEval, V3IsExactAbstractionOfScalar) {
       if (code[static_cast<std::size_t>(i)] == 2) x_pins.push_back(i);
     }
     for (int fill = 0; fill < (1 << x_pins.size()); ++fill) {
-      std::vector<std::uint8_t> sins(static_cast<std::size_t>(n));
+      unsigned bits = 0;
       for (int i = 0; i < n; ++i) {
-        sins[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(code[static_cast<std::size_t>(i)] % 2);
+        if (code[static_cast<std::size_t>(i)] == 1) bits |= 1u << i;
       }
       for (std::size_t k = 0; k < x_pins.size(); ++k) {
-        sins[static_cast<std::size_t>(x_pins[k])] = (fill >> k) & 1;
+        if ((fill >> k) & 1) bits |= 1u << x_pins[k];
       }
-      (eval_scalar(t, sins) ? can1 : can0) = true;
+      (ref_output(t, bits) ? can1 : can0) = true;
     }
     // V3 may be pessimistic (report X when the value is actually fixed) but
     // must never claim a wrong known value; for these cell primitives it is
@@ -167,6 +172,22 @@ INSTANTIATE_TEST_SUITE_P(AllCells, CellEval,
                          [](const auto& info) {
                            return std::string(cell_name(info.param));
                          });
+
+TEST(CellType, TruthTablesMatchReference) {
+  // Every cell type, the sequential and clock cells included: bit combo of
+  // the table is the output for that combination, and bits past the 2^n
+  // combinations of an n-input cell are clear.
+  for (std::size_t c = 0; c < kNumCellTypes; ++c) {
+    const auto t = static_cast<CellType>(c);
+    const unsigned rows = 1u << num_inputs(t);
+    const std::uint16_t table = truth_table(t);
+    for (unsigned combo = 0; combo < 16; ++combo) {
+      const unsigned want = combo < rows ? ref_output(t, combo) : 0u;
+      EXPECT_EQ((table >> combo) & 1u, want)
+          << cell_name(t) << " combo " << combo;
+    }
+  }
+}
 
 TEST(CellType, NamesRoundTrip) {
   for (std::size_t i = 0; i < kNumCellTypes; ++i) {

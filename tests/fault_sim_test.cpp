@@ -166,16 +166,16 @@ TEST(FaultSim, GradeIsMonotoneInPatternCount) {
 }
 
 TEST(FaultSim, PartialBatchMasksHighLanes) {
+  // 5 patterns fill part of one word; 70 fill part of a four-word block.
   SimRig rig;
-  const auto pats = rig.random_patterns(5, 13);
   FaultSimulator fsim(rig.nl, rig.ctx);
   std::vector<TdfFault> sample;
   for (int trial = 0; trial < 50; ++trial) {
     sample.push_back(rig.faults[static_cast<std::size_t>(trial) * 37 %
                                 rig.faults.size()]);
   }
-  for (const std::size_t W : {std::size_t{1}, std::size_t{4}}) {
-    fsim.set_batch_words(W);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{70}}) {
+    const auto pats = rig.random_patterns(n, 13);
     for (const std::size_t idx : fsim.grade(pats, sample)) {
       if (idx == FaultSimulator::kUndetected) continue;
       EXPECT_LT(idx, pats.size()) << "lanes beyond the batch must stay clear";

@@ -155,6 +155,30 @@ TEST(LosEngine, PerBlockQuietFillRuns) {
   }
 }
 
+TEST(LosEngine, PerBlockQuietFillMatchesUniformQuiet) {
+  // A launch variable (LOS scan-in, enhanced-scan V2) takes the fill mode of
+  // the block of the flop it launches, so quiet fill in every block is
+  // uniform quiet fill, launch variables included, bit for bit.
+  LosRig rig;
+  const TestContext enh = TestContext::for_domain_enhanced(rig.nl, 0);
+  const TestContext* contexts[] = {&rig.los, &enh};
+  for (const TestContext* ctx : contexts) {
+    AtpgEngine engine(rig.nl, *ctx);
+    AtpgOptions uniform;
+    uniform.fill = FillMode::kQuiet;
+    AtpgOptions per_block;
+    per_block.per_block_fill.assign(rig.nl.block_count(), FillMode::kQuiet);
+    const AtpgResult a = engine.run(rig.faults, uniform);
+    const AtpgResult b = engine.run(rig.faults, per_block);
+    ASSERT_EQ(a.patterns.size(), b.patterns.size())
+        << "scheme " << static_cast<int>(ctx->scheme);
+    for (std::size_t i = 0; i < a.patterns.size(); ++i) {
+      ASSERT_EQ(a.patterns.patterns[i].s1, b.patterns.patterns[i].s1)
+          << "scheme " << static_cast<int>(ctx->scheme) << " pattern " << i;
+    }
+  }
+}
+
 TEST(LosVsLoc, LosCoversAtLeastComparably) {
   // With a fully controllable S2, LOS usually detects more TDFs than LOC
   // (some LOC-testable faults need functional states LOS can't shift in, so

@@ -106,9 +106,9 @@ TEST(ScenarioSerialization, RoundTripsByteStable) {
 
 TEST(ScenarioSerialization, RandomDrawsArePinnedPerSeed) {
   // Scenario::random's fields for five seeds, recorded before the mesh's
-  // void and jitter fields were retired (minus those two lines). A retired
-  // field whose draw is dropped instead of consumed shifts every later
-  // field and fails here.
+  // void and jitter fields and the grade width were retired (minus those
+  // three lines). A retired field whose draw is dropped instead of consumed
+  // shifts every later field and fails here.
   const struct {
     std::uint64_t seed;
     const char* text;
@@ -136,7 +136,6 @@ grid_sources 4
 grid_seed 10277292511068429730
 fault_sample 35
 fault_seed 17670016435951889822
-batch_words 2
 check_sim true
 check_scap true
 check_grade true
@@ -165,7 +164,6 @@ grid_sources 1
 grid_seed 10398480724789949516
 fault_sample 28
 fault_seed 4131832357971256236
-batch_words 4
 check_sim true
 check_scap true
 check_grade true
@@ -194,7 +192,6 @@ grid_sources 18
 grid_seed 14053674625491806340
 fault_sample 17
 fault_seed 10921768710064968898
-batch_words 1
 check_sim true
 check_scap true
 check_grade true
@@ -223,7 +220,6 @@ grid_sources 9
 grid_seed 5197377633971778764
 fault_sample 48
 fault_seed 6629367177026806624
-batch_words 2
 check_sim true
 check_scap true
 check_grade true
@@ -252,7 +248,6 @@ grid_sources 13
 grid_seed 12175637275397204893
 fault_sample 28
 fault_seed 10722747117448611729
-batch_words 1
 check_sim true
 check_scap true
 check_grade true

@@ -171,33 +171,6 @@ TEST(RtDeterminism, FaultGradeShardingInvariant) {
   EXPECT_EQ(at1.second, at4.second);
 }
 
-TEST(RtDeterminism, FaultGradeBatchWidthInvariant) {
-  // grade() packs 64*W patterns per block; the first-detect indices (and
-  // per-pattern credit counts) must not depend on W or the thread count.
-  const Experiment& exp = exp_fixture();
-  const PatternSet pats =
-      random_pattern_set(200, exp.ctx.num_vars(), /*seed=*/2008);
-  auto run_at = [&](std::size_t words) {
-    FaultSimulator fsim(exp.soc.netlist, exp.ctx);
-    fsim.set_batch_words(words);
-    std::vector<std::size_t> counts;
-    std::vector<std::size_t> first =
-        fsim.grade(pats.patterns, exp.faults, &counts);
-    return std::pair(std::move(first), std::move(counts));
-  };
-  const auto base = at_threads(1, [&] { return run_at(1); });
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t words :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      const auto got = at_threads(threads, [&] { return run_at(words); });
-      EXPECT_EQ(got.first, base.first)
-          << "threads=" << threads << " W=" << words;
-      EXPECT_EQ(got.second, base.second)
-          << "threads=" << threads << " W=" << words;
-    }
-  }
-}
-
 TEST(RtDeterminism, StatisticalAnalysisInvariant) {
   const Experiment& exp = exp_fixture();
   const Netlist& nl = exp.soc.netlist;

@@ -12,7 +12,7 @@
 //
 // Usage:
 //   scap_prof [--kernel faultsim|scap|atpg] [--threads N] [--repeat N]
-//             [--scale S] [--words 1|2|4] [--out DIR] [--overhead]
+//             [--scale S] [--out DIR] [--overhead]
 //
 // `--kernel atpg` runs conventional random-fill ATPG at backtrack limit 32,
 // the body of the sweep's atpg_conventional kernel (which uses --scale
@@ -54,8 +54,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--kernel faultsim|scap|atpg] [--threads N]\n"
-               "       [--repeat N] [--scale S] [--words 1|2|4] [--out DIR]\n"
-               "       [--overhead]\n",
+               "       [--repeat N] [--scale S] [--out DIR] [--overhead]\n",
                argv0);
   return 2;
 }
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
   std::size_t threads = 4;
   int repeat = 3;
   double scale = 0.04;
-  std::size_t words = 0;  // 0 = FaultSimulator default
   std::string out_dir;
   bool overhead = false;
 
@@ -100,11 +98,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       scale = std::atof(v);
-    } else if (arg == "--words") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      words = static_cast<std::size_t>(std::atol(v));
-      if (!scap::valid_batch_words(words)) return usage(argv[0]);
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -135,10 +128,8 @@ int main(int argc, char** argv) {
 
   std::function<void()> body;
   if (kernel == "faultsim") {
-    // `--words` picks the batch width (0 keeps the default).
-    body = [&exp, &pats, words] {
+    body = [&exp, &pats] {
       scap::FaultSimulator fsim(exp.soc.netlist, exp.ctx);
-      fsim.set_batch_words(words);
       volatile std::size_t n = fsim.grade(pats.patterns, exp.faults).size();
       (void)n;
     };
